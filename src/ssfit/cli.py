@@ -20,6 +20,7 @@ from .oracle import BarrierQuery, barrier_solve
 from .regions import eig_membership
 from .statespace import (
     Dataset,
+    FilterDivergedError,
     eigen_report,
     filter_innovations,
     identification_index,
@@ -124,6 +125,9 @@ def cmd_simulate(args) -> int:
         y = simulate(model, u, seed=args.seed, noise=not args.no_noise)
     except (ssio.SchemaError, ValueError) as exc:
         return _fail(str(exc))
+    except FilterDivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     ssio.save_dataset(args.out, Dataset(u, y))
     _write_json(args.out + ".meta.json",
                 {"seed": args.seed, "noise": not args.no_noise,
@@ -143,9 +147,10 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     windows = tuple(w for w in (1, 10, 100) if w <= data.N)
     try:
-        e, _ = filter_innovations(model, data)
+        innovations = filter_innovations(model, data)
+        e, _ = innovations
         q, averages = identification_index(e, model.Re, windows=windows)
-        nll = neg_log_likelihood(model, data)
+        nll = neg_log_likelihood(model, data, innovations)
         y_free = simulate(model, data.u, noise=False)
     except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc))

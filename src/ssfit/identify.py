@@ -17,12 +17,15 @@ from typing import Callable
 
 import numpy as np
 
+from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower, project_lower, vecs
-from .nlp import NlpProblem, SolveOptions, SolveReport, fd_gradient, solve
+from .nlp import (NlpProblem, SolveOptions, SolveReport, fd_gradient,
+                  fd_jacobian, solve)
 from .oracle import BarrierQuery, barrier_solve
 from .regions import LmiRegion, char_fn, matrix_char_fn
 from .statespace import (
     Dataset,
+    FilterDivergedError,
     InnovationModel,
     LadmSpec,
     ParameterLayout,
@@ -40,6 +43,8 @@ from .transform import (
     epsilon_box,
     gbmz_forward,
     gbmz_inverse,
+    gram_jacobian,
+    sigma_forward,
 )
 
 __all__ = [
@@ -244,10 +249,13 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
 class _IdentificationNlp:
     """Callable bundle for one identification solve.
 
-    The objective runs the innovation filter, so its gradient is finite
-    differenced only over the coordinates it actually depends on (the model
-    parameters and the covariance factor); the coupled-block factor enters
-    the equalities alone, where its Jacobian block is analytic.
+    The objective runs the innovation filter and keeps its innovations for
+    the gradient at the same point, which is the filter adjoint (a central
+    difference over the model parameters and the covariance factor only
+    when the Sigma completion is not trivial).  The constraint Jacobians
+    difference the polynomial maps over the same coordinates; the
+    coupled-block factor enters the equalities alone, where its Jacobian
+    block is analytic.
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
@@ -259,6 +267,7 @@ class _IdentificationNlp:
         self.rho = ext.spec.rho
         self.fd_step = fd_step
         self.dim = self.system.dim
+        self.n_eq = len(self.system.pattern_a)
         self.k_beta_sigma = self.system.n_beta + len(self.system.pattern_sigma)
         self.lower = epsilon_box(self.system, ext.spec.epsilon)
         # per-sample objective scaling keeps likelihood gradients O(1)
@@ -266,8 +275,10 @@ class _IdentificationNlp:
         self.obj_scale = float(max(1, data.N))
         self._cache_key = None
         self._cache_val = None
-        pat_a = self.system.pattern_a
-        self._a_pos = {e: i for i, e in enumerate(pat_a.entries)}
+        # filter innovations at the cached point, left by the objective
+        self._innovations = None
+        self._gram = gram_jacobian(self.system.pattern_a)
+        self._gram_cols = self.k_beta_sigma + self._gram.cols
         self._n_evals = 0
         # the adjoint gradient applies when Sigma is exactly L L^T on its
         # pattern (zero shift, trivial completion), which holds for every
@@ -281,6 +292,7 @@ class _IdentificationNlp:
             theta, A_T = gbmz_forward(phi, self.system)
             self._cache_key = key
             self._cache_val = (phi, theta, A_T)
+            self._innovations = None
         return self._cache_val
 
     def objective(self, x: np.ndarray) -> float:
@@ -288,9 +300,11 @@ class _IdentificationNlp:
         phi, theta, _ = self._forward(x)
         model = self.ext.model_of(theta)
         try:
-            value = neg_log_likelihood(model, self.data)
-        except ValueError:
+            innovations = statespace.filter_innovations(model, self.data)
+            value = neg_log_likelihood(model, self.data, innovations)
+        except (ValueError, FilterDivergedError):
             return float("inf")
+        self._innovations = innovations
         if self.rho > 0 and self.phi_bar is not None:
             value += regularizer(phi, self.phi_bar, self.rho, self.system)
         return value / self.obj_scale
@@ -317,13 +331,14 @@ class _IdentificationNlp:
         The likelihood touches only the model parameters and the leading
         covariance block; matrix gradients pull back through the (linear)
         layout and the factor product, and the coupled-block factor
-        coordinates carry zero gradient.
+        coordinates carry zero gradient.  The innovations come from the
+        objective call at ``x`` when there was one.
         """
         phi, theta, _ = self._forward(x)
         ext = self.ext
         ladm = ext.spec.ladm
         model = ext.model_of(theta)
-        grads = likelihood_gradients(model, self.data)
+        grads = likelihood_gradients(model, self.data, self._innovations)
         n_s = ladm.n_s
         mats = {
             "A_s": grads["A"][:n_s, :n_s],
@@ -380,33 +395,34 @@ class _IdentificationNlp:
         Amat = self.system.psd_fn(theta.beta, theta.Sigma)
         return vecs(self.system.pattern_a, 0.5 * (Amat + Amat.T) - A_T)
 
+    def _stencil_point(self, z: np.ndarray):
+        """``(beta, Sigma)`` at leading coordinates ``z``, as ``_forward``
+        maps them, without the coupled block or the cache."""
+        nb = self.system.n_beta
+        ps = self.system.pattern_sigma
+        L_sigma = np.zeros((ps.n, ps.n))
+        L_sigma[ps._rows0, ps._cols0] = z[nb:]
+        beta = z[:nb]
+        return beta, sigma_forward(self.system, beta, L_sigma)
+
+    def _psd_entries(self, z: np.ndarray) -> np.ndarray:
+        Amat = self.system.psd_fn(*self._stencil_point(z))
+        pa = self.system.pattern_a
+        return (0.5 * (Amat + Amat.T))[pa._rows0, pa._cols0]
+
+    def _ineq_rows(self, z: np.ndarray) -> np.ndarray:
+        return self.system.ineq_fn(*self._stencil_point(z))
+
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
         ks = self.k_beta_sigma
-        n_eq = len(self.system.pattern_a)
-        J = np.zeros((n_eq, self.dim))
-
-        def part(z):
-            xx = x.copy()
-            xx[:ks] = z
-            phi, theta, _ = self._forward(xx)
-            Amat = self.system.psd_fn(theta.beta, theta.Sigma)
-            return vecs(self.system.pattern_a, 0.5 * (Amat + Amat.T))
-
-        from .nlp import fd_jacobian
-        J[:, :ks] = fd_jacobian(part, x[:ks], n_eq, self.fd_step,
-                                self.lower[:ks])
+        J = np.zeros((self.n_eq, self.dim))
+        J[:, :ks] = fd_jacobian(self._psd_entries, x[:ks], self.n_eq,
+                                self.fd_step, self.lower[:ks])
         # the completed coupled factor contributes -d(L L^T) analytically
-        phi = self.system.unpack(x)
-        La = phi.L_a
-        pat = self.system.pattern_a
-        for col, (r1, s1) in enumerate(pat.entries):
-            r, s = r1 - 1, s1 - 1
-            c = La[:, s]
-            for k in np.flatnonzero(c):
-                a, b = (k + 1, r1) if k >= r else (r1, k + 1)
-                row = self._a_pos.get((a, b))
-                if row is not None:
-                    J[row, ks + col] -= 2.0 * c[k] if k == r else c[k]
+        pa = self.system.pattern_a
+        La = np.zeros((pa.n, pa.n))
+        La[pa._rows0, pa._cols0] = x[ks:]
+        J[self._gram.rows, self._gram_cols] -= self._gram.values(La)
         return J
 
     def inequality(self, x: np.ndarray) -> np.ndarray:
@@ -415,22 +431,13 @@ class _IdentificationNlp:
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
         ks = self.k_beta_sigma
-        n_in = self.system.n_ineq
-        J = np.zeros((n_in, self.dim))
-
-        def part(z):
-            xx = x.copy()
-            xx[:ks] = z
-            _, theta, _ = self._forward(xx)
-            return self.system.ineq_fn(theta.beta, theta.Sigma)
-
-        from .nlp import fd_jacobian
-        J[:, :ks] = fd_jacobian(part, x[:ks], n_in, self.fd_step,
-                                self.lower[:ks])
+        J = np.zeros((self.system.n_ineq, self.dim))
+        J[:, :ks] = fd_jacobian(self._ineq_rows, x[:ks], self.system.n_ineq,
+                                self.fd_step, self.lower[:ks])
         return J
 
     def problem(self) -> NlpProblem:
-        n_eq = len(self.system.pattern_a)
+        n_eq = self.n_eq
         return NlpProblem(
             dim=self.dim,
             objective=self.objective,

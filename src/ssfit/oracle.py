@@ -20,7 +20,7 @@ import numpy as np
 from .indexsets import full_lower, vecs
 from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .regions import LmiRegion, matrix_char_fn
-from .transform import ConstraintSystem
+from .transform import ConstraintSystem, gram_jacobian
 
 __all__ = ["BarrierQuery", "BarrierResult", "barrier_solve", "barrier_value",
            "region_feasible"]
@@ -96,11 +96,6 @@ class BarrierResult:
     feasible: bool
 
 
-def _row_of(i: int, j: int) -> int:
-    # position of 1-based (i, j) in the lexicographic full lower pattern
-    return (i - 1) * i // 2 + (j - 1)
-
-
 class _BarrierNlp:
     """Assembled NLP for one query, with analytic derivatives.
 
@@ -145,30 +140,10 @@ class _BarrierNlp:
             W[:, col] = vecs(self.pat_a, matrix_char_fn(query.region, query.a_mat, B))
         self.W = W
         self.m_vec = vecs(self.pat_a, self.shift)
-        # index tables for the vectorized Jacobian: column (i, j) of the
-        # factor places c = L[:, j] (diagonal doubled) at rows (k, i)
-        self._jac_rows_p = np.empty((self.k_p, n), dtype=np.intp)
-        self._jac_scale_p = np.ones((self.k_p, n))
-        self._jac_src_p = np.empty(self.k_p, dtype=np.intp)
-        for col, (i1, j1) in enumerate(self.pat_p.entries):
-            i = i1 - 1
-            ks = np.arange(n)
-            r = np.maximum(ks, i)
-            s = np.minimum(ks, i)
-            self._jac_rows_p[col] = r * (r + 1) // 2 + s
-            self._jac_scale_p[col, i] = 2.0
-            self._jac_src_p[col] = j1 - 1
-        self._jac_rows_a = np.empty((self.k_a, nm), dtype=np.intp)
-        self._jac_scale_a = np.ones((self.k_a, nm))
-        self._jac_src_a = np.empty(self.k_a, dtype=np.intp)
-        for col, (r1, s1) in enumerate(self.pat_a.entries):
-            r = r1 - 1
-            ks = np.arange(nm)
-            a = np.maximum(ks, r)
-            b = np.minimum(ks, r)
-            self._jac_rows_a[col] = a * (a + 1) // 2 + b
-            self._jac_scale_a[col, r] = 2.0
-            self._jac_src_a[col] = s1 - 1
+        # index tables of the vectorized d(L L^T) blocks of the Jacobian
+        self._jac_p = gram_jacobian(self.pat_p)
+        self._jac_a = gram_jacobian(self.pat_a)
+        self._jac_cols_a = self.k_p + self._jac_a.cols
 
     # -- packing -----------------------------------------------------------
     def split(self, x):
@@ -208,14 +183,10 @@ class _BarrierNlp:
         # dP for factor entry (i, j) is e_i c^T + c e_i^T with c = L[:, j];
         # its lower entries land at precomputed rows with the diagonal doubled
         D = np.zeros((self.k_p, self.k_p))
-        vals_p = Lp[:, self._jac_src_p].T * self._jac_scale_p
-        cols_p = np.repeat(np.arange(self.k_p), self.n)
-        np.add.at(D, (self._jac_rows_p.ravel(), cols_p), vals_p.ravel())
+        D[self._jac_p.rows, self._jac_p.cols] += self._jac_p.values(Lp)
         J = np.zeros((self.k_a, self.dim))
         J[:, :self.k_p] = self.W @ D
-        vals_a = La[:, self._jac_src_a].T * self._jac_scale_a
-        cols_a = self.k_p + np.repeat(np.arange(self.k_a), self.nm)
-        np.add.at(J, (self._jac_rows_a.ravel(), cols_a), -vals_a.ravel())
+        J[self._jac_a.rows, self._jac_cols_a] -= self._jac_a.values(La)
         return J
 
     # -- initialization ------------------------------------------------------

@@ -176,7 +176,14 @@ def matrix_char_fn(region: LmiRegion, A: np.ndarray, P: np.ndarray) -> np.ndarra
     if P.shape != A.shape:
         raise ValueError(f"P shape {P.shape} does not match A shape {A.shape}")
     AP = A @ P
-    return np.kron(region.m0, P) + np.kron(region.m1, AP) + np.kron(region.m1.T, AP.T)
+    # block (a, b) is m0[a, b] P + m1[a, b] AP + m1[b, a] AP^T, the same
+    # products and sums as the Kronecker form, broadcast over (a, i, b, j)
+    m0 = region.m0[:, None, :, None]
+    m1 = region.m1[:, None, :, None]
+    m1t = region.m1.T[:, None, :, None]
+    blocks = m0 * P[:, None, :] + m1 * AP[:, None, :] + m1t * AP.T[:, None, :]
+    nm = region.m * A.shape[0]
+    return blocks.reshape(nm, nm)
 
 
 def eig_membership(region: LmiRegion, A: np.ndarray, tol: float | None = None) -> bool:

@@ -50,6 +50,26 @@ class FilterDivergedError(FloatingPointError):
         self.k = k
 
 
+def _require_symmetric(Re: np.ndarray) -> None:
+    """Reject ``Re`` unless ``np.allclose(Re, Re.T, atol)`` holds.
+
+    ``atol = 1e-10 * max(1, max |Re|)`` with allclose's ``rtol = 1e-5``,
+    spelled out elementwise as allclose does it: close within tolerance
+    where ``Re^T`` is finite, or exactly equal.  An empty ``Re`` fails in
+    the ``max`` as it always has.
+    """
+    ReT = Re.T
+    same = Re == ReT
+    if same.size and same.all():
+        return
+    atol = 1e-10 * max(1.0, float(np.max(np.abs(Re))))
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(Re - ReT) <= atol + 1e-5 * np.abs(ReT)) \
+            & np.isfinite(ReT) | same
+    if not close.all():
+        raise ValueError("Re must be symmetric")
+
+
 @dataclass(frozen=True)
 class InnovationModel:
     """Matrices ``(A, B, C, D, x0hat, K, Re)`` of an innovation-form model."""
@@ -80,12 +100,25 @@ class InnovationModel:
                 raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
         if x0.size != n:
             raise ValueError(f"x0hat has length {x0.size}, expected {n}")
-        if not np.allclose(Re, Re.T, atol=1e-10 * max(1.0, float(np.max(np.abs(Re))))):
-            raise ValueError("Re must be symmetric")
+        _require_symmetric(Re)
         for name, (M, _) in checks.items():
             object.__setattr__(self, name, M)
         object.__setattr__(self, "Re", 0.5 * (Re + Re.T))
         object.__setattr__(self, "x0hat", x0)
+
+    @classmethod
+    def _from_shaped(cls, A, B, C, D, x0hat, K, Re) -> "InnovationModel":
+        """Build from float arrays of consistent shapes without re-checking.
+
+        Only ``Re`` is checked for symmetry, then symmetrized as in
+        ``__init__``; the caller guarantees every shape.
+        """
+        _require_symmetric(Re)
+        model = object.__new__(cls)
+        for name, M in (("A", A), ("B", B), ("C", C), ("D", D),
+                        ("x0hat", x0hat), ("K", K), ("Re", 0.5 * (Re + Re.T))):
+            object.__setattr__(model, name, M)
+        return model
 
     @property
     def n(self) -> int:
@@ -300,18 +333,29 @@ def assemble_ladm(
         raise ValueError("layout was built for a different model structure")
     mats = layout.matrices(params.beta)
     n_s, n_d, m, p = spec.n_s, spec.n_d, spec.m, spec.p
-    A = np.zeros((n_s + n_d, n_s + n_d))
+    n = n_s + n_d
+    A = np.zeros((n, n))
     A[:n_s, :n_s] = mats["A_s"]
     A[:n_s, n_s:] = spec.Bd
-    A[n_s:, n_s:] = np.eye(n_d)
-    B = np.vstack([mats["B_s"], np.zeros((n_d, m))])
-    C = np.hstack([mats["C_s"], spec.Cd])
-    K = np.vstack([mats["K_s"], mats["K_d"]])
+    integrators = np.arange(n_s, n)
+    A[integrators, integrators] = 1.0
+    B = np.zeros((n, m))
+    B[:n_s] = mats["B_s"]
+    C = np.empty((p, n))
+    C[:, :n_s] = mats["C_s"]
+    C[:, n_s:] = spec.Cd
+    K = np.empty((n, p))
+    K[:n_s] = mats["K_s"]
+    K[n_s:] = mats["K_d"]
     Sigma = np.asarray(params.Sigma, dtype=float)
     if Sigma.shape[0] < p:
         raise ValueError(f"Sigma must contain a leading {p} x {p} block")
     Re = Sigma[:p, :p]
-    return InnovationModel(A, B, C, np.zeros((p, m)), np.zeros(n_s + n_d), K, Re)
+    if Re.shape != (p, p):
+        raise ValueError(f"Re has shape {Re.shape}, expected {(p, p)}")
+    # every other block was shaped above; only the caller's Re is checked
+    return InnovationModel._from_shaped(A, B, C, np.zeros((p, m)),
+                                        np.zeros(n), K, Re)
 
 
 def _states_loop(F: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -421,18 +465,26 @@ def filter_innovations(
     return e, xhat
 
 
-def neg_log_likelihood(model: InnovationModel, data: Dataset) -> float:
+def neg_log_likelihood(
+    model: InnovationModel,
+    data: Dataset,
+    innovations: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Negative log-likelihood ``(N/2) ln det Re + (1/2) sum |e_k|^2_{Re^-1}``.
 
     Computed through the Cholesky factor of ``Re`` (log-determinant from the
     factor diagonal, quadratic forms by triangular solves).  Diverging state
     recursions yield ``+inf`` so that a line search can reject the point.
+    ``innovations`` is ``filter_innovations(model, data)`` when the caller
+    already has it; the filter is then not run again.
     """
     Lc = _innovation_chol(model.Re)
-    try:
-        e, _ = filter_innovations(model, data)
-    except FilterDivergedError:
-        return float("inf")
+    if innovations is None:
+        try:
+            innovations = filter_innovations(model, data)
+        except FilterDivergedError:
+            return float("inf")
+    e, _ = innovations
     z = scipy.linalg.solve_triangular(Lc, e.T, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(Lc))))
     value = 0.5 * data.N * logdet + 0.5 * float(np.sum(z * z))
@@ -440,7 +492,9 @@ def neg_log_likelihood(model: InnovationModel, data: Dataset) -> float:
 
 
 def likelihood_gradients(
-    model: InnovationModel, data: Dataset
+    model: InnovationModel,
+    data: Dataset,
+    innovations: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradient of the negative log-likelihood in the model matrices.
 
@@ -448,8 +502,12 @@ def likelihood_gradients(
     scan gives the state adjoints, after which each matrix gradient is an
     accumulated outer product.  Returns entries for ``A, B, C, D, K, x0hat,
     Re``; the ``Re`` gradient treats ``Re`` as a free symmetric matrix.
+    ``innovations`` is ``filter_innovations(model, data)`` when the caller
+    already has it.
     """
-    e, xhat = filter_innovations(model, data)
+    if innovations is None:
+        innovations = filter_innovations(model, data)
+    e, xhat = innovations
     Lc = _innovation_chol(model.Re)
     w = scipy.linalg.cho_solve((Lc, True), e.T).T
     N = data.N

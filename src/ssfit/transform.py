@@ -35,8 +35,11 @@ __all__ = [
     "reconstruct_q",
     "bmz_forward",
     "bmz_inverse",
+    "sigma_forward",
     "gbmz_forward",
     "gbmz_inverse",
+    "GramJacobian",
+    "gram_jacobian",
     "transformed_constraints",
     "epsilon_box",
 ]
@@ -308,6 +311,22 @@ class ConstraintSystem:
         return np.concatenate([pos_sigma, pos_a]).astype(np.intp)
 
 
+def sigma_forward(
+    system: ConstraintSystem, beta: np.ndarray, L_sigma: np.ndarray
+) -> np.ndarray:
+    """``Sigma = H(beta) + L L^T`` from the completed Sigma factor.
+
+    This is the Sigma half of :func:`gbmz_forward`, for callers that need
+    nothing else of the mapped point.
+    """
+    H = system.shift(beta)
+    if getattr(system, "_sigma_trivial", False):
+        L_off = np.zeros_like(L_sigma)
+    else:
+        L_off = complete_factor(system.pattern_sigma, L_sigma, H)
+    return reconstruct_q(H, L_sigma, L_off)
+
+
 def gbmz_forward(
     phi: FactorPoint, system: ConstraintSystem
 ) -> tuple[ThetaPoint, np.ndarray]:
@@ -317,12 +336,7 @@ def gbmz_forward(
     from the completed Sigma factor, together with the completed coupled
     block ``A_T = (L_a + L_a_off)(L_a + L_a_off)^T``.
     """
-    H = system.shift(phi.beta)
-    if getattr(system, "_sigma_trivial", False):
-        L_off = np.zeros_like(phi.L_sigma)
-    else:
-        L_off = complete_factor(system.pattern_sigma, phi.L_sigma, H)
-    Sigma = reconstruct_q(H, phi.L_sigma, L_off)
+    Sigma = sigma_forward(system, phi.beta, phi.L_sigma)
     if system.n_a > 0:
         Ha = np.zeros((system.n_a, system.n_a))
         if getattr(system, "_a_trivial", False):
@@ -396,3 +410,46 @@ def epsilon_box(system: ConstraintSystem, epsilon: float) -> np.ndarray:
     lb = np.full(system.dim, -np.inf)
     lb[system.diag_positions()] = epsilon
     return lb
+
+
+@dataclass(frozen=True)
+class GramJacobian:
+    """Sparse Jacobian of ``vecs(pattern, L L^T)`` in the pattern entries of ``L``.
+
+    Along pattern entry ``(i, j)`` of ``L`` the derivative of ``L L^T`` is
+    ``e_i c^T + c e_i^T`` with ``c = L[:, j]``; its lower entry
+    ``(max(k, i), min(k, i))`` is ``L[k, j]``, doubled on the diagonal
+    ``k = i``.  Table entry ``t`` places ``L[src_rows[t], src_cols[t]] *
+    scale[t]`` at Jacobian row ``rows[t]`` (a pattern position) and column
+    ``cols[t]`` (a pattern entry of ``L``).  Entries that fall off the
+    pattern are left out, and no position repeats.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    src_rows: np.ndarray
+    src_cols: np.ndarray
+    scale: np.ndarray
+
+    def values(self, L: np.ndarray) -> np.ndarray:
+        """Jacobian values at the factor ``L`` (patterned lower-triangular)."""
+        return L[self.src_rows, self.src_cols] * self.scale
+
+
+def gram_jacobian(pattern: IndexSet) -> GramJacobian:
+    """Index tables of :class:`GramJacobian` for one pattern."""
+    n, size = pattern.n, len(pattern)
+    pos = np.full((n, n), -1, dtype=np.intp)
+    pos[pattern._rows0, pattern._cols0] = np.arange(size)
+    i = pattern._rows0[:, None]
+    j = pattern._cols0[:, None]
+    k = np.arange(n)[None, :]
+    shape = (size, n)
+    rows = pos[np.maximum(k, i), np.minimum(k, i)]
+    keep = (rows >= 0) & (pos[k, j] >= 0)
+    cols = np.broadcast_to(np.arange(size)[:, None], shape)
+    src_rows = np.broadcast_to(k, shape)
+    src_cols = np.broadcast_to(j, shape)
+    scale = np.where(k == i, 2.0, 1.0)
+    return GramJacobian(rows[keep], cols[keep], src_rows[keep],
+                        src_cols[keep], scale[keep])

@@ -48,6 +48,22 @@ class TestSimulate:
         data = load_dataset(out)
         assert set(np.unique(data.u)) <= {-1.5, 1.5}
 
+    def test_diverging_model_is_numerical_error(self, tmp_path, capsys):
+        from ssfit.statespace import InnovationModel
+
+        model = InnovationModel(np.array([[1.5]]), np.ones((1, 1)),
+                                np.ones((1, 1)), np.zeros((1, 1)), np.zeros(1),
+                                np.zeros((1, 1)), np.ones((1, 1)))
+        path = str(tmp_path / "unstable.json")
+        save_model(path, model)
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--model", path, "--out", str(out),
+                     "--gen-samples", "200"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() \
+            == "error: state recursion diverged at sample k = 67"
+        assert not out.exists()
+
     def test_missing_model_is_input_error(self, tmp_path):
         code = main(["simulate", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,13 @@ from ssfit.identify import (
     resolve_delta,
     varx_init,
 )
-from ssfit.indexsets import full_lower
-from ssfit.nlp import SolveOptions
+from ssfit import statespace
+from ssfit.indexsets import full_lower, vecs
+from ssfit.nlp import SolveOptions, fd_jacobian
 from ssfit.regions import disk, eig_membership, half_plane, intersect
 from ssfit.statespace import (
     Dataset,
+    FilterDivergedError,
     LadmSpec,
     ParameterLayout,
     assemble_ladm,
@@ -32,7 +36,12 @@ from ssfit.statespace import (
     identification_index,
     neg_log_likelihood,
 )
-from ssfit.transform import ThetaPoint, gbmz_inverse, transformed_constraints
+from ssfit.transform import (
+    ThetaPoint,
+    gbmz_forward,
+    gbmz_inverse,
+    transformed_constraints,
+)
 
 
 def tclab_like_spec(**kwargs) -> ProblemSpec:
@@ -150,6 +159,123 @@ class TestBuildNlp:
         # declared scale must reproduce the likelihood exactly
         composed = nlp.objective(ext.system.pack(phi0)) * nlp.obj_scale
         assert composed == pytest.approx(direct, rel=1e-9)
+
+
+def _fit_start(region, n=120, seed=7):
+    """The identification NLP of ``fit`` at its start, and that start."""
+    from ssfit.identify import _extend_theta, resolve_delta
+
+    spec, layout, theta = siso_truth(filter_poles=(0.45, 0.55, 0.65))
+    data = siso_dataset(theta, spec, layout, n=n, seed=seed)
+    pspec = siso_problem(eig_constraints=(
+        EigConstraintSpec(region, "filter", 0.05),))
+    pspec = replace(pspec, delta_re=resolve_delta(pspec, data))
+    ext = extend_with_eig_constraints(pspec)
+    phi0 = gbmz_inverse(_extend_theta(ext, theta), ext.system)
+    return _IdentificationNlp(ext, data, phi0), ext.system.pack(phi0)
+
+
+def _reference_jacobians(nlp, x):
+    """The constraint Jacobians as the previous implementation formed them:
+    differences over the full forward map, and the -d(L L^T) block of the
+    coupled factor by a loop over pattern entries."""
+    system = nlp.system
+    ks = nlp.k_beta_sigma
+    pat = system.pattern_a
+
+    def forward(z):
+        xx = x.copy()
+        xx[:ks] = z
+        theta, _ = gbmz_forward(system.unpack(xx), system)
+        return theta
+
+    def psd(z):
+        theta = forward(z)
+        Amat = system.psd_fn(theta.beta, theta.Sigma)
+        return vecs(pat, 0.5 * (Amat + Amat.T))
+
+    def ineq(z):
+        theta = forward(z)
+        return system.ineq_fn(theta.beta, theta.Sigma)
+
+    J_eq = np.zeros((len(pat), system.dim))
+    J_eq[:, :ks] = fd_jacobian(psd, x[:ks], len(pat), nlp.fd_step,
+                               nlp.lower[:ks])
+    La = system.unpack(x).L_a
+    a_pos = {e: i for i, e in enumerate(pat.entries)}
+    for col, (r1, s1) in enumerate(pat.entries):
+        r = r1 - 1
+        c = La[:, s1 - 1]
+        for k in np.flatnonzero(c):
+            a, b = (k + 1, r1) if k >= r else (r1, k + 1)
+            row = a_pos.get((a, b))
+            if row is not None:
+                J_eq[row, ks + col] -= 2.0 * c[k] if k == r else c[k]
+    J_in = np.zeros((system.n_ineq, system.dim))
+    J_in[:, :ks] = fd_jacobian(ineq, x[:ks], system.n_ineq, nlp.fd_step,
+                               nlp.lower[:ks])
+    return J_eq, J_in
+
+
+class TestLeanHotPaths:
+    """The evaluation shortcuts leave every value handed to the solver
+    bit-for-bit unchanged."""
+
+    @pytest.mark.parametrize("region", [
+        disk(0.95, 0.0), intersect(half_plane(0.3), disk(0.998, 0.0))],
+        ids=["disk", "intersect"])
+    @pytest.mark.parametrize("at_bound", [False, True],
+                             ids=["interior", "diagonal-at-bound"])
+    def test_constraint_jacobians_bit_identical(self, region, at_bound):
+        nlp, x = _fit_start(region)
+        ks = nlp.k_beta_sigma
+        if at_bound:
+            # a Lyapunov-factor diagonal on its floor: one-sided stencil
+            pos = [int(i) for i in nlp.system.diag_positions() if i < ks][-1]
+            x = x.copy()
+            x[pos] = nlp.lower[pos]
+            h = nlp.fd_step * max(1.0, abs(x[pos]))
+            assert x[pos] - h < nlp.lower[pos]
+        J_eq, J_in = _reference_jacobians(nlp, x)
+        assert np.any(J_eq[:, ks:])
+        assert np.array_equal(nlp.equality_jacobian(x), J_eq)
+        assert np.array_equal(nlp.inequality_jacobian(x), J_in)
+        # the stencils leave the evaluation cache alone
+        nlp.objective(x)
+        key = nlp._cache_key
+        nlp.equality_jacobian(x)
+        nlp.inequality_jacobian(x)
+        assert nlp._cache_key == key
+
+    def test_gradient_reuses_objective_innovations(self, monkeypatch):
+        nlp, x = _fit_start(disk(0.95, 0.0))
+        x = x + 1e-3
+        calls = []
+        original = statespace.filter_innovations
+
+        def counted(model, data):
+            calls.append(1)
+            return original(model, data)
+
+        monkeypatch.setattr(statespace, "filter_innovations", counted)
+        assert np.isfinite(nlp.objective(x))
+        g = nlp.gradient(x)
+        assert len(calls) == 1
+        fresh = _IdentificationNlp(nlp.ext, nlp.data, nlp.phi_bar)
+        g_ref = fresh.gradient(x)
+        assert len(calls) == 2
+        assert np.array_equal(g, g_ref)
+
+    def test_diverging_objective_leaves_no_innovations(self):
+        nlp, x = _fit_start(disk(0.95, 0.0))
+        assert np.isfinite(nlp.objective(x))
+        x_div = x.copy()
+        # an unstable companion row makes the filter blow up
+        x_div[:2] = [0.0, 5.0]
+        assert nlp.objective(x_div) == float("inf")
+        assert nlp._innovations is None
+        with pytest.raises(FilterDivergedError):
+            nlp.gradient(x_div)
 
 
 class TestVarxInit:

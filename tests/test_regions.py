@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ssfit.regions import (
+    LmiRegion,
     TightenedRegionConstraint,
     band,
     char_fn,
@@ -149,6 +150,24 @@ class TestMatrixCharFn:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             matrix_char_fn(disk(1.0, 0.0), np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("region", [
+        half_plane(0.3), left_half_plane(-0.2), disk(0.9, 0.1),
+        cone(1.5, -0.2), band(0.7),
+        intersect(half_plane(0.3), disk(0.998, 0.0), cone(1.0, 0.0)),
+        LmiRegion(np.array([[1.0, 0.3], [0.3, -2.0]]),
+                  np.array([[0.5, -1.2], [0.7, 2.0]])),
+    ], ids=lambda r: r.kind)
+    def test_bit_identical_to_kronecker_form(self, region):
+        rng = np.random.default_rng(9)
+        for n in range(1, 5):
+            A = rng.standard_normal((n, n))
+            X = rng.standard_normal((n, n))
+            for P in (X @ X.T, X):
+                AP = A @ P
+                kron = np.kron(region.m0, P) + np.kron(region.m1, AP) \
+                    + np.kron(region.m1.T, AP.T)
+                assert np.array_equal(matrix_char_fn(region, A, P), kron)
 
 
 class TestEigMembership:

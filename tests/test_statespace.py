@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,74 @@ class TestLadm:
     def test_canonical_requires_siso_output(self):
         with pytest.raises(ValueError):
             LadmSpec(n_s=2, n_d=2, m=1, p=2, plant_form="canonical")
+
+    @pytest.mark.parametrize("spec", [
+        LadmSpec(n_s=2, n_d=1, m=1, p=1, plant_form="canonical"),
+        LadmSpec(n_s=3, n_d=2, m=2, p=2),
+        LadmSpec(n_s=2, n_d=0, m=1, p=2, C_fixed=np.ones((2, 2))),
+        LadmSpec(n_s=2, n_d=1, m=2, p=2, Bd=np.ones((2, 1)),
+                 Cd=np.array([[1.0], [0.5]])),
+    ])
+    def test_matches_validated_model(self, spec):
+        rng = np.random.default_rng(27)
+        layout = ParameterLayout(spec)
+        X = rng.standard_normal((spec.p + 2, spec.p + 2))
+        theta = ThetaPoint(rng.standard_normal(layout.n_beta), X @ X.T)
+        model = assemble_ladm(spec, theta, layout)
+        ref = InnovationModel(model.A, model.B, model.C, model.D, model.x0hat,
+                              model.K, theta.Sigma[:spec.p, :spec.p])
+        for name in ("A", "B", "C", "D", "x0hat", "K", "Re"):
+            got, want = getattr(model, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), name
+
+    def test_nonsymmetric_sigma_block_rejected_like_validated_model(self):
+        spec = LadmSpec(n_s=1, n_d=1, m=1, p=2, Cd=np.ones((2, 1)))
+        layout = ParameterLayout(spec)
+        Sigma = np.array([[1.0, 0.2], [0.3, 1.0]])
+        theta = ThetaPoint(np.zeros(layout.n_beta), Sigma)
+        with pytest.raises(ValueError) as lean:
+            assemble_ladm(spec, theta, layout)
+        with pytest.raises(ValueError) as full:
+            InnovationModel(np.eye(2), np.zeros((2, 1)), np.ones((2, 2)),
+                            np.zeros((2, 1)), np.zeros(2), np.zeros((2, 2)),
+                            Sigma)
+        assert str(lean.value) == str(full.value) == "Re must be symmetric"
+
+    def test_symmetry_check_is_allclose(self):
+        # the elementwise check accepts and rejects exactly what allclose did
+        rng = np.random.default_rng(28)
+        base = rng.standard_normal((3, 3))
+        base = base + base.T
+        inf, nan = np.inf, np.nan
+        cases = [base, np.diag([inf, 1.0, -inf]), np.diag([nan, 1.0, 1.0]),
+                 np.array([[1.0, inf], [inf, 1.0]]),
+                 np.array([[1.0, inf], [-inf, 1.0]]),
+                 np.array([[1.0, inf], [1.0, 1.0]]),
+                 np.array([[inf, 1.0], [1.0 + 1e-3, 2.0]])]
+        for scale in (1e-12, 1e-10, 1e-6, 1e-5, 1e-3, 1.0):
+            for E in (np.triu(np.ones((3, 3)), 1), rng.standard_normal((3, 3))):
+                cases.append(base + scale * E)
+                cases.append(1e6 * base + scale * 1e6 * E)
+        verdicts = set()
+        for Re in cases:
+            p = Re.shape[0]
+            spec = LadmSpec(n_s=p, n_d=0, m=1, p=p)
+            layout = ParameterLayout(spec)
+            theta = ThetaPoint(np.zeros(layout.n_beta), Re)
+            atol = 1e-10 * max(1.0, float(np.max(np.abs(Re))))
+            with np.errstate(invalid="ignore"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = bool(np.allclose(Re, Re.T, atol=atol))
+            try:
+                assemble_ladm(spec, theta, layout)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, Re
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestRegularizer:
