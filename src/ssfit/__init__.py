@@ -34,6 +34,7 @@ from .regions import (
     intersect,
     left_half_plane,
     matrix_char_fn,
+    membership_margin,
     tightened_residuals,
 )
 from .transform import (
@@ -85,6 +86,7 @@ from .oracle import (
     barrier_solve,
     barrier_value,
     region_feasible,
+    within_sublevel,
 )
 from .identify import (
     EigConstraintSpec,

@@ -1,8 +1,8 @@
 """Command-line front end: fit, simulate, eval, eig.
 
 Exit codes: 0 success/converged, 1 input or schema error, 2 numerical
-non-convergence or verification disagreement (artifacts are still written
-where that makes sense).
+non-convergence, simulation divergence or verification disagreement
+(artifacts are still written where that makes sense).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io as ssio
 from .identify import InitializationError, fit
-from .oracle import BarrierQuery, barrier_solve
-from .regions import eig_membership
+from .oracle import BarrierQuery, barrier_solve, within_sublevel
+from .regions import eig_membership, membership_margin
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -180,6 +180,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_eig(args) -> int:
+    if not 0.0 < args.epsilon < np.inf:
+        return _fail(f"--epsilon must be positive and finite, got {args.epsilon}")
     try:
         model, _, _ = ssio.load_model(args.model)
     except (ssio.SchemaError, FileNotFoundError) as exc:
@@ -202,7 +204,7 @@ def cmd_eig(args) -> int:
     shift = args.epsilon * np.eye(target.shape[0] * region.m)
     result = barrier_solve(BarrierQuery(region, target, shift))
     value = result.value
-    oracle = value <= (1.0 / args.epsilon) * (1.0 + 1e-6)
+    oracle = within_sublevel(value, args.epsilon)
     print(f"direct membership: {direct}")
     print(f"barrier value: {value}")
     print(f"oracle verdict (epsilon = {args.epsilon}): {oracle}")
@@ -210,7 +212,7 @@ def cmd_eig(args) -> int:
         # near the boundary the tightened set is strictly inside the open
         # region, so disagreement is expected within a margin; flag only
         # clear contradictions
-        margin = _membership_margin(region, target)
+        margin = membership_margin(region, target)
         if direct and margin > 0.05 and not oracle:
             print("verdict disagreement beyond tolerance", file=sys.stderr)
             return EXIT_NUMERIC
@@ -218,16 +220,6 @@ def cmd_eig(args) -> int:
             print("verdict disagreement beyond tolerance", file=sys.stderr)
             return EXIT_NUMERIC
     return EXIT_OK
-
-
-def _membership_margin(region, A) -> float:
-    from .regions import char_fn
-
-    worst = np.inf
-    for lam in np.linalg.eigvals(A):
-        worst = min(worst, float(np.min(np.linalg.eigvalsh(
-            char_fn(region, lam)))))
-    return worst
 
 
 def build_parser() -> argparse.ArgumentParser:

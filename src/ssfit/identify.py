@@ -19,10 +19,10 @@ import numpy as np
 
 from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower, project_lower, vecs
-from .nlp import (NlpProblem, SolveOptions, SolveReport, fd_gradient,
-                  fd_jacobian, solve)
+from .nlp import (FD_STEP, NlpProblem, SolveOptions, SolveReport,
+                  fd_gradient, fd_jacobian, solve)
 from .oracle import BarrierQuery, barrier_solve
-from .regions import LmiRegion, char_fn, matrix_char_fn
+from .regions import LmiRegion, matrix_char_fn, membership_margin
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -44,6 +44,7 @@ from .transform import (
     gbmz_forward,
     gbmz_inverse,
     gram_jacobian,
+    restore_factor,
     sigma_forward,
 )
 
@@ -152,7 +153,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ExtendedProblem:
-    """A problem with its Lyapunov blocks and constraint system materialized."""
+    """A problem with its Lyapunov blocks and constraint system materialized.
+
+    ``shifts`` and ``weights`` hold each constraint's shift ``M`` and trace
+    weight ``V`` with their defaults resolved.
+    """
 
     spec: ProblemSpec
     layout: ParameterLayout
@@ -160,10 +165,8 @@ class ExtendedProblem:
     sigma_blocks: tuple[tuple[int, int], ...]
     a_blocks: tuple[tuple[int, int], ...]
     delta_re: float
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.spec.eig_constraints)
+    shifts: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
 
     def model_of(self, theta: ThetaPoint) -> InnovationModel:
         return assemble_ladm(self.spec.ladm, theta, self.layout)
@@ -243,7 +246,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     return ExtendedProblem(
         spec=spec, layout=layout, system=system,
         sigma_blocks=tuple(sigma_blocks), a_blocks=tuple(a_blocks),
-        delta_re=delta)
+        delta_re=delta, shifts=tuple(r[2] for r in resolved),
+        weights=tuple(r[3] for r in resolved))
 
 
 class _IdentificationNlp:
@@ -259,13 +263,13 @@ class _IdentificationNlp:
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
-                 phi_bar: FactorPoint | None, fd_step: float = 1e-6):
+                 phi_bar: FactorPoint | None):
         self.ext = ext
         self.data = data
         self.system = ext.system
         self.phi_bar = phi_bar
         self.rho = ext.spec.rho
-        self.fd_step = fd_step
+        self.fd_step = FD_STEP
         self.dim = self.system.dim
         self.n_eq = len(self.system.pattern_a)
         self.k_beta_sigma = self.system.n_beta + len(self.system.pattern_sigma)
@@ -373,14 +377,8 @@ class _IdentificationNlp:
         """
         _, theta, _ = self._forward(x)
         Amat = np.asarray(self.system.psd_fn(theta.beta, theta.Sigma))
-        lam, U = np.linalg.eigh(0.5 * (Amat + Amat.T))
-        if float(np.min(lam)) < -1e-6 * max(1.0, float(np.max(np.abs(lam)))):
-            return None
-        eps = self.ext.spec.epsilon
-        Ec = (U * np.maximum(lam, eps ** 2)) @ U.T
-        try:
-            La = np.linalg.cholesky(0.5 * (Ec + Ec.T))
-        except np.linalg.LinAlgError:
+        La = restore_factor(Amat, self.ext.spec.epsilon ** 2)
+        if La is None:
             return None
         pa = self.system.pattern_a
         off_pattern = np.abs(project_lower(pa, La) - np.tril(La))
@@ -494,10 +492,9 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
     for i, c in enumerate(spec.eig_constraints):
         target = c.resolve_target(model0, spec.ladm.n_s)
         off, size = ext.sigma_blocks[i + 1]
-        shift = c.shift if c.shift is not None \
-            else c.epsilon_i * np.eye(size * c.region.m)
-        weight = c.weight if c.weight is not None else np.eye(size)
-        res = barrier_solve(BarrierQuery(c.region, target, shift, weight))
+        weight = ext.weights[i]
+        res = barrier_solve(BarrierQuery(c.region, target, ext.shifts[i],
+                                         weight))
         if not res.feasible:
             raise InitializationError(
                 f"eigenvalue constraint {i} ({c.region.label or c.region.kind}) "
@@ -739,13 +736,9 @@ def _blend_feasible(theta: ThetaPoint, spec: ProblemSpec,
 
     def margins(th: ThetaPoint) -> float:
         model = assemble_ladm(ladm, th, layout)
-        worst = np.inf
-        for c in spec.eig_constraints:
-            target = c.resolve_target(model, ladm.n_s)
-            for lam in np.linalg.eigvals(target):
-                worst = min(worst, float(np.min(np.linalg.eigvalsh(
-                    char_fn(c.region, lam)))))
-        return worst
+        return min(membership_margin(c.region,
+                                     c.resolve_target(model, ladm.n_s))
+                   for c in spec.eig_constraints)
 
     if margins(theta) > 1e-3:
         return theta

@@ -45,6 +45,12 @@ class SchemaError(ValueError):
     """A file does not match its documented schema."""
 
 
+def _require_object(doc, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be a JSON object, "
+                          f"got {type(doc).__name__}")
+
+
 # -- time series -------------------------------------------------------------
 
 def load_dataset(path: str) -> Dataset:
@@ -142,6 +148,7 @@ def load_model(path: str):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    _require_object(doc, path)
     required = {"schema_version", "dims", "A", "B", "C", "D", "x0hat", "K", "Re"}
     missing = required - doc.keys()
     if missing:
@@ -150,6 +157,7 @@ def load_model(path: str):
     if unknown:
         raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
     dims = doc["dims"]
+    _require_object(dims, f"{path}: dims")
     try:
         model = InnovationModel(
             np.asarray(doc["A"], dtype=float),
@@ -167,6 +175,7 @@ def load_model(path: str):
     ladm = None
     if "ladm" in doc:
         block = doc["ladm"]
+        _require_object(block, f"{path}: ladm")
         keys = {"n_s", "n_d", "m", "p", "plant_form", "Bd", "Cd", "C_fixed"}
         bad = block.keys() - keys
         if bad:
@@ -347,6 +356,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
+    _require_object(doc, origin)
     top = {"schema_version", "model", "constraints", "objective", "solver", "io"}
     unknown = doc.keys() - top
     if unknown:
@@ -382,6 +392,7 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
 
     constraints = []
     for i, cdoc in enumerate(doc.get("constraints", [])):
+        _require_object(cdoc, f"{origin}: constraint {i}")
         bad = cdoc.keys() - _CONSTRAINT_KEYS
         if bad:
             raise SchemaError(f"{origin}: constraint {i}: unknown keys {sorted(bad)}")

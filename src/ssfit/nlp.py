@@ -13,7 +13,7 @@ beyond numpy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,13 @@ __all__ = [
     "fd_jacobian",
     "preflight_gradients",
 ]
+
+
+# Penalty cap, violation ratio that counts as progress, and the step of the
+# finite differences that stand in for a missing derivative provider.
+PENALTY_MAX = 1e8
+VIOLATION_SHRINK = 0.25
+FD_STEP = 1e-6
 
 
 class FdGradientError(ArithmeticError):
@@ -100,9 +107,6 @@ class SolveOptions:
     max_inner: int = 300
     penalty0: float = 10.0
     penalty_factor: float = 10.0
-    penalty_max: float = 1e8
-    violation_shrink: float = 0.25
-    fd_step: float = 1e-6
     multistart: int = 0
     multistart_spread: float = 0.1
     init_multipliers: str = "zero"
@@ -293,28 +297,31 @@ def _al_value(f, c, s, lam, mu, rho) -> float:
     return val
 
 
-def _al_gradient(problem, x, lam, mu, rho, fd_step, count):
-    lb = problem.lower_bounds
+def _objective_gradient(problem, x, count):
     if problem.gradient is not None:
-        g = np.asarray(problem.gradient(x), dtype=float).ravel()
-    else:
-        count.n += 2 * x.size
-        g = fd_gradient(problem.objective, x, fd_step, lb)
+        return np.asarray(problem.gradient(x), dtype=float).ravel()
+    count.n += 2 * x.size
+    return fd_gradient(problem.objective, x, FD_STEP, problem.lower_bounds)
+
+
+def _jacobian(problem, fn, jac, n_out, x, count):
+    if jac is not None:
+        return np.asarray(jac(x), dtype=float)
+    count.n += 2 * x.size
+    return fd_jacobian(fn, x, n_out, FD_STEP, problem.lower_bounds)
+
+
+def _al_gradient(problem, x, lam, mu, rho, count):
+    g = _objective_gradient(problem, x, count)
     if problem.n_eq:
         c = np.asarray(problem.equality(x), dtype=float).ravel()
-        if problem.equality_jacobian is not None:
-            Jc = np.asarray(problem.equality_jacobian(x), dtype=float)
-        else:
-            count.n += 2 * x.size
-            Jc = fd_jacobian(problem.equality, x, problem.n_eq, fd_step, lb)
+        Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
+                       problem.n_eq, x, count)
         g = g + Jc.T @ (rho * c - lam)
     if problem.n_in:
         s = np.asarray(problem.inequality(x), dtype=float).ravel()
-        if problem.inequality_jacobian is not None:
-            Js = np.asarray(problem.inequality_jacobian(x), dtype=float)
-        else:
-            count.n += 2 * x.size
-            Js = fd_jacobian(problem.inequality, x, problem.n_in, fd_step, lb)
+        Js = _jacobian(problem, problem.inequality,
+                       problem.inequality_jacobian, problem.n_in, x, count)
         g = g + Js.T @ np.maximum(0.0, mu + rho * s)
     return g
 
@@ -334,7 +341,7 @@ def _projected_gradient(g: np.ndarray, x: np.ndarray, lb: np.ndarray) -> np.ndar
     return pg
 
 
-def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, fd_step, count,
+def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count,
                     Hinv0=None):
     """Projected-BFGS minimization of the augmented Lagrangian over x >= lb.
 
@@ -352,7 +359,7 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, fd_step, count,
         return _al_value(f, c, s, lam, mu, rho)
 
     fx = merit(x)
-    g = _al_gradient(problem, x, lam, mu, rho, fd_step, count)
+    g = _al_gradient(problem, x, lam, mu, rho, count)
     status = "ok"
     it = 0
     for it in range(1, max_iter + 1):
@@ -388,7 +395,7 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, fd_step, count,
         if xt is None:
             status = "line-search-failure"
             break
-        gt = _al_gradient(problem, xt, lam, mu, rho, fd_step, count)
+        gt = _al_gradient(problem, xt, lam, mu, rho, count)
         sv = xt - x
         yv = gt - g
         sy = float(sv @ yv)
@@ -428,16 +435,9 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         # least-squares multipliers make the Lagrangian stationary in the
         # tangent directions at the start, which keeps early iterates from
         # trading feasibility for objective
-        if problem.gradient is not None:
-            g0 = np.asarray(problem.gradient(x), dtype=float).ravel()
-        else:
-            count.n += 2 * x.size
-            g0 = fd_gradient(problem.objective, x, opts.fd_step, lb)
-        if problem.equality_jacobian is not None:
-            J0 = np.asarray(problem.equality_jacobian(x), dtype=float)
-        else:
-            count.n += 2 * x.size
-            J0 = fd_jacobian(problem.equality, x, problem.n_eq, opts.fd_step, lb)
+        g0 = _objective_gradient(problem, x, count)
+        J0 = _jacobian(problem, problem.equality, problem.equality_jacobian,
+                       problem.n_eq, x, count)
         lam = np.linalg.lstsq(J0.T, g0, rcond=None)[0]
     rho = opts.penalty0
     unconstrained = problem.n_eq + problem.n_in == 0
@@ -457,8 +457,7 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         inner_budget = opts.max_inner if stagnant < 1 \
             else min(100, opts.max_inner)
         x, fx, pg_norm, inner_iters, inner_status, _ = _inner_minimize(
-            problem, x, lam, mu, rho, omega, inner_budget, opts.fd_step,
-            count)
+            problem, x, lam, mu, rho, omega, inner_budget, count)
         total_inner += inner_iters
         f, c, s = _evaluate(problem, x, count)
         ceq = _inf_norm(c)
@@ -492,17 +491,17 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
                 break
         else:
             ls_failures = 0
-        if v <= max(opts.violation_shrink * v_prev, min(opts.tol_eq, opts.tol_in)):
+        if v <= max(VIOLATION_SHRINK * v_prev, min(opts.tol_eq, opts.tol_in)):
             lam = lam - rho * c
             mu = np.maximum(0.0, mu + rho * s)
             omega = max(opts.tol_stat, 0.2 * omega)
         else:
-            if rho >= opts.penalty_max:
+            if rho >= PENALTY_MAX:
                 status = "max-iter"
                 break
             factor = opts.penalty_factor if stagnant < 2 \
-                else opts.penalty_max / rho
-            rho = min(opts.penalty_max, rho * max(factor, opts.penalty_factor))
+                else PENALTY_MAX / rho
+            rho = min(PENALTY_MAX, rho * max(factor, opts.penalty_factor))
             omega = max(opts.tol_stat, 1.0 / rho)
         v_prev = min(v_prev, v)
 
@@ -558,8 +557,3 @@ def _better(a: SolveReport, b: SolveReport, opts: SolveOptions) -> bool:
     if a_feas != b_feas:
         return a_feas
     return a.f_star < b.f_star
-
-
-def default_options(**overrides) -> SolveOptions:
-    """Solver defaults with keyword overrides."""
-    return replace(SolveOptions(), **overrides)

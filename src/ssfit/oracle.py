@@ -13,26 +13,41 @@ integration test of that pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .indexsets import full_lower, vecs
-from .nlp import NlpProblem, SolveOptions, SolveReport, solve
+from .nlp import PENALTY_MAX, NlpProblem, SolveOptions, SolveReport, solve
 from .regions import LmiRegion, matrix_char_fn
-from .transform import ConstraintSystem, gram_jacobian
+from .transform import ConstraintSystem, gram_jacobian, restore_factor
 
 __all__ = ["BarrierQuery", "BarrierResult", "barrier_solve", "barrier_value",
-           "region_feasible"]
+           "region_feasible", "within_sublevel"]
 
-# Feasibility decision threshold: after penalty escalation to PENALTY_CAP the
+# Feasibility decision threshold: after penalty escalation to PENALTY_MAX the
 # query is declared infeasible when the residual still exceeds INFEAS_TOL.
 INFEAS_TOL = 1e-5
-PENALTY_CAP = 1e8
+
+# Floor on the factor diagonals of the barrier NLP.
+EPSILON_FLOOR = 1e-5
 
 # Floor on P (as P >= floor * I) used for the relaxed system M = 0, where
 # plain semidefinite feasibility would be trivially satisfied by P = 0.
 RELAXED_P_FLOOR = 1.0
+
+# Solver tolerances and starting penalty of every barrier solve.
+TOL_EQ = 1e-7
+TOL_STAT = 1e-5
+PENALTY0 = 1e2
+
+
+def _options(penalty0: float, factor: float, max_outer: int,
+             max_inner: int) -> SolveOptions:
+    return SolveOptions(
+        tol_eq=TOL_EQ, tol_in=TOL_EQ, tol_stat=TOL_STAT, penalty0=penalty0,
+        penalty_factor=factor, max_outer=max_outer, max_inner=max_inner,
+        init_multipliers="lsq")
 
 
 @dataclass(frozen=True)
@@ -104,46 +119,51 @@ class _BarrierNlp:
     triangles, so no completion is needed and all maps are polynomial.
     """
 
-    def __init__(self, query: BarrierQuery, epsilon_floor: float,
-                 p_scale: float = 1.0):
+    def __init__(self, query: BarrierQuery):
         self.q = query
         n = query.n
         nm = n * query.region.m
         self.n, self.nm = n, nm
         self.relaxed = not np.any(query.shift)
-        self.p_scale = float(max(1.0, p_scale))
-        self.h0 = RELAXED_P_FLOOR / self.p_scale if self.relaxed else 0.0
-        # the program is positively homogeneous in (P, M): normalize the
-        # shift to unit norm and put the P iterate at unit scale (p_scale
-        # estimated from a probe start), then scale the value back on exit
-        self.scale = 1.0 if self.relaxed \
-            else float(np.linalg.norm(query.shift, 2))
-        shift = query.shift / (self.scale * self.p_scale) \
-            if self.scale > 0 else query.shift
         self.pat_p = full_lower(n)
         self.pat_a = full_lower(nm)
         self.k_p = len(self.pat_p)
         self.k_a = len(self.pat_a)
         self.dim = self.k_p + self.k_a
-        self.eps = epsilon_floor
-        self.shift = 0.5 * (shift + shift.T)
+        self.eps = EPSILON_FLOOR
         # set from the starting point so the trace objective is O(1); the
         # reported value is rescaled on exit
         self.obj_scale = 1.0
-        # linear map: lower entries of symmetric P -> pattern entries of
-        # M_D(A, P), column per symmetric basis element
-        W = np.empty((self.k_a, self.k_p))
-        for col, (i, j) in enumerate(self.pat_p.entries):
-            B = np.zeros((n, n))
-            B[i - 1, j - 1] = 1.0
-            B[j - 1, i - 1] = 1.0
-            W[:, col] = vecs(self.pat_a, matrix_char_fn(query.region, query.a_mat, B))
-        self.W = W
-        self.m_vec = vecs(self.pat_a, self.shift)
+        # symmetric basis of P and its images under M_D(A, .): columns of
+        # the linear map from the lower entries of P to the pattern entries
+        # of M_D(A, P)
+        self._basis = [np.zeros((n, n)) for _ in self.pat_p.entries]
+        for B, (i, j) in zip(self._basis, self.pat_p.entries):
+            B[i - 1, j - 1] = B[j - 1, i - 1] = 1.0
+        self._md_basis = [matrix_char_fn(query.region, query.a_mat, B)
+                          for B in self._basis]
+        self.W = np.column_stack([vecs(self.pat_a, Mb)
+                                  for Mb in self._md_basis])
+        # the program is positively homogeneous in (P, M): normalize the
+        # shift to unit norm, then put the P iterate at unit scale (p_scale
+        # read off the leading unit-scale candidate), and scale the value
+        # back on exit
+        self.scale = 1.0 if self.relaxed \
+            else float(np.linalg.norm(query.shift, 2))
+        self._set_p_scale(1.0)
+        self._set_p_scale(max(
+            1.0, float(np.trace(self._candidate_p()[0])) / n))
         # index tables of the vectorized d(L L^T) blocks of the Jacobian
         self._jac_p = gram_jacobian(self.pat_p)
         self._jac_a = gram_jacobian(self.pat_a)
         self._jac_cols_a = self.k_p + self._jac_a.cols
+
+    def _set_p_scale(self, p_scale: float):
+        self.p_scale = p_scale
+        self.h0 = RELAXED_P_FLOOR / p_scale if self.relaxed else 0.0
+        shift = self.q.shift / (self.scale * p_scale)
+        self.shift = 0.5 * (shift + shift.T)
+        self.m_vec = vecs(self.pat_a, self.shift)
 
     # -- packing -----------------------------------------------------------
     def split(self, x):
@@ -247,16 +267,8 @@ class _BarrierNlp:
         close to the optimum, which then only has to polish and certify.
         """
         n = self.n
-        entries = self.pat_p.entries
         k = self.k_p
-        basis = []
-        for (i1, j1) in entries:
-            B = np.zeros((n, n))
-            B[i1 - 1, j1 - 1] = 1.0
-            B[j1 - 1, i1 - 1] = 1.0
-            basis.append(B)
-        md_basis = [matrix_char_fn(self.q.region, self.q.a_mat, B)
-                    for B in basis]
+        basis, md_basis = self._basis, self._md_basis
         vvec = np.array([float(np.sum(self.q.weight * B)) for B in basis])
 
         def blocks(P):
@@ -345,8 +357,7 @@ class _BarrierNlp:
     def initial_point(self):
         last = None
         for i, P0 in enumerate(self._candidate_p()):
-            interior = i == 0  # only the modal candidate is known feasible
-            if interior:
+            if i == 0:  # only the modal candidate is known feasible
                 P0 = self._reduced_descent(P0)
             x = self._pack_from_p(P0)
             if x is not None:
@@ -359,10 +370,8 @@ class _BarrierNlp:
 
     def lower_bounds(self):
         lb = np.full(self.dim, -np.inf)
-        diag_p = np.flatnonzero(self.pat_p.diag_mask)
-        diag_a = self.k_p + np.flatnonzero(self.pat_a.diag_mask)
-        lb[diag_p] = self.eps
-        lb[diag_a] = self.eps
+        lb[np.concatenate([self.pat_p.diag_mask, self.pat_a.diag_mask])] = \
+            self.eps
         return lb
 
     def restore(self, x: np.ndarray) -> np.ndarray | None:
@@ -372,16 +381,11 @@ class _BarrierNlp:
         characteristic residual; succeeds when that residual is (nearly)
         semidefinite, which leaves the objective value unchanged.
         """
-        P = self.p_of(x)
-        E = matrix_char_fn(self.q.region, self.q.a_mat, P) - self.shift
-        lam, U = np.linalg.eigh(0.5 * (E + E.T))
-        lam_min = float(np.min(lam))
-        # the clipped amount is exactly the post-restoration residual, so
-        # only near-semidefinite residuals restore usefully
-        if lam_min < -1e-6 * max(1.0, float(np.max(np.abs(lam)))):
+        E = matrix_char_fn(self.q.region, self.q.a_mat, self.p_of(x)) \
+            - self.shift
+        La = restore_factor(E, self.eps ** 2)
+        if La is None:
             return None
-        Ec = (U * np.maximum(lam, self.eps ** 2)) @ U.T
-        La = np.linalg.cholesky(0.5 * (Ec + Ec.T))
         out = x.copy()
         out[self.k_p:] = La[self.pat_a._rows0, self.pat_a._cols0]
         return out
@@ -414,31 +418,17 @@ class _BarrierNlp:
             shift_fn=shift_fn, psd_fn=psd_fn)
 
 
-def barrier_solve(
-    query: BarrierQuery,
-    epsilon_floor: float = 1e-5,
-    options: SolveOptions | None = None,
-) -> BarrierResult:
+def barrier_solve(query: BarrierQuery) -> BarrierResult:
     """Solve one query, escalating the penalty before declaring infeasibility.
 
     The returned value is ``tr(V P*)`` when a feasible ``P`` is found and
     ``+inf`` when the residual stays above the infeasibility threshold after
     the penalty has been escalated to its cap.
     """
-    probe = _BarrierNlp(query, epsilon_floor)
-    p_scale = max(1.0, float(np.trace(probe._candidate_p()[0])) / query.n)
-    nlp = _BarrierNlp(query, epsilon_floor, p_scale=p_scale)
+    nlp = _BarrierNlp(query)
     problem = nlp.problem()
-    base = options or SolveOptions(
-        tol_eq=1e-7, tol_in=1e-7, tol_stat=1e-5,
-        penalty0=1e2, penalty_factor=10.0, penalty_max=PENALTY_CAP,
-        max_outer=30, max_inner=500, init_multipliers="lsq")
     x0 = nlp.initial_point()
     nlp.obj_scale = max(1.0, abs(nlp.objective(x0)))
-
-    def value_of(f_scaled: float) -> float:
-        return nlp.scale * nlp.p_scale * nlp.obj_scale * float(f_scaled)
-
     best: tuple[float, np.ndarray, float] | None = None
 
     def consider(x: np.ndarray):
@@ -446,114 +436,74 @@ def barrier_solve(
         if x is None:
             return
         res = float(np.max(np.abs(problem.equality(x))))
-        if res <= base.tol_eq:
+        if res <= TOL_EQ:
             f = float(problem.objective(x))
             if best is None or f < best[0]:
                 best = (f, x.copy(), res)
 
-    def result_from(report: SolveReport, x: np.ndarray, f: float,
-                    res: float) -> BarrierResult:
-        rep = SolveReport(
-            x_star=x, f_star=f, eq_residual_inf=res, in_violation_inf=0.0,
-            stationarity_inf=report.stationarity_inf,
-            iterations=report.iterations,
-            outer_iterations=report.outer_iterations,
-            status=report.status, penalty=report.penalty,
-            n_evals=report.n_evals)
-        return BarrierResult(value_of(f),
-                             nlp.scale * nlp.p_scale * nlp.p_of(x), rep, True)
-
-    consider(x0)
-    if best is not None:
-        # the start already sits on the manifold near the optimum, so the
-        # solve only needs a short polish budget
-        first = SolveOptions(
-            tol_eq=base.tol_eq, tol_in=base.tol_in, tol_stat=base.tol_stat,
-            penalty0=base.penalty0, penalty_factor=base.penalty_factor,
-            penalty_max=base.penalty_max, max_outer=3, max_inner=80,
-            init_multipliers="lsq")
-    elif options is None:
-        # no feasibility certificate: this is either infeasible or a hard
-        # boundary case, and the escalation loop below carries the decision;
-        # cap the exploratory budget
-        first = SolveOptions(
-            tol_eq=base.tol_eq, tol_in=base.tol_in, tol_stat=base.tol_stat,
-            penalty0=base.penalty0, penalty_factor=base.penalty_factor,
-            penalty_max=base.penalty_max, max_outer=8, max_inner=120,
-            init_multipliers="lsq")
-    else:
-        first = base
-    report = solve(problem, x0, first)
-    if report.converged:
-        return BarrierResult(value_of(report.f_star),
+    def certified(report: SolveReport) -> BarrierResult:
+        value = nlp.scale * nlp.p_scale * nlp.obj_scale * float(report.f_star)
+        return BarrierResult(value,
                              nlp.scale * nlp.p_scale * nlp.p_of(report.x_star),
                              report, True)
+
+    def best_of(report: SolveReport) -> BarrierResult:
+        f, x, res = best
+        return certified(replace(report, x_star=x, f_star=f,
+                                 eq_residual_inf=res, in_violation_inf=0.0))
+
+    consider(x0)
+    # a start on the manifold sits near the optimum and only needs a short
+    # polish (3 outer, 80 inner); without one the query is infeasible or a
+    # hard boundary case, the escalation below carries the decision, and
+    # the exploratory budget is capped (8 outer, 120 inner)
+    report = solve(problem, x0, _options(PENALTY0, 10.0, *(
+        (3, 80) if best is not None else (8, 120))))
+    if report.converged:
+        return certified(report)
     consider(report.x_star)
     consider(nlp.restore(report.x_star))
     if best is not None:
-        # a feasible point is in hand; one short polish attempt, then return
-        # the best feasible point found
-        f_b, x_b, _ = best
-        opts = SolveOptions(
-            tol_eq=base.tol_eq, tol_in=base.tol_in, tol_stat=base.tol_stat,
-            penalty0=max(base.penalty0, report.penalty),
-            penalty_factor=10.0, penalty_max=PENALTY_CAP,
-            max_outer=3, max_inner=80, init_multipliers="lsq")
-        rep2 = solve(problem, x_b, opts)
-        if rep2.converged:
-            return BarrierResult(
-                value_of(rep2.f_star),
-                nlp.scale * nlp.p_scale * nlp.p_of(rep2.x_star), rep2, True)
-        consider(rep2.x_star)
-        consider(nlp.restore(rep2.x_star))
-        f_b, x_b, res_b = best
-        return result_from(rep2, x_b, f_b, res_b)
-    # no feasible point seen: escalate to the penalty cap before declaring
-    # infeasibility, restoring onto the manifold whenever possible
-    penalty = max(base.penalty0, report.penalty)
-    for _ in range(8):
-        restored = nlp.restore(report.x_star)
-        consider(restored)
-        if best is not None:
-            f_b, x_b, res_b = best
-            return result_from(report, x_b, f_b, res_b)
-        if penalty >= PENALTY_CAP:
-            break
-        penalty = min(PENALTY_CAP, penalty * 100.0)
-        opts = SolveOptions(
-            tol_eq=base.tol_eq, tol_in=base.tol_in, tol_stat=base.tol_stat,
-            penalty0=penalty, penalty_factor=100.0, penalty_max=PENALTY_CAP,
-            max_outer=4, max_inner=60, init_multipliers="lsq")
-        report = solve(problem, report.x_star, opts)
+        # one polish attempt from the best feasible point, which is returned
+        # when the polish does not converge
+        report = solve(problem, best[1], _options(
+            max(PENALTY0, report.penalty), 10.0, 3, 80))
+        if report.converged:
+            return certified(report)
+        consider(report.x_star)
+        consider(nlp.restore(report.x_star))
+        return best_of(report)
+    # no feasible point seen: escalate the penalty 100-fold per short solve
+    # up to its cap before declaring infeasibility, restoring onto the
+    # manifold whenever possible
+    penalty = max(PENALTY0, report.penalty)
+    while penalty < PENALTY_MAX:
+        penalty = min(PENALTY_MAX, penalty * 100.0)
+        report = solve(problem, report.x_star,
+                       _options(penalty, 100.0, 4, 60))
         penalty = max(penalty, report.penalty)
         if report.converged:
-            return BarrierResult(
-                value_of(report.f_star),
-                nlp.scale * nlp.p_scale * nlp.p_of(report.x_star),
-                report, True)
+            return certified(report)
+        consider(nlp.restore(report.x_star))
+        if best is not None:
+            return best_of(report)
     if report.eq_residual_inf > INFEAS_TOL:
         return BarrierResult(float("inf"), None, report, False)
-    return BarrierResult(value_of(report.f_star),
-                         nlp.scale * nlp.p_scale * nlp.p_of(report.x_star),
-                         report, True)
+    return certified(report)
 
 
-def barrier_value(
-    query: BarrierQuery,
-    epsilon_floor: float = 1e-5,
-    options: SolveOptions | None = None,
-) -> float:
+def barrier_value(query: BarrierQuery) -> float:
     """Barrier value ``phi(A)``, or ``+inf`` when the query is infeasible."""
-    return barrier_solve(query, epsilon_floor, options).value
+    return barrier_solve(query).value
 
 
-def region_feasible(
-    query: BarrierQuery,
-    epsilon: float,
-    options: SolveOptions | None = None,
-) -> bool:
-    """Sublevel-set test ``phi(A) <= 1/epsilon`` with solver-tolerance slack."""
+def within_sublevel(value: float, epsilon: float) -> bool:
+    """Sublevel-set verdict ``value <= 1/epsilon`` with solver-tolerance slack."""
+    return value <= (1.0 / epsilon) * (1.0 + 1e-6)
+
+
+def region_feasible(query: BarrierQuery, epsilon: float) -> bool:
+    """Sublevel-set test ``phi(A) <= 1/epsilon`` of one query."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    value = barrier_value(query, options=options)
-    return value <= (1.0 / epsilon) * (1.0 + 1e-6)
+    return within_sublevel(barrier_value(query), epsilon)

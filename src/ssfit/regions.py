@@ -29,6 +29,7 @@ __all__ = [
     "contains",
     "matrix_char_fn",
     "eig_membership",
+    "membership_margin",
     "tightened_residuals",
 ]
 
@@ -200,6 +201,13 @@ def eig_membership(region: LmiRegion, A: np.ndarray, tol: float | None = None) -
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigenvalue computation failed: {exc}") from exc
     return all(contains(region, lam, tol) for lam in eigs)
+
+
+def membership_margin(region: LmiRegion, A: np.ndarray) -> float:
+    """Smallest eigenvalue of ``f(lambda)`` over the spectrum of ``A``: positive
+    exactly when every eigenvalue lies in the open region."""
+    return min(float(np.min(np.linalg.eigvalsh(char_fn(region, lam))))
+               for lam in np.linalg.eigvals(A))
 
 
 def _is_disk_corner_shift(region: LmiRegion, M: np.ndarray) -> bool:

@@ -40,6 +40,7 @@ __all__ = [
     "gbmz_inverse",
     "GramJacobian",
     "gram_jacobian",
+    "restore_factor",
     "transformed_constraints",
     "epsilon_box",
 ]
@@ -410,6 +411,23 @@ def epsilon_box(system: ConstraintSystem, epsilon: float) -> np.ndarray:
     lb = np.full(system.dim, -np.inf)
     lb[system.diag_positions()] = epsilon
     return lb
+
+
+def restore_factor(E: np.ndarray, floor: float) -> np.ndarray | None:
+    """Cholesky factor of ``E`` with its spectrum clipped below at ``floor``.
+
+    The clipped amount is the residual ``L L^T - E`` left behind, so an
+    eigenvalue below ``-1e-6 * max(1, max |lambda|)`` gives ``None``, as
+    does a failed factorization.
+    """
+    lam, U = np.linalg.eigh(0.5 * (E + E.T))
+    if float(np.min(lam)) < -1e-6 * max(1.0, float(np.max(np.abs(lam)))):
+        return None
+    Ec = (U * np.maximum(lam, floor)) @ U.T
+    try:
+        return np.linalg.cholesky(0.5 * (Ec + Ec.T))
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass(frozen=True)

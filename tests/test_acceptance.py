@@ -294,7 +294,7 @@ class TestCriterion8GradientPreflight:
         from ssfit.oracle import _BarrierNlp
         q = BarrierQuery(disk(0.9, 0.0), np.diag([0.5, -0.2, 0.3]),
                          1e-3 * np.eye(6))
-        onlp = _BarrierNlp(q, 1e-5)
+        onlp = _BarrierNlp(q)
         worst_o = preflight_gradients(onlp.problem(), onlp.initial_point(),
                                       n_points=20, rtol=1e-5, seed=16)
         report("criterion 8: gradient preflight", time.perf_counter() - t0,

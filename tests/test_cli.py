@@ -106,6 +106,31 @@ class TestEig:
         path, _ = truth_model
         assert main(["eig", "--model", path, "--region", "sphere 1"]) == 1
 
+    @pytest.mark.parametrize("epsilon", ["0", "-0.03"])
+    def test_nonpositive_epsilon_is_input_error(self, truth_model, capsys,
+                                                epsilon):
+        path, _ = truth_model
+        code = main(["eig", "--model", path, "--region", "disk 1 0",
+                     "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: --epsilon must be positive")
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("key", [None, "dims", "ladm"])
+    def test_model_that_is_not_an_object(self, tmp_path, truth_model, capsys,
+                                         key):
+        doc = [1, 2]
+        if key is not None:
+            with open(truth_model[0]) as fh:
+                doc = json.load(fh)
+            doc[key] = [1, 2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["eig", "--model", str(path)])
+        assert code == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_jordan_block_against_left_half_plane(self, tmp_path, capsys):
         from ssfit.statespace import InnovationModel
 
@@ -162,3 +187,14 @@ class TestFitPipeline:
                      "--data", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_constraint_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = sample_config()
+        doc["constraints"] = ["disk 0.9 0"]
+        cfg.write_text(json.dumps(doc))
+        code = main(["fit", "--config", str(cfg),
+                     "--data", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "constraint 0 must be a JSON object" in capsys.readouterr().err

@@ -161,6 +161,34 @@ class TestBuildNlp:
         assert composed == pytest.approx(direct, rel=1e-9)
 
 
+def test_custom_shift_and_weight_reach_the_barrier_query(monkeypatch):
+    from ssfit import identify
+    from ssfit.identify import _extend_theta
+
+    spec, layout, theta = siso_truth()
+    shift = np.diag([0.02, 0.03, 0.04, 0.05, 0.06, 0.07])
+    weight = np.diag([1.0, 2.0, 3.0])
+    pspec = siso_problem(delta_re=1e-8, eig_constraints=(
+        EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05,
+                          weight=weight, shift=shift),))
+    ext = extend_with_eig_constraints(pspec)
+    seen = []
+    original = identify.barrier_solve
+
+    def recording_solve(query):
+        seen.append(query)
+        return original(query)
+
+    monkeypatch.setattr(identify, "barrier_solve", recording_solve)
+    theta_ext = _extend_theta(ext, theta)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].shift, shift)
+    assert np.array_equal(seen[0].weight, weight)
+    # the trace row is read with the same weight
+    P = ext.lyapunov_block(theta_ext.Sigma, 0)
+    assert float(np.trace(weight @ P)) <= 1.0 / 0.05
+
+
 def _fit_start(region, n=120, seed=7):
     """The identification NLP of ``fit`` at its start, and that start."""
     from ssfit.identify import _extend_theta, resolve_delta

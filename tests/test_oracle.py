@@ -119,7 +119,7 @@ class TestPipelineEquivalence:
         rng = np.random.default_rng(33)
         A = spectrum_matrix(rng, [0.4, -0.2, 0.6])
         q = BarrierQuery(disk(0.9, 0.0), A, 1e-3 * np.eye(6))
-        nlp = _BarrierNlp(q, 1e-5)
+        nlp = _BarrierNlp(q)
         system = nlp.system()
         for _ in range(10):
             x = rng.standard_normal(nlp.dim)
@@ -134,6 +134,6 @@ class TestPipelineEquivalence:
         rng = np.random.default_rng(34)
         A = spectrum_matrix(rng, [0.3], [complex(0.1, 0.4)])
         q = BarrierQuery(half_plane(0.0), A, 0.01 * np.eye(3))
-        nlp = _BarrierNlp(q, 1e-5)
+        nlp = _BarrierNlp(q)
         worst = preflight_gradients(nlp.problem(), nlp.initial_point(), n_points=5)
         assert worst <= 1e-5

@@ -14,6 +14,7 @@ from ssfit.regions import (
     intersect,
     left_half_plane,
     matrix_char_fn,
+    membership_margin,
     tightened_residuals,
 )
 
@@ -180,6 +181,31 @@ class TestEigMembership:
 
     def test_scalar_boundary(self):
         assert not eig_membership(half_plane(0.3), np.array([[0.3]]))
+
+
+class TestMembershipMargin:
+    @pytest.mark.parametrize("region", [
+        half_plane(0.3), half_plane(-0.2), left_half_plane(0.0),
+        disk(0.998, 0.0), disk(0.9, 0.1), disk(1.5, 0.3), cone(1.0, 0.0),
+        cone(0.7, 0.0), band(0.8), intersect(half_plane(0.3), disk(0.998, 0.0)),
+        intersect(half_plane(0.1), disk(1.2, 0.0)),
+    ])
+    def test_positive_margin_is_membership(self, region):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            A = rng.standard_normal((3, 3))
+            margin = membership_margin(region, A)
+            if abs(margin) < 1e-6:
+                continue  # the direct check's cushion decides on the boundary
+            assert (margin > 0) == eig_membership(region, A)
+
+    def test_examples(self):
+        assert membership_margin(half_plane(0.0), np.array([[0.5]])) \
+            == pytest.approx(1.0)
+        assert membership_margin(disk(1.0, 0.0), np.diag([0.5, -0.2])) \
+            == pytest.approx(0.5)
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert membership_margin(left_half_plane(0.0), A) == 0.0
 
 
 class TestTightened:
