@@ -22,7 +22,8 @@ from .indexsets import IndexSet, direct_sum, full_lower, project_lower, vecs
 from .nlp import (FD_STEP, NlpProblem, SolveOptions, SolveReport,
                   fd_gradient, fd_jacobian, solve)
 from .oracle import BarrierQuery, barrier_solve
-from .regions import LmiRegion, matrix_char_fn, membership_margin
+from .regions import (LmiRegion, TightenedRegionConstraint, matrix_char_fn,
+                      membership_margin)
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -57,11 +58,16 @@ __all__ = [
     "extend_with_eig_constraints",
     "build_nlp",
     "fit",
+    "FIT_OPTIONS",
     "varx_init",
     "epsilon_continuation",
 ]
 
 TARGETS = ("open_loop", "filter", "plant_block")
+
+# solver settings of a fit when none are given (the CLI config's defaults)
+FIT_OPTIONS = SolveOptions(penalty0=100.0, max_inner=400,
+                           init_multipliers="lsq")
 
 
 class InitializationError(ValueError):
@@ -207,6 +213,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
             raise ValueError(f"constraint shift must be {n_i * m_i} square")
         if weight.shape != (n_i, n_i):
             raise ValueError(f"constraint weight must be {n_i} square")
+        # M PSD (PD or the disk corner block) and V PD
+        TightenedRegionConstraint(c.region, shift, weight, c.epsilon_i)
         sigma_blocks.append((pattern_sigma.n, n_i))
         pattern_sigma = direct_sum(pattern_sigma, full_lower(n_i))
         a_blocks.append((pattern_a.n, n_i * m_i))
@@ -256,10 +264,10 @@ class _IdentificationNlp:
     The objective runs the innovation filter and keeps its innovations for
     the gradient at the same point, which is the filter adjoint (a central
     difference over the model parameters and the covariance factor only
-    when the Sigma completion is not trivial).  The constraint Jacobians
-    difference the polynomial maps over the same coordinates; the
-    coupled-block factor enters the equalities alone, where its Jacobian
-    block is analytic.
+    when the Sigma completion is not trivial).  Both constraint Jacobians
+    share one difference pass of the polynomial maps over the same
+    coordinates per point; the coupled-block factor enters the equalities
+    alone, where its Jacobian block is analytic.
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
@@ -279,11 +287,12 @@ class _IdentificationNlp:
         self.obj_scale = float(max(1, data.N))
         self._cache_key = None
         self._cache_val = None
-        # filter innovations at the cached point, left by the objective
+        # filter innovations at the cached point, left by the objective,
+        # and the constraint stencil at that point, left by a Jacobian
         self._innovations = None
+        self._stencil = None
         self._gram = gram_jacobian(self.system.pattern_a)
         self._gram_cols = self.k_beta_sigma + self._gram.cols
-        self._n_evals = 0
         # the adjoint gradient applies when Sigma is exactly L L^T on its
         # pattern (zero shift, trivial completion), which holds for every
         # layout this module builds
@@ -297,10 +306,10 @@ class _IdentificationNlp:
             self._cache_key = key
             self._cache_val = (phi, theta, A_T)
             self._innovations = None
+            self._stencil = None
         return self._cache_val
 
     def objective(self, x: np.ndarray) -> float:
-        self._n_evals += 1
         phi, theta, _ = self._forward(x)
         model = self.ext.model_of(theta)
         try:
@@ -403,19 +412,33 @@ class _IdentificationNlp:
         beta = z[:nb]
         return beta, sigma_forward(self.system, beta, L_sigma)
 
-    def _psd_entries(self, z: np.ndarray) -> np.ndarray:
-        Amat = self.system.psd_fn(*self._stencil_point(z))
+    def _constraint_entries(self, beta: np.ndarray,
+                            Sigma: np.ndarray) -> np.ndarray:
+        """Pattern entries of the symmetrized coupled map, then the trace
+        rows: every constraint output that depends on (beta, L_Sigma)."""
+        Amat = self.system.psd_fn(beta, Sigma)
         pa = self.system.pattern_a
-        return (0.5 * (Amat + Amat.T))[pa._rows0, pa._cols0]
+        entries = (0.5 * (Amat + Amat.T))[pa._rows0, pa._cols0]
+        if self.system.ineq_fn is None:
+            return entries
+        return np.concatenate([entries, self.system.ineq_fn(beta, Sigma)])
 
-    def _ineq_rows(self, z: np.ndarray) -> np.ndarray:
-        return self.system.ineq_fn(*self._stencil_point(z))
+    def _constraint_stencil(self, x: np.ndarray) -> np.ndarray:
+        """One difference pass of :meth:`_constraint_entries` over the
+        leading coordinates, kept with the cached point."""
+        self._forward(x)
+        if self._stencil is None:
+            ks = self.k_beta_sigma
+            self._stencil = fd_jacobian(
+                lambda z: self._constraint_entries(*self._stencil_point(z)),
+                x[:ks], self.n_eq + self.system.n_ineq, self.fd_step,
+                self.lower[:ks])
+        return self._stencil
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
         ks = self.k_beta_sigma
         J = np.zeros((self.n_eq, self.dim))
-        J[:, :ks] = fd_jacobian(self._psd_entries, x[:ks], self.n_eq,
-                                self.fd_step, self.lower[:ks])
+        J[:, :ks] = self._constraint_stencil(x)[:self.n_eq]
         # the completed coupled factor contributes -d(L L^T) analytically
         pa = self.system.pattern_a
         La = np.zeros((pa.n, pa.n))
@@ -428,10 +451,8 @@ class _IdentificationNlp:
         return self.system.ineq_fn(theta.beta, theta.Sigma)
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        ks = self.k_beta_sigma
         J = np.zeros((self.system.n_ineq, self.dim))
-        J[:, :ks] = fd_jacobian(self._ineq_rows, x[:ks], self.system.n_ineq,
-                                self.fd_step, self.lower[:ks])
+        J[:, :self.k_beta_sigma] = self._constraint_stencil(x)[self.n_eq:]
         return J
 
     def problem(self) -> NlpProblem:
@@ -566,8 +587,7 @@ def fit(
     nlp = _IdentificationNlp(ext, data, phi_bar)
     problem = nlp.problem()
     x0 = ext.system.pack(phi0)
-    opts = options or SolveOptions(penalty0=100.0, max_inner=400,
-                                   init_multipliers="lsq")
+    opts = options or FIT_OPTIONS
     if preflight:
         from .nlp import preflight_gradients
         preflight_gradients(problem, x0, n_points=5)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .identify import EigConstraintSpec, ProblemSpec
+from .identify import FIT_OPTIONS, EigConstraintSpec, ProblemSpec
 from .indexsets import IndexSet, full_lower, diagonal, direct_sum
 from .nlp import SolveOptions
 from .regions import LmiRegion, band, cone, disk, half_plane, intersect, left_half_plane
@@ -176,19 +176,25 @@ def load_model(path: str):
     if "ladm" in doc:
         block = doc["ladm"]
         _require_object(block, f"{path}: ladm")
-        keys = {"n_s", "n_d", "m", "p", "plant_form", "Bd", "Cd", "C_fixed"}
-        bad = block.keys() - keys
+        needed = {"n_s", "n_d", "m", "p", "Bd", "Cd"}
+        bad = block.keys() - needed - {"plant_form", "C_fixed"}
         if bad:
             raise SchemaError(f"{path}: unknown ladm keys {sorted(bad)}")
-        ladm = LadmSpec(
-            n_s=int(block["n_s"]), n_d=int(block["n_d"]),
-            m=int(block["m"]), p=int(block["p"]),
-            Bd=np.asarray(block["Bd"], dtype=float),
-            Cd=np.asarray(block["Cd"], dtype=float),
-            plant_form=block.get("plant_form", "full"),
-            C_fixed=None if block.get("C_fixed") is None
-            else np.asarray(block["C_fixed"], dtype=float),
-        )
+        if needed - block.keys():
+            raise SchemaError(
+                f"{path}: missing ladm keys {sorted(needed - block.keys())}")
+        try:
+            ladm = LadmSpec(
+                n_s=int(block["n_s"]), n_d=int(block["n_d"]),
+                m=int(block["m"]), p=int(block["p"]),
+                Bd=np.asarray(block["Bd"], dtype=float),
+                Cd=np.asarray(block["Cd"], dtype=float),
+                plant_form=block.get("plant_form", "full"),
+                C_fixed=None if block.get("C_fixed") is None
+                else np.asarray(block["C_fixed"], dtype=float),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: ladm: {exc}") from None
     return model, ladm, doc.get("meta", {})
 
 
@@ -435,17 +441,10 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
     bad = sol.keys() - _SOLVER_KEYS
     if bad:
         raise SchemaError(f"{origin}: unknown solver keys {sorted(bad)}")
-    solver = SolveOptions(
-        tol_eq=float(sol.get("tol_eq", 1e-7)),
-        tol_in=float(sol.get("tol_in", 1e-7)),
-        tol_stat=float(sol.get("tol_stat", 1e-6)),
-        max_outer=int(sol.get("max_outer", 50)),
-        max_inner=int(sol.get("max_inner", 400)),
-        penalty0=float(sol.get("penalty0", 100.0)),
-        multistart=int(sol.get("multistart", 0)),
-        init_multipliers="lsq",
-        verbose=int(sol.get("verbose", 0)),
-    )
+    # each key takes the type of its fit default (float or int)
+    solver = replace(FIT_OPTIONS, **{
+        key: type(getattr(FIT_OPTIONS, key))(value)
+        for key, value in sol.items()})
     io_doc = dict(doc.get("io", {}))
     bad = io_doc.keys() - _IO_KEYS
     if bad:
@@ -482,16 +481,8 @@ def config_to_dict(config: RunConfig) -> dict:
         ],
         "objective": {"rho": spec.rho, "delta_re": spec.delta_re,
                       "epsilon": spec.epsilon},
-        "solver": {
-            "tol_eq": config.solver.tol_eq,
-            "tol_in": config.solver.tol_in,
-            "tol_stat": config.solver.tol_stat,
-            "max_outer": config.solver.max_outer,
-            "max_inner": config.solver.max_inner,
-            "penalty0": config.solver.penalty0,
-            "multistart": config.solver.multistart,
-            "verbose": config.solver.verbose,
-        },
+        "solver": {key: getattr(config.solver, key)
+                   for key in sorted(_SOLVER_KEYS)},
         "io": {"seed": config.seed},
     }
     return doc

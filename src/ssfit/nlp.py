@@ -140,42 +140,8 @@ def fd_gradient(
     h0: float = 1e-6,
     lower_bounds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Central-difference gradient with per-coordinate steps.
-
-    Step sizes are ``h0 * max(1, |x_i|)``.  When ``lower_bounds`` is given
-    and the centered stencil would cross a bound, the stencil switches to a
-    one-sided difference on the feasible side; the same switch handles a
-    nonfinite value on one side.  Nonfinite values on both sides raise
-    :class:`FdGradientError` naming the coordinate.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    g = np.zeros(x.size)
-    f0 = None
-    for i in range(x.size):
-        h = h0 * max(1.0, abs(x[i]))
-        lo_ok = lower_bounds is None or x[i] - h >= lower_bounds[i]
-        xp = x.copy()
-        xp[i] += h
-        fp = float(f(xp))
-        fm = np.nan
-        if lo_ok:
-            xm = x.copy()
-            xm[i] -= h
-            fm = float(f(xm))
-        if np.isfinite(fp) and np.isfinite(fm):
-            g[i] = (fp - fm) / (2.0 * h)
-            continue
-        if f0 is None:
-            f0 = float(f(x))
-        if np.isfinite(fp) and np.isfinite(f0):
-            g[i] = (fp - f0) / h
-        elif np.isfinite(fm) and np.isfinite(f0):
-            g[i] = (f0 - fm) / h
-        else:
-            raise FdGradientError(
-                f"nonfinite finite-difference values at coordinate {i}"
-            )
-    return g
+    """Finite-difference gradient: the one-output :func:`fd_jacobian`."""
+    return fd_jacobian(lambda z: float(f(z)), x, 1, h0, lower_bounds)[0]
 
 
 def fd_jacobian(
@@ -185,36 +151,40 @@ def fd_jacobian(
     h0: float = 1e-6,
     lower_bounds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian of a vector function (rows are outputs)."""
+    """Central-difference Jacobian of a vector function (rows are outputs).
+
+    Step sizes are ``h0 * max(1, |x_i|)``.  When ``lower_bounds`` is given
+    and the centered stencil would cross a bound, the stencil switches to a
+    one-sided difference on the feasible side, so no point below a bound is
+    ever evaluated; the same switch handles a nonfinite value on one side.
+    A nonfinite value at ``x`` or on both sides raises
+    :class:`FdGradientError` naming the coordinate.
+    """
     x = np.asarray(x, dtype=float).ravel()
     J = np.zeros((n_out, x.size))
     f0 = None
     for i in range(x.size):
         h = h0 * max(1.0, abs(x[i]))
-        lo_ok = lower_bounds is None or x[i] - h >= lower_bounds[i]
         xp = x.copy()
         xp[i] += h
         fp = np.asarray(fn(xp), dtype=float).ravel()
-        if lo_ok:
+        fm = None
+        if lower_bounds is None or x[i] - h >= lower_bounds[i]:
             xm = x.copy()
             xm[i] -= h
             fm = np.asarray(fn(xm), dtype=float).ravel()
-            if np.all(np.isfinite(fp)) and np.all(np.isfinite(fm)):
-                J[:, i] = (fp - fm) / (2.0 * h)
-                continue
+        fp_ok = bool(np.all(np.isfinite(fp)))
+        fm_ok = fm is not None and bool(np.all(np.isfinite(fm)))
+        if fp_ok and fm_ok:
+            J[:, i] = (fp - fm) / (2.0 * h)
+            continue
         if f0 is None:
             f0 = np.asarray(fn(x), dtype=float).ravel()
-        if np.all(np.isfinite(fp)):
-            J[:, i] = (fp - f0) / h
-        else:
-            xm = x.copy()
-            xm[i] -= h
-            fm = np.asarray(fn(xm), dtype=float).ravel()
-            if not np.all(np.isfinite(fm)):
-                raise FdGradientError(
-                    f"nonfinite finite-difference values at coordinate {i}"
-                )
-            J[:, i] = (f0 - fm) / h
+        if not (fp_ok or fm_ok) or not np.all(np.isfinite(f0)):
+            raise FdGradientError(
+                f"nonfinite finite-difference values at coordinate {i}"
+            )
+        J[:, i] = (fp - f0) / h if fp_ok else (f0 - fm) / h
     return J
 
 
@@ -341,18 +311,16 @@ def _projected_gradient(g: np.ndarray, x: np.ndarray, lb: np.ndarray) -> np.ndar
     return pg
 
 
-def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count,
-                    Hinv0=None):
+def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
     """Projected-BFGS minimization of the augmented Lagrangian over x >= lb.
 
     Accepted steps are monotone in the merit value by the Armijo rule; this
-    is asserted each iteration.  ``Hinv0`` warm-starts the inverse Hessian
-    approximation (useful across outer iterations at a fixed penalty).
+    is asserted each iteration.
     """
     lb = problem.lower_bounds
     n = x.size
-    scaled = Hinv0 is not None
-    Hinv = np.eye(n) if Hinv0 is None else Hinv0
+    scaled = False
+    Hinv = np.eye(n)
 
     def merit(xq):
         f, c, s = _evaluate(problem, xq, count)
@@ -411,7 +379,7 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count,
         x, g, fx = xt, gt, ft
     pg = _projected_gradient(g, x, lb)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    return x, fx, pg_norm, it, status, Hinv
+    return x, fx, pg_norm, it, status
 
 
 def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> SolveReport:
@@ -456,7 +424,7 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         # for the penalty cap to settle infeasibility quickly
         inner_budget = opts.max_inner if stagnant < 1 \
             else min(100, opts.max_inner)
-        x, fx, pg_norm, inner_iters, inner_status, _ = _inner_minimize(
+        x, fx, pg_norm, inner_iters, inner_status = _inner_minimize(
             problem, x, lam, mu, rho, omega, inner_budget, count)
         total_inner += inner_iters
         f, c, s = _evaluate(problem, x, count)

@@ -131,6 +131,23 @@ class TestEig:
         assert code == 1
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flaw", ["missing key", "bad value"])
+    def test_malformed_ladm_block(self, tmp_path, truth_model, capsys, flaw):
+        with open(truth_model[0]) as fh:
+            doc = json.load(fh)
+        if flaw == "missing key":
+            doc["ladm"] = {"n_s": 1}
+        else:
+            doc["ladm"]["n_s"] = "two"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["eig", "--model", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: " + str(path) + ": " + ("missing ladm keys"
+                                            if flaw == "missing key"
+                                            else "ladm: "))
+
     def test_jordan_block_against_left_half_plane(self, tmp_path, capsys):
         from ssfit.statespace import InnovationModel
 
@@ -198,3 +215,21 @@ class TestFitPipeline:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "constraint 0 must be a JSON object" in capsys.readouterr().err
+
+    def test_negative_constraint_shift_is_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = str(tmp_path / "data.csv")
+        save_dataset(data, Dataset(rng.standard_normal((60, 1)),
+                                   rng.standard_normal((60, 1))))
+        doc = sample_config()
+        # filter matrix 3 x 3, disk m = 2: the shift is 6 x 6
+        doc["constraints"] = [{"region": "disk 0.998 0", "epsilon_i": 0.03,
+                               "shift": (-0.05 * np.eye(6)).tolist()}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["fit", "--config", str(cfg), "--data", data,
+                     "--out", str(out)])
+        assert code == 1
+        assert "positive semidefinite" in capsys.readouterr().err
+        assert not (out / "model.json").exists()

@@ -82,6 +82,18 @@ class TestExtension:
         assert ext.system.n_sigma == 2 + 2
         assert ext.system.n_a == 2 + 4
 
+    @pytest.mark.parametrize("kind", ["negative-shift", "singular-weight"])
+    def test_unsound_shift_or_weight_rejected(self, kind):
+        n, m = 3, 2
+        shift = -0.05 * np.eye(n * m) if kind == "negative-shift" else None
+        weight = np.diag([1.0, 1.0, 0.0]) if kind == "singular-weight" \
+            else None
+        spec = siso_problem(delta_re=1e-8, eig_constraints=(
+            EigConstraintSpec(disk(0.5, 0.0), "filter", 0.05,
+                              weight=weight, shift=shift),))
+        with pytest.raises(ValueError, match="positive"):
+            extend_with_eig_constraints(spec)
+
     def test_requires_numeric_delta(self):
         with pytest.raises(ValueError, match="delta_re"):
             extend_with_eig_constraints(siso_problem())
@@ -274,6 +286,24 @@ class TestLeanHotPaths:
         nlp.equality_jacobian(x)
         nlp.inequality_jacobian(x)
         assert nlp._cache_key == key
+
+    def test_one_constraint_stencil_per_point(self, monkeypatch):
+        from ssfit import identify
+
+        # the fit-active start: N = 300, data seed 7, disk(0.95, 0)
+        nlp, x = _fit_start(disk(0.95, 0.0), n=300, seed=7)
+        nlp.equality(x)
+        calls = []
+        original = identify.sigma_forward
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(identify, "sigma_forward", counted)
+        nlp.equality_jacobian(x)
+        nlp.inequality_jacobian(x)
+        assert len(calls) == 2 * nlp.k_beta_sigma
 
     def test_gradient_reuses_objective_innovations(self, monkeypatch):
         nlp, x = _fit_start(disk(0.95, 0.0))

@@ -195,6 +195,17 @@ class TestRunConfig:
         assert config.seed == 7
         assert config.solver.max_inner == 300
 
+    def test_solver_defaults_are_the_fit_defaults(self):
+        from ssfit.identify import FIT_OPTIONS
+
+        doc = sample_config()
+        del doc["solver"]
+        assert parse_config(doc).solver == FIT_OPTIONS
+        assert config_to_dict(parse_config(doc))["solver"] == {
+            "tol_eq": 1e-7, "tol_in": 1e-7, "tol_stat": 1e-6,
+            "max_outer": 50, "max_inner": 400, "penalty0": 100.0,
+            "multistart": 0, "verbose": 0}
+
     def test_unknown_keys_rejected_everywhere(self):
         for path in (("extra",), ("model", "extra"), ("objective", "extra"),
                      ("solver", "extra"), ("io", "extra")):

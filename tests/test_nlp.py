@@ -50,6 +50,31 @@ class TestFdGradient:
         J = fd_jacobian(fn, np.array([2.0, 3.0]), 2)
         assert np.allclose(J, [[3.0, 2.0], [1.0, 2.0]], atol=1e-7)
 
+    def test_jacobian_never_evaluates_below_the_bound(self):
+        lb = np.array([0.0, -np.inf])
+        seen = []
+
+        def fn(x):
+            seen.append(x.copy())
+            return np.array([np.nan if x[0] > 0 else 1.0, x[1]])
+
+        with pytest.raises(FdGradientError, match="coordinate 0"):
+            fd_jacobian(fn, np.array([0.0, 1.0]), 2, lower_bounds=lb)
+        assert seen and all(x[0] >= 0.0 for x in seen)
+
+    @pytest.mark.parametrize("case", ["central", "bound", "nonfinite-side"])
+    def test_gradient_is_the_one_row_jacobian(self, case):
+        x = np.array([0.0, 0.7, -1.3])
+        lb = np.array([0.0, -np.inf, -np.inf]) if case == "bound" else None
+
+        def f(z):
+            if case == "nonfinite-side" and z[1] > 0.7:
+                return float("inf")
+            return float(np.sin(z[0]) + z[1] ** 3 * np.exp(z[2]))
+
+        J = fd_jacobian(lambda z: float(f(z)), x, 1, 1e-6, lb)
+        assert np.array_equal(fd_gradient(f, x, 1e-6, lb), J[0])
+
 
 class TestSolveAnalytic:
     def test_unconstrained_quadratic(self):
