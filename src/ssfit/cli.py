@@ -1,8 +1,9 @@
 """Command-line front end: fit, simulate, eval, eig.
 
-Exit codes: 0 success/converged, 1 input or schema error, 2 numerical
-non-convergence, simulation divergence or verification disagreement
-(artifacts are still written where that makes sense).
+Exit codes: 0 success/converged, 1 input, schema or unreadable path, 2
+numerical non-convergence, a diverging state recursion (simulate, eval) or
+verification disagreement (artifacts are still written where that makes
+sense).  :func:`main` is the one place that maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io as ssio
-from .identify import InitializationError, fit
+from .identify import fit
 from .oracle import BarrierQuery, barrier_solve, within_sublevel
 from .regions import eig_membership, membership_margin
 from .statespace import (
@@ -33,9 +34,9 @@ EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
+    return code
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -60,16 +61,10 @@ def _spectrum(values: np.ndarray) -> list:
 
 
 def cmd_fit(args) -> int:
-    try:
-        config = ssio.load_config(args.config)
-        data = ssio.load_dataset(args.data)
-    except (ssio.SchemaError, FileNotFoundError, ValueError) as exc:
-        return _fail(str(exc))
+    config = ssio.load_config(args.config)
+    data = ssio.load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        result = fit(config.problem, data, init="auto", options=config.solver)
-    except (InitializationError, ValueError) as exc:
-        return _fail(str(exc))
+    result = fit(config.problem, data, init="auto", options=config.solver)
     model_path = os.path.join(args.out, "model.json")
     report_path = os.path.join(args.out, "fit_report.json")
     ssio.save_model(model_path, result.model, ladm=config.problem.ladm,
@@ -109,25 +104,16 @@ def _generator_input(args) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        model, _, _ = ssio.load_model(args.model)
-    except (ssio.SchemaError, FileNotFoundError) as exc:
-        return _fail(str(exc))
-    try:
-        if args.data is not None:
-            u = ssio.load_dataset(args.data).u
-        else:
-            if args.gen_inputs is None:
-                args.gen_inputs = model.m
-            u = _generator_input(args)
-        if u.shape[1] != model.m:
-            return _fail(f"input has {u.shape[1]} columns, model expects {model.m}")
-        y = simulate(model, u, seed=args.seed, noise=not args.no_noise)
-    except (ssio.SchemaError, ValueError) as exc:
-        return _fail(str(exc))
-    except FilterDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    model, _, _ = ssio.load_model(args.model)
+    if args.data is not None:
+        u = ssio.load_dataset(args.data).u
+    else:
+        if args.gen_inputs is None:
+            args.gen_inputs = model.m
+        u = _generator_input(args)
+    if u.shape[1] != model.m:
+        return _fail(f"input has {u.shape[1]} columns, model expects {model.m}")
+    y = simulate(model, u, seed=args.seed, noise=not args.no_noise)
     ssio.save_dataset(args.out, Dataset(u, y))
     _write_json(args.out + ".meta.json",
                 {"seed": args.seed, "noise": not args.no_noise,
@@ -137,23 +123,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        model, _, _ = ssio.load_model(args.model)
-        data = ssio.load_dataset(args.data)
-    except (ssio.SchemaError, FileNotFoundError, ValueError) as exc:
-        return _fail(str(exc))
+    model, _, _ = ssio.load_model(args.model)
+    data = ssio.load_dataset(args.data)
     if data.u.shape[1] != model.m or data.y.shape[1] != model.p:
         return _fail("dataset dimensions do not match the model")
     os.makedirs(args.out, exist_ok=True)
     windows = tuple(w for w in (1, 10, 100) if w <= data.N)
-    try:
-        innovations = filter_innovations(model, data)
-        e, _ = innovations
-        q, averages = identification_index(e, model.Re, windows=windows)
-        nll = neg_log_likelihood(model, data, innovations)
-        y_free = simulate(model, data.u, noise=False)
-    except (ValueError, FloatingPointError) as exc:
-        return _fail(str(exc))
+    innovations = filter_innovations(model, data)
+    e, _ = innovations
+    q, averages = identification_index(e, model.Re, windows=windows)
+    nll = neg_log_likelihood(model, data, innovations)
+    y_free = simulate(model, data.u, noise=False)
     csv_path = os.path.join(args.out, "eval.csv")
     with open(csv_path, "w") as fh:
         cols = ["t"]
@@ -182,10 +162,7 @@ def cmd_eval(args) -> int:
 def cmd_eig(args) -> int:
     if not 0.0 < args.epsilon < np.inf:
         return _fail(f"--epsilon must be positive and finite, got {args.epsilon}")
-    try:
-        model, _, _ = ssio.load_model(args.model)
-    except (ssio.SchemaError, FileNotFoundError) as exc:
-        return _fail(str(exc))
+    model, _, _ = ssio.load_model(args.model)
     rep = eigen_report(model)
     print("open-loop eigenvalues:")
     for z in rep.open_loop:
@@ -195,10 +172,7 @@ def cmd_eig(args) -> int:
         print(f"  {z.real:+.6f} {z.imag:+.6f}j  |.| = {abs(z):.6f}")
     if args.region is None:
         return EXIT_OK
-    try:
-        region = ssio.parse_region(args.region)
-    except ssio.SchemaError as exc:
-        return _fail(str(exc))
+    region = ssio.parse_region(args.region)
     target = model.A if args.target == "open_loop" else model.filter_matrix()
     direct = eig_membership(region, target)
     shift = args.epsilon * np.eye(target.shape[0] * region.m)
@@ -266,12 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb: a ``ValueError`` (schema and initialization errors
+    included) or an ``OSError`` exits 1, a diverging state recursion 2."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
+    except FilterDivergedError as exc:
+        return _fail(str(exc), EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -81,10 +80,9 @@ class EigConstraintSpec:
     Parameters
     ----------
     region : LmiRegion
-    target : str or callable
+    target : str
         Which matrix the constraint binds: ``"open_loop"`` (A),
-        ``"filter"`` (A - KC), ``"plant_block"`` (the plant submatrix), or a
-        callable ``model -> square ndarray``.
+        ``"filter"`` (A - KC) or ``"plant_block"`` (the plant submatrix).
     epsilon_i : float
         Tightening constant; the trace row reads ``tr(V P) <= 1/epsilon_i``.
     weight : ndarray or None
@@ -94,7 +92,7 @@ class EigConstraintSpec:
     """
 
     region: LmiRegion
-    target: str | Callable[[InnovationModel], np.ndarray] = "filter"
+    target: str = "filter"
     epsilon_i: float = 0.03
     weight: np.ndarray | None = None
     shift: np.ndarray | None = None
@@ -102,16 +100,11 @@ class EigConstraintSpec:
     def __post_init__(self):
         if self.epsilon_i <= 0:
             raise ValueError(f"epsilon_i must be positive, got {self.epsilon_i}")
-        if isinstance(self.target, str) and self.target not in TARGETS:
+        if not isinstance(self.target, str) or self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; "
-                             f"expected one of {TARGETS} or a callable")
+                             f"expected one of {TARGETS}")
 
     def resolve_target(self, model: InnovationModel, n_s: int) -> np.ndarray:
-        if callable(self.target):
-            M = np.asarray(self.target(model), dtype=float)
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError("custom target must return a square matrix")
-            return M
         if self.target == "open_loop":
             return model.A
         if self.target == "filter":
@@ -119,8 +112,6 @@ class EigConstraintSpec:
         return model.A[:n_s, :n_s]
 
     def target_dim(self, spec: LadmSpec) -> int:
-        if callable(self.target):
-            raise ValueError("custom targets need a probe model to size")
         return spec.n_s if self.target == "plant_block" else spec.n
 
 

@@ -45,10 +45,33 @@ class SchemaError(ValueError):
     """A file does not match its documented schema."""
 
 
-def _require_object(doc, where: str) -> None:
+def _fields(doc, where: str, required, optional=(), what: str = "") -> dict:
+    """Return ``doc`` once it is a JSON object whose keys are all in
+    ``required`` or ``optional`` and include every ``required`` one.
+
+    Messages read ``<where>: <what> must be a JSON object`` and
+    ``<where>: unknown/missing <what> keys [...]``.
+    """
+    label = f"{where}: {what}" if what else where
     if not isinstance(doc, dict):
-        raise SchemaError(f"{where} must be a JSON object, "
+        raise SchemaError(f"{label} must be a JSON object, "
                           f"got {type(doc).__name__}")
+    keys = f"{what} keys" if what else "keys"
+    unknown = doc.keys() - set(required) - set(optional)
+    if unknown:
+        raise SchemaError(f"{where}: unknown {keys} {sorted(unknown)}")
+    missing = set(required) - doc.keys()
+    if missing:
+        raise SchemaError(f"{where}: missing {keys} {sorted(missing)}")
+    return doc
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from None
 
 
 # -- time series -------------------------------------------------------------
@@ -141,48 +164,25 @@ def save_model(path: str, model: InnovationModel,
         fh.write("\n")
 
 
+_MATRICES = ("A", "B", "C", "D", "x0hat", "K", "Re")
+
+
 def load_model(path: str):
     """Read a model file; returns ``(model, ladm_or_None, meta)``."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    _require_object(doc, path)
-    required = {"schema_version", "dims", "A", "B", "C", "D", "x0hat", "K", "Re"}
-    missing = required - doc.keys()
-    if missing:
-        raise SchemaError(f"{path}: missing keys {sorted(missing)}")
-    unknown = doc.keys() - required - {"ladm", "meta"}
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
-    dims = doc["dims"]
-    _require_object(dims, f"{path}: dims")
+    doc = _fields(_read_json(path), path, {"schema_version", "dims", *_MATRICES},
+                  {"ladm", "meta"})
+    dims = _fields(doc["dims"], path, {"n", "m", "p"}, what="dims")
     try:
-        model = InnovationModel(
-            np.asarray(doc["A"], dtype=float),
-            np.asarray(doc["B"], dtype=float),
-            np.asarray(doc["C"], dtype=float),
-            np.asarray(doc["D"], dtype=float),
-            np.asarray(doc["x0hat"], dtype=float),
-            np.asarray(doc["K"], dtype=float),
-            np.asarray(doc["Re"], dtype=float),
-        )
-    except ValueError as exc:
+        model = InnovationModel(*(np.asarray(doc[key], dtype=float)
+                                  for key in _MATRICES))
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    if (model.n, model.m, model.p) != (dims.get("n"), dims.get("m"), dims.get("p")):
+    if (model.n, model.m, model.p) != (dims["n"], dims["m"], dims["p"]):
         raise SchemaError(f"{path}: declared dims {dims} do not match matrices")
     ladm = None
     if "ladm" in doc:
-        block = doc["ladm"]
-        _require_object(block, f"{path}: ladm")
-        needed = {"n_s", "n_d", "m", "p", "Bd", "Cd"}
-        bad = block.keys() - needed - {"plant_form", "C_fixed"}
-        if bad:
-            raise SchemaError(f"{path}: unknown ladm keys {sorted(bad)}")
-        if needed - block.keys():
-            raise SchemaError(
-                f"{path}: missing ladm keys {sorted(needed - block.keys())}")
+        block = _fields(doc["ladm"], path, {"n_s", "n_d", "m", "p", "Bd", "Cd"},
+                        {"plant_form", "C_fixed"}, "ladm")
         try:
             ladm = LadmSpec(
                 n_s=int(block["n_s"]), n_d=int(block["n_d"]),
@@ -217,11 +217,7 @@ def parse_region(spec) -> LmiRegion:
     keys ``M0``/``M1`` builds a raw region.
     """
     if isinstance(spec, dict):
-        extra = spec.keys() - {"M0", "M1", "label"}
-        if extra:
-            raise SchemaError(f"unknown region keys {sorted(extra)}")
-        if "M0" not in spec or "M1" not in spec:
-            raise SchemaError("raw region needs both M0 and M1")
+        _fields(spec, "raw region", {"M0", "M1"}, {"label"})
         return LmiRegion(np.asarray(spec["M0"], dtype=float),
                          np.asarray(spec["M1"], dtype=float),
                          kind="raw", label=spec.get("label", "raw"))
@@ -326,13 +322,8 @@ def index_set_to_config(pattern: IndexSet):
 
 # -- run configuration -----------------------------------------------------------
 
-_MODEL_KEYS = {"n_s", "n_d", "n_u", "n_y", "plant_form", "Bd", "Cd",
-               "C_fixed", "re_pattern"}
-_CONSTRAINT_KEYS = {"region", "target", "epsilon_i", "weight", "shift"}
-_OBJECTIVE_KEYS = {"rho", "delta_re", "epsilon"}
 _SOLVER_KEYS = {"tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner",
                 "penalty0", "multistart", "verbose"}
-_IO_KEYS = {"seed"}
 
 
 @dataclass(frozen=True)
@@ -352,35 +343,49 @@ def load_config(path: str) -> RunConfig:
         search.append(os.path.join(default_dir, path))
     for candidate in search:
         if os.path.exists(candidate):
-            with open(candidate) as fh:
-                try:
-                    doc = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{candidate}: invalid JSON ({exc})") from None
-            return parse_config(doc, origin=candidate)
+            return parse_config(_read_json(candidate), origin=candidate)
     raise FileNotFoundError(f"config not found: {path}")
 
 
 def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
-    _require_object(doc, origin)
-    top = {"schema_version", "model", "constraints", "objective", "solver", "io"}
-    unknown = doc.keys() - top
-    if unknown:
-        raise SchemaError(f"{origin}: unknown keys {sorted(unknown)}")
-    if "model" not in doc:
-        raise SchemaError(f"{origin}: missing model block")
-    mdl = dict(doc["model"])
-    bad = mdl.keys() - _MODEL_KEYS
-    if bad:
-        raise SchemaError(f"{origin}: unknown model keys {sorted(bad)}")
-    for key in ("n_s", "n_u", "n_y"):
-        if key not in mdl:
-            raise SchemaError(f"{origin}: model block needs {key}")
-    p = int(mdl["n_y"])
-    n_d = int(mdl.get("n_d", p))
+    """Validate a configuration document; every fault raises
+    :class:`SchemaError` naming ``origin``."""
+    doc = _fields(doc, origin, {"model"},
+                  {"schema_version", "constraints", "objective", "solver", "io"})
+    mdl = _fields(doc["model"], origin, {"n_s", "n_u", "n_y"},
+                  {"n_d", "plant_form", "Bd", "Cd", "C_fixed", "re_pattern"},
+                  "model")
+    obj = _fields(doc.get("objective", {}), origin, (),
+                  {"rho", "delta_re", "epsilon"}, "objective")
+    sol = _fields(doc.get("solver", {}), origin, (), _SOLVER_KEYS, "solver")
+    io_doc = _fields(doc.get("io", {}), origin, (), {"seed"}, "io")
+    cdocs = doc.get("constraints", [])
+    if not isinstance(cdocs, list):
+        raise SchemaError(f"{origin}: constraints must be a JSON array, "
+                          f"got {type(cdocs).__name__}")
+    constraints = []
+    for i, cdoc in enumerate(cdocs):
+        where = f"{origin}: constraint {i}"
+        cdoc = _fields(cdoc, where, {"region"},
+                       {"target", "epsilon_i", "weight", "shift"})
+        try:
+            constraints.append(EigConstraintSpec(
+                region=parse_region(cdoc["region"]),
+                target=cdoc.get("target", "filter"),
+                epsilon_i=float(cdoc.get("epsilon_i", 0.03)),
+                weight=None if cdoc.get("weight") is None
+                else np.asarray(cdoc["weight"], dtype=float),
+                shift=None if cdoc.get("shift") is None
+                else np.asarray(cdoc["shift"], dtype=float),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+
     try:
+        p = int(mdl["n_y"])
         ladm = LadmSpec(
-            n_s=int(mdl["n_s"]), n_d=n_d, m=int(mdl["n_u"]), p=p,
+            n_s=int(mdl["n_s"]), n_d=int(mdl.get("n_d", p)), m=int(mdl["n_u"]),
+            p=p,
             Bd=None if mdl.get("Bd") in (None, "zero")
             else np.asarray(mdl["Bd"], dtype=float),
             Cd=None if mdl.get("Cd") in (None, "identity")
@@ -390,67 +395,26 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
             else (np.eye(int(mdl["n_s"]))[:p] if mdl["C_fixed"] == "identity"
                   else np.asarray(mdl["C_fixed"], dtype=float)),
         )
-    except ValueError as exc:
-        raise SchemaError(f"{origin}: {exc}") from None
-    re_pattern = None
-    if mdl.get("re_pattern") not in (None, "full"):
-        re_pattern = parse_index_set(mdl["re_pattern"], p)
-
-    constraints = []
-    for i, cdoc in enumerate(doc.get("constraints", [])):
-        _require_object(cdoc, f"{origin}: constraint {i}")
-        bad = cdoc.keys() - _CONSTRAINT_KEYS
-        if bad:
-            raise SchemaError(f"{origin}: constraint {i}: unknown keys {sorted(bad)}")
-        if "region" not in cdoc:
-            raise SchemaError(f"{origin}: constraint {i}: missing region")
-        try:
-            region = parse_region(cdoc["region"])
-            constraints.append(EigConstraintSpec(
-                region=region,
-                target=cdoc.get("target", "filter"),
-                epsilon_i=float(cdoc.get("epsilon_i", 0.03)),
-                weight=None if cdoc.get("weight") is None
-                else np.asarray(cdoc["weight"], dtype=float),
-                shift=None if cdoc.get("shift") is None
-                else np.asarray(cdoc["shift"], dtype=float),
-            ))
-        except (ValueError, SchemaError) as exc:
-            raise SchemaError(f"{origin}: constraint {i}: {exc}") from None
-
-    obj = dict(doc.get("objective", {}))
-    bad = obj.keys() - _OBJECTIVE_KEYS
-    if bad:
-        raise SchemaError(f"{origin}: unknown objective keys {sorted(bad)}")
-    delta = obj.get("delta_re", "auto")
-    if delta != "auto":
-        delta = float(delta)
-    try:
+        re_pattern = None
+        if mdl.get("re_pattern") not in (None, "full"):
+            re_pattern = parse_index_set(mdl["re_pattern"], p)
+        delta = obj.get("delta_re", "auto")
         problem = ProblemSpec(
             ladm=ladm,
             re_pattern=re_pattern,
             eig_constraints=tuple(constraints),
             rho=float(obj.get("rho", 0.0)),
             epsilon=float(obj.get("epsilon", 1e-6)),
-            delta_re=delta,
+            delta_re=delta if delta == "auto" else float(delta),
         )
-    except ValueError as exc:
+        # each key takes the type of its fit default (float or int)
+        solver = replace(FIT_OPTIONS, **{
+            key: type(getattr(FIT_OPTIONS, key))(value)
+            for key, value in sol.items()})
+        seed = int(io_doc.get("seed", 0))
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
-
-    sol = dict(doc.get("solver", {}))
-    bad = sol.keys() - _SOLVER_KEYS
-    if bad:
-        raise SchemaError(f"{origin}: unknown solver keys {sorted(bad)}")
-    # each key takes the type of its fit default (float or int)
-    solver = replace(FIT_OPTIONS, **{
-        key: type(getattr(FIT_OPTIONS, key))(value)
-        for key, value in sol.items()})
-    io_doc = dict(doc.get("io", {}))
-    bad = io_doc.keys() - _IO_KEYS
-    if bad:
-        raise SchemaError(f"{origin}: unknown io keys {sorted(bad)}")
-    return RunConfig(problem=problem, solver=solver,
-                     seed=int(io_doc.get("seed", 0)), raw=doc)
+    return RunConfig(problem=problem, solver=solver, seed=seed, raw=doc)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -472,7 +436,7 @@ def config_to_dict(config: RunConfig) -> dict:
         "constraints": [
             {
                 "region": region_to_text(c.region),
-                "target": c.target if isinstance(c.target, str) else "custom",
+                "target": c.target,
                 "epsilon_i": c.epsilon_i,
                 **({"weight": c.weight.tolist()} if c.weight is not None else {}),
                 **({"shift": c.shift.tolist()} if c.shift is not None else {}),

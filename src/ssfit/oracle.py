@@ -19,7 +19,8 @@ import numpy as np
 
 from .indexsets import full_lower, vecs
 from .nlp import PENALTY_MAX, NlpProblem, SolveOptions, SolveReport, solve
-from .regions import LmiRegion, matrix_char_fn
+from .regions import (LmiRegion, matrix_char_fn, require_pd_weight,
+                      require_sound_shift)
 from .transform import ConstraintSystem, gram_jacobian, restore_factor
 
 __all__ = ["BarrierQuery", "BarrierResult", "barrier_solve", "barrier_value",
@@ -60,7 +61,8 @@ class BarrierQuery:
     a_mat : ndarray
         The square matrix whose spectrum is being tested.
     shift : ndarray or float
-        The semidefinite shift ``M`` (a scalar ``s`` means ``s * I``).  A zero
+        The semidefinite shift ``M`` (a scalar ``s`` means ``s * I``).  A
+        nonzero shift must pass :func:`regions.require_sound_shift`.  A zero
         shift selects the relaxed system, which is posed with the floor
         ``P >= I`` so that ``P = 0`` cannot satisfy it vacuously.
     weight : ndarray or None
@@ -84,14 +86,15 @@ class BarrierQuery:
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (nm, nm):
             raise ValueError(f"shift must be {nm} x {nm}, got {shift.shape}")
+        if np.any(shift):
+            require_sound_shift(self.region, shift)
         weight = self.weight
         if weight is None:
             weight = np.eye(n)
         weight = np.asarray(weight, dtype=float)
         if weight.shape != (n, n):
             raise ValueError(f"weight must be {n} x {n}, got {weight.shape}")
-        if float(np.min(np.linalg.eigvalsh(weight))) <= 0:
-            raise ValueError("weight V must be positive definite")
+        require_pd_weight(weight)
         object.__setattr__(self, "a_mat", A)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "weight", weight)

@@ -210,6 +210,26 @@ def membership_margin(region: LmiRegion, A: np.ndarray) -> float:
                for lam in np.linalg.eigvals(A))
 
 
+def require_pd_weight(weight: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the trace weight ``V`` is positive definite."""
+    if float(np.min(np.linalg.eigvalsh(weight))) <= 0:
+        raise ValueError("weight V must be positive definite")
+
+
+def require_sound_shift(region: LmiRegion, shift: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the square shift ``M`` certifies strict
+    feasibility: positive semidefinite, and either positive definite or the
+    disk corner block ``[[Q, 0], [0, 0]]`` with ``Q > 0``."""
+    min_eig = float(np.min(np.linalg.eigvalsh(shift)))
+    if min_eig < -DEFINITE_RTOL * max(1.0, float(np.linalg.norm(shift, 2))):
+        raise ValueError("shift M must be positive semidefinite")
+    if min_eig <= 0 and not _is_disk_corner_shift(region, shift):
+        raise ValueError(
+            "semidefinite shift M accepted only in the disk corner-block "
+            "form [[Q, 0], [0, 0]] with Q positive definite"
+        )
+
+
 def _is_disk_corner_shift(region: LmiRegion, M: np.ndarray) -> bool:
     # Disk regions admit the semidefinite shift [[Q, 0], [0, 0]] with Q > 0,
     # which still forces strict feasibility (Schur complement argument).
@@ -254,18 +274,10 @@ class TightenedRegionConstraint:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
             raise ValueError(f"weight must be square, got shape {weight.shape}")
-        if float(np.min(np.linalg.eigvalsh(weight))) <= 0:
-            raise ValueError("weight V must be positive definite")
+        require_pd_weight(weight)
         if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
             raise ValueError(f"shift must be square, got shape {shift.shape}")
-        min_eig = float(np.min(np.linalg.eigvalsh(shift)))
-        if min_eig < -DEFINITE_RTOL * max(1.0, float(np.linalg.norm(shift, 2))):
-            raise ValueError("shift M must be positive semidefinite")
-        if min_eig <= 0 and not _is_disk_corner_shift(self.region, shift):
-            raise ValueError(
-                "semidefinite shift M accepted only in the disk corner-block "
-                "form [[Q, 0], [0, 0]] with Q positive definite"
-            )
+        require_sound_shift(self.region, shift)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "weight", weight)
 

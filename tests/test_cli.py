@@ -233,3 +233,62 @@ class TestFitPipeline:
         assert code == 1
         assert "positive semidefinite" in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+
+FIT = ["fit", "--config", "{cfg}", "--data", "{data}", "--out", "{tmp}/o"]
+ERROR_IN_CFG = "error: {cfg}: "
+
+
+@pytest.mark.parametrize("argv, edit, code, err", [
+    pytest.param(FIT, ("cfg", ("model",), 5), 1, ERROR_IN_CFG, id="model-5"),
+    pytest.param(FIT, ("cfg", ("constraints",), 5), 1, ERROR_IN_CFG,
+                 id="constraints-5"),
+    pytest.param(FIT, ("cfg", ("objective",), None), 1, ERROR_IN_CFG,
+                 id="objective-null"),
+    pytest.param(FIT, ("cfg", ("io",), [1]), 1, ERROR_IN_CFG, id="io-list"),
+    pytest.param(FIT, ("cfg", ("solver",), {"max_inner": [1]}), 1,
+                 ERROR_IN_CFG, id="solver-max_inner-list"),
+    pytest.param(FIT, ("cfg", ("solver",), {"tol_eq": None}), 1,
+                 ERROR_IN_CFG, id="solver-tol_eq-null"),
+    pytest.param(FIT, ("cfg", ("model", "n_s"), [2]), 1, ERROR_IN_CFG,
+                 id="model-n_s-list"),
+    pytest.param(["eig", "--model", "{model}"], ("model", ("A",), {"x": 1}),
+                 1, "error: {model}: ", id="model-A-object"),
+    pytest.param(["fit", "--config", "{tmp}", "--data", "{data}",
+                  "--out", "{tmp}/o"], None, 1, "error: ",
+                 id="config-is-directory"),
+    pytest.param(["fit", "--config", "{cfg}", "--data", "{tmp}",
+                  "--out", "{tmp}/o"], None, 1, "error: ",
+                 id="data-is-directory"),
+    pytest.param(["eig", "--model", "{tmp}"], None, 1, "error: ",
+                 id="model-is-directory"),
+    pytest.param(["eval", "--model", "{unstable}", "--data", "{data}",
+                  "--out", "{tmp}/e"], None, 2,
+                 "error: state recursion diverged at sample k = 67\n",
+                 id="eval-diverging-model"),
+])
+def test_input_boundary(tmp_path, truth_model, capsys, argv, edit, code, err):
+    """Every malformed input ends in ``error: ...`` and exit 1, and a
+    diverging state recursion in exit 2, never in a traceback."""
+    from ssfit.statespace import InnovationModel
+
+    paths = {"tmp": str(tmp_path), "cfg": str(tmp_path / "cfg.json"),
+             "model": truth_model[0], "data": str(tmp_path / "data.csv"),
+             "unstable": str(tmp_path / "unstable.json")}
+    with open(truth_model[0]) as fh:
+        docs = {"cfg": sample_config(), "model": json.load(fh)}
+    if edit is not None:
+        name, keys, value = edit
+        target = docs[name]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    for name, doc in docs.items():
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    save_dataset(paths["data"], Dataset(np.ones((200, 1)), np.zeros((200, 1))))
+    save_model(paths["unstable"], InnovationModel(
+        np.array([[1.5]]), np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)),
+        np.zeros(1), np.zeros((1, 1)), np.ones((1, 1))))
+    assert main([a.format(**paths) for a in argv]) == code
+    assert capsys.readouterr().err.startswith(err.format(**paths))

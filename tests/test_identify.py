@@ -94,6 +94,11 @@ class TestExtension:
         with pytest.raises(ValueError, match="positive"):
             extend_with_eig_constraints(spec)
 
+    @pytest.mark.parametrize("target", [lambda model: model.A, 5, "custom"])
+    def test_target_is_one_of_the_named_matrices(self, target):
+        with pytest.raises(ValueError, match="unknown target"):
+            EigConstraintSpec(disk(0.5, 0.0), target, 0.05)
+
     def test_requires_numeric_delta(self):
         with pytest.raises(ValueError, match="delta_re"):
             extend_with_eig_constraints(siso_problem())

@@ -70,6 +70,28 @@ class TestRegionFeasible:
             region_feasible(q, 0.0)
 
 
+class TestShiftAndWeightRules:
+    @pytest.mark.parametrize("shift, weight, match", [
+        # without the shift rule this query read feasible with value 1.5e-11,
+        # although 0.9 lies outside the disk |z| < 0.5
+        (-0.05, None, "positive semidefinite"),
+        (np.diag([0.1, 0.1, 0.1, 0.0, 0.1, 0.1]), None, "corner-block"),
+        (0.03, np.diag([1.0, 1.0, 0.0]), "weight V must be positive definite"),
+    ])
+    def test_unsound_query_rejected(self, shift, weight, match):
+        with pytest.raises(ValueError, match=match):
+            barrier_solve(BarrierQuery(disk(0.5, 0.0), np.diag([0.9, 0.8, 0.7]),
+                                       shift, weight))
+
+    @pytest.mark.parametrize("shift", [
+        0.0,                                           # the relaxed system
+        0.03 * np.eye(6),
+        np.diag([0.03, 0.03, 0.03, 0.0, 0.0, 0.0]),    # disk corner block
+    ])
+    def test_sound_shifts_accepted(self, shift):
+        BarrierQuery(disk(0.5, 0.0), np.diag([0.4, 0.3, 0.2]), shift)
+
+
 class TestJordanCounterexample:
     def test_infeasible_for_all_shifts(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
