@@ -167,14 +167,22 @@ def save_model(path: str, model: InnovationModel,
 _MATRICES = ("A", "B", "C", "D", "x0hat", "K", "Re")
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array; JSON ``NaN`` and ``Infinity`` entries are
+    rejected here, at the input boundary, so no hot path has to."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a nonfinite entry")
+    return arr
+
+
 def load_model(path: str):
     """Read a model file; returns ``(model, ladm_or_None, meta)``."""
     doc = _fields(_read_json(path), path, {"schema_version", "dims", *_MATRICES},
                   {"ladm", "meta"})
     dims = _fields(doc["dims"], path, {"n", "m", "p"}, what="dims")
     try:
-        model = InnovationModel(*(np.asarray(doc[key], dtype=float)
-                                  for key in _MATRICES))
+        model = InnovationModel(*(_finite(doc[key], key) for key in _MATRICES))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     if (model.n, model.m, model.p) != (dims["n"], dims["m"], dims["p"]):
@@ -187,13 +195,12 @@ def load_model(path: str):
             ladm = LadmSpec(
                 n_s=int(block["n_s"]), n_d=int(block["n_d"]),
                 m=int(block["m"]), p=int(block["p"]),
-                Bd=np.asarray(block["Bd"], dtype=float),
-                Cd=np.asarray(block["Cd"], dtype=float),
+                Bd=_finite(block["Bd"], "Bd"), Cd=_finite(block["Cd"], "Cd"),
                 plant_form=block.get("plant_form", "full"),
                 C_fixed=None if block.get("C_fixed") is None
-                else np.asarray(block["C_fixed"], dtype=float),
+                else _finite(block["C_fixed"], "C_fixed"),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: ladm: {exc}") from None
     return model, ladm, doc.get("meta", {})
 
@@ -407,14 +414,26 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
             epsilon=float(obj.get("epsilon", 1e-6)),
             delta_re=delta if delta == "auto" else float(delta),
         )
-        # each key takes the type of its fit default (float or int)
         solver = replace(FIT_OPTIONS, **{
-            key: type(getattr(FIT_OPTIONS, key))(value)
-            for key, value in sol.items()})
+            key: _solver_value(key, value) for key, value in sol.items()})
         seed = int(io_doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
     return RunConfig(problem=problem, solver=solver, seed=seed, raw=doc)
+
+
+def _solver_value(key: str, value):
+    """``value`` in the type of the fit default of ``key``: a finite JSON
+    number, and an integral one where that default is an ``int``.  JSON
+    booleans are not numbers here, and nothing is rounded."""
+    kind = type(getattr(FIT_OPTIONS, key))
+    number = ((isinstance(value, int) and not isinstance(value, bool))
+              or (isinstance(value, float) and np.isfinite(value)
+                  and (kind is float or value.is_integer())))
+    if not number:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"solver {key} must be {noun}, got {json.dumps(value)}")
+    return kind(value)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -372,25 +372,33 @@ def _states_loop(F: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
 def _states_scan(F: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """States of ``x[k+1] = F x[k] + c[k]`` via prefix-composition doubling.
 
-    Returns the ``(N+1, n)`` array of ``x[0..N]``.  Work is O(N log N) small
-    matrix products, all vectorized; round-off matches a sequential loop to
-    within a few ulps per step.
+    Returns the ``(N+1, n)`` array of ``x[0..N]``.  The level with offset
+    ``o`` sets ``d[k] += P[k] d[k-o]`` and ``P[k] = P[k] P[k-o]`` for
+    ``k >= o``; in the end ``P[k] = F^(k+1)`` and ``x[k+1] = P[k] x0 +
+    d[k]``.  As ``F`` is time-invariant, before that level every ``P[k]``
+    with ``k >= o-1`` is the same ``S = P[o-1]``, so the ramp ``P`` keeps
+    only the distinct powers and each level writes ``S P[j]`` into
+    ``P[o+j]`` for ``j < min(o, N-o)``: O(N) small matrix products in all,
+    plus N log N matrix-vector products for ``d``.  Each product is the
+    same per-item ``np.matmul`` kernel on the same operand bytes as in the
+    plain doubling tree over N copies of ``F``, and IEEE addition commutes,
+    so every bit (NaN, inf and sign too) matches that tree.  Round-off
+    matches a sequential loop to within a few ulps per step.
     """
     N, n = c.shape[0], x0.size
     if N == 0:
         return x0[None, :].copy()
     if N * n * n > 8_000_000:
         return _states_loop(F, c, x0)
-    P = np.broadcast_to(F, (N, n, n)).copy()
-    d = c.copy()
+    P = np.empty((N, n, n))
+    P[0] = F
+    d, Sd = c.copy(), np.empty((N, n, 1))
     offset = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while offset < N:
-            head_P, tail_P = P[:-offset], P[offset:]
-            new_d = np.matmul(tail_P, d[:-offset, :, None])[..., 0] + d[offset:]
-            new_P = np.matmul(tail_P, head_P)
-            P[offset:] = new_P
-            d[offset:] = new_d
+            S, m = P[offset - 1], min(offset, N - offset)
+            d[offset:] += np.matmul(S, d[:-offset, :, None], out=Sd[offset:])[..., 0]
+            np.matmul(S, P[:m], out=P[offset:offset + m])
             offset *= 2
         x = np.empty((N + 1, n))
         x[0] = x0

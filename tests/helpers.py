@@ -8,6 +8,7 @@ from ssfit.statespace import (
     Dataset,
     LadmSpec,
     ParameterLayout,
+    _states_loop,
     assemble_ladm,
     simulate,
 )
@@ -63,3 +64,29 @@ def perturbed(theta, layout, scale=0.1, seed=2):
 
 def siso_problem(**kwargs) -> ProblemSpec:
     return ProblemSpec(ladm=siso_ladm_spec(), **kwargs)
+
+
+def doubling_scan_reference(F, c, x0):
+    """The plain prefix-composition doubling tree over N copies of ``F``:
+    O(N log N) matrix products.  ``statespace._states_scan`` must match it
+    bit for bit."""
+    N, n = c.shape[0], x0.size
+    if N == 0:
+        return x0[None, :].copy()
+    if N * n * n > 8_000_000:
+        return _states_loop(F, c, x0)
+    P = np.broadcast_to(F, (N, n, n)).copy()
+    d = c.copy()
+    offset = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while offset < N:
+            head_P, tail_P = P[:-offset], P[offset:]
+            new_d = np.matmul(tail_P, d[:-offset, :, None])[..., 0] + d[offset:]
+            new_P = np.matmul(tail_P, head_P)
+            P[offset:] = new_P
+            d[offset:] = new_d
+            offset *= 2
+        x = np.empty((N + 1, n))
+        x[0] = x0
+        x[1:] = np.matmul(P, x0) + d
+    return x

@@ -237,6 +237,14 @@ class TestFitPipeline:
 
 FIT = ["fit", "--config", "{cfg}", "--data", "{data}", "--out", "{tmp}/o"]
 ERROR_IN_CFG = "error: {cfg}: "
+NAN, INF = float("nan"), float("inf")
+# a JSON boolean is no number, and an integer option takes no fraction
+SOLVER_FAULTS = [(key, True) for key in (
+    "tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner", "penalty0",
+    "multistart", "verbose")] + [
+    ("max_inner", 2.9), ("max_outer", 1.5), ("multistart", 0.5),
+    ("verbose", -0.5), ("max_inner", INF), ("tol_eq", NAN),
+    ("penalty0", INF), ("tol_stat", "1e-6")]
 
 
 @pytest.mark.parametrize("argv, edit, code, err", [
@@ -266,6 +274,31 @@ ERROR_IN_CFG = "error: {cfg}: "
                   "--out", "{tmp}/e"], None, 2,
                  "error: state recursion diverged at sample k = 67\n",
                  id="eval-diverging-model"),
+    pytest.param(["simulate", "--model", "{model}", "--out", "{tmp}/s.csv"],
+                 ("model", ("K",), [[NAN], [NAN], [NAN]]), 1,
+                 "error: {model}: K has a nonfinite entry\n",
+                 id="simulate-model-K-nan"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("A",), [[NAN] * 3] * 3), 1,
+                 "error: {model}: A has a nonfinite entry\n",
+                 id="eig-model-A-nan"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("x0hat",), [0.0, -INF, 0.0]), 1,
+                 "error: {model}: x0hat has a nonfinite entry\n",
+                 id="eig-model-x0hat-inf"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("ladm", "Cd"), [[INF]]), 1,
+                 "error: {model}: ladm: Cd has a nonfinite entry\n",
+                 id="eig-model-ladm-Cd-inf"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("ladm", "n_s"), INF), 1, "error: {model}: ladm: ",
+                 id="eig-model-ladm-n_s-inf"),
+    pytest.param(FIT, ("cfg", ("io", "seed"), INF), 1, ERROR_IN_CFG,
+                 id="io-seed-inf"),
+    *[pytest.param(FIT, ("cfg", ("solver",), {key: value}), 1,
+                   ERROR_IN_CFG + f"solver {key} must be ",
+                   id=f"solver-{key}-{value}")
+      for key, value in SOLVER_FAULTS],
 ])
 def test_input_boundary(tmp_path, truth_model, capsys, argv, edit, code, err):
     """Every malformed input ends in ``error: ...`` and exit 1, and a

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import doubling_scan_reference
+from ssfit import statespace
 from ssfit.indexsets import empty_set, full_lower
 from ssfit.statespace import (
     Dataset,
@@ -66,6 +68,51 @@ class TestRecursionKernels:
     def test_empty_horizon(self):
         x = _states_scan(np.eye(2), np.zeros((0, 2)), np.ones(2))
         assert x.shape == (1, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_scan_is_bit_identical_to_doubling_tree(self, n):
+        """Same bits as the tree over N copies of ``F``, NaN, inf and sign
+        included: stable and overflowing (spectral radius 3) ``F``, the
+        contiguous ``F`` and the transposed view the adjoint passes."""
+        rng = np.random.default_rng(100 + n)
+        for N in (0, 1, 2, 3, 255, 256, 257, 3000):
+            for rho in (0.95, 3.0):
+                F = rng.standard_normal((n, n))
+                F *= rho / max(float(np.max(np.abs(np.linalg.eigvals(F)))),
+                               1e-3)
+                c = rng.standard_normal((N, n))
+                for x0 in (np.zeros(n), rng.standard_normal(n)):
+                    for G in (F, F.T):
+                        want = doubling_scan_reference(G, c, x0)
+                        got = _states_scan(G, c, x0)
+                        assert np.array_equal(got, want, equal_nan=True)
+                        assert np.array_equal(np.signbit(got),
+                                              np.signbit(want))
+                if rho > 1.0 and N == 3000:
+                    assert not np.isfinite(want).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_divergence_index_matches_doubling_tree(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n=3, m=1, p=1, stable_filter=False)
+        A = model.A * 3.0 / float(np.max(np.abs(np.linalg.eigvals(model.A))))
+        model = InnovationModel(A, model.B, model.C, model.D, model.x0hat,
+                                model.K, model.Re)
+        u = rng.standard_normal((500, 1))
+        data = Dataset(u, rng.standard_normal((500, 1)))
+
+        def diverged_at():
+            ks = []
+            for run in (lambda: simulate(model, u, seed=seed),
+                        lambda: filter_innovations(model, data)):
+                with pytest.raises(FilterDivergedError) as info:
+                    run()
+                ks.append(info.value.k)
+            return ks
+
+        got = diverged_at()
+        monkeypatch.setattr(statespace, "_states_scan", doubling_scan_reference)
+        assert got == diverged_at()
 
 
 class TestSimulate:
