@@ -19,7 +19,7 @@ import numpy as np
 from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower, project_lower, vecs
 from .nlp import (FD_STEP, NlpProblem, SolveOptions, SolveReport,
-                  fd_gradient, fd_jacobian, solve)
+                  fd_gradient, fd_stencil, solve)
 from .oracle import BarrierQuery, barrier_solve
 from .regions import (LmiRegion, TightenedRegionConstraint, matrix_char_fn,
                       membership_margin)
@@ -31,6 +31,7 @@ from .statespace import (
     ParameterLayout,
     assemble_ladm,
     eigen_report,
+    ladm_blocks,
     likelihood_gradients,
     neg_log_likelihood,
     regularizer,
@@ -104,12 +105,15 @@ class EigConstraintSpec:
             raise ValueError(f"unknown target {self.target!r}; "
                              f"expected one of {TARGETS}")
 
-    def resolve_target(self, model: InnovationModel, n_s: int) -> np.ndarray:
+    def resolve_target(self, A: np.ndarray, C: np.ndarray, K: np.ndarray,
+                       n_s: int) -> np.ndarray:
+        """The bound matrix of the model ``(A, C, K)``, which may carry
+        leading stack dimensions."""
         if self.target == "open_loop":
-            return model.A
+            return A
         if self.target == "filter":
-            return model.filter_matrix()
-        return model.A[:n_s, :n_s]
+            return A - K @ C
+        return A[..., :n_s, :n_s]
 
     def target_dim(self, spec: LadmSpec) -> int:
         return spec.n_s if self.target == "plant_block" else spec.n
@@ -212,25 +216,30 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         pattern_a = direct_sum(pattern_a, full_lower(n_i * m_i))
         resolved.append((c, n_i, shift, weight))
 
+    # Both maps take one point or a stack: the leading dimensions of beta
+    # (..., n_beta) and Sigma (..., n_sigma, n_sigma) broadcast, and each
+    # item of a stack is its one-point value bit for bit.
     def psd_fn(beta, Sigma):
-        out = np.zeros((pattern_a.n, pattern_a.n))
-        out[:p, :p] = Sigma[:p, :p] - delta * np.eye(p)
+        lead = np.broadcast_shapes(np.shape(beta)[:-1], np.shape(Sigma)[:-2])
+        out = np.zeros(lead + (pattern_a.n, pattern_a.n))
+        out[..., :p, :p] = Sigma[..., :p, :p] - delta * np.eye(p)
         if resolved:
-            model = assemble_ladm(ladm, ThetaPoint(beta, Sigma), layout)
+            A, _, C, K = ladm_blocks(layout, beta)
             for (c, n_i, shift, _), (soff, _), (aoff, asize) in zip(
                     resolved, sigma_blocks[1:], a_blocks[1:]):
-                P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
-                target = c.resolve_target(model, ladm.n_s)
-                out[aoff:aoff + asize, aoff:aoff + asize] = \
+                P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
+                target = c.resolve_target(A, C, K, ladm.n_s)
+                out[..., aoff:aoff + asize, aoff:aoff + asize] = \
                     matrix_char_fn(c.region, target, P_i) - shift
         return out
 
     def ineq_fn(beta, Sigma):
-        rows = np.empty(len(resolved))
+        rows = np.empty(np.shape(Sigma)[:-2] + (len(resolved),))
         for k, ((c, n_i, _, weight), (soff, _)) in enumerate(
                 zip(resolved, sigma_blocks[1:])):
-            P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
-            rows[k] = float(np.trace(weight @ P_i)) - 1.0 / c.epsilon_i
+            P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
+            rows[..., k] = (np.trace(weight @ P_i, axis1=-2, axis2=-1)
+                            - 1.0 / c.epsilon_i)
         return rows
 
     system = ConstraintSystem(
@@ -256,9 +265,11 @@ class _IdentificationNlp:
     the gradient at the same point, which is the filter adjoint (a central
     difference over the model parameters and the covariance factor only
     when the Sigma completion is not trivial).  Both constraint Jacobians
-    share one difference pass of the polynomial maps over the same
-    coordinates per point; the coupled-block factor enters the equalities
-    alone, where its Jacobian block is analytic.
+    share one difference pass of the polynomial maps per point, evaluated
+    as one stack: rows that move beta keep Sigma of the point, and only
+    rows that move the Sigma factor map Sigma again.  The coupled-block
+    factor enters the equalities alone, where its Jacobian block is
+    analytic.
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
@@ -393,37 +404,37 @@ class _IdentificationNlp:
         Amat = self.system.psd_fn(theta.beta, theta.Sigma)
         return vecs(self.system.pattern_a, 0.5 * (Amat + Amat.T) - A_T)
 
-    def _stencil_point(self, z: np.ndarray):
-        """``(beta, Sigma)`` at leading coordinates ``z``, as ``_forward``
-        maps them, without the coupled block or the cache."""
-        nb = self.system.n_beta
-        ps = self.system.pattern_sigma
-        L_sigma = np.zeros((ps.n, ps.n))
-        L_sigma[ps._rows0, ps._cols0] = z[nb:]
-        beta = z[:nb]
-        return beta, sigma_forward(self.system, beta, L_sigma)
-
-    def _constraint_entries(self, beta: np.ndarray,
-                            Sigma: np.ndarray) -> np.ndarray:
+    def _constraint_outputs(self, Z: np.ndarray, z0: np.ndarray,
+                            Sigma0: np.ndarray) -> np.ndarray:
         """Pattern entries of the symmetrized coupled map, then the trace
-        rows: every constraint output that depends on (beta, L_Sigma)."""
-        Amat = self.system.psd_fn(beta, Sigma)
-        pa = self.system.pattern_a
-        entries = (0.5 * (Amat + Amat.T))[pa._rows0, pa._cols0]
-        if self.system.ineq_fn is None:
+        rows, at a stack ``Z`` of leading coordinates: every constraint
+        output that depends on (beta, L_Sigma).  ``Sigma0`` is Sigma at
+        ``z0``; only rows whose L_Sigma part differs from ``z0`` map it."""
+        system = self.system
+        nb, ps, pa = system.n_beta, system.pattern_sigma, system.pattern_a
+        Sigma = np.repeat(Sigma0[None], len(Z), axis=0)
+        for r in np.flatnonzero(np.any(Z[:, nb:] != z0[nb:], axis=1)):
+            L_sigma = np.zeros((ps.n, ps.n))
+            L_sigma[ps._rows0, ps._cols0] = Z[r, nb:]
+            Sigma[r] = sigma_forward(system, Z[r, :nb], L_sigma)
+        beta = Z[:, :nb]
+        Amat = system.psd_fn(beta, Sigma)
+        entries = (0.5 * (Amat + np.swapaxes(Amat, 1, 2)))[
+            :, pa._rows0, pa._cols0]
+        if system.ineq_fn is None:
             return entries
-        return np.concatenate([entries, self.system.ineq_fn(beta, Sigma)])
+        return np.concatenate([entries, system.ineq_fn(beta, Sigma)], axis=1)
 
     def _constraint_stencil(self, x: np.ndarray) -> np.ndarray:
-        """One difference pass of :meth:`_constraint_entries` over the
-        leading coordinates, kept with the cached point."""
-        self._forward(x)
+        """One stacked difference pass of :meth:`_constraint_outputs` over
+        the leading coordinates, kept with the cached point."""
+        _, theta, _ = self._forward(x)
         if self._stencil is None:
-            ks = self.k_beta_sigma
-            self._stencil = fd_jacobian(
-                lambda z: self._constraint_entries(*self._stencil_point(z)),
-                x[:ks], self.n_eq + self.system.n_ineq, self.fd_step,
-                self.lower[:ks])
+            z0 = x[:self.k_beta_sigma]
+            self._stencil = fd_stencil(
+                lambda Z: self._constraint_outputs(Z, z0, theta.Sigma),
+                z0, self.n_eq + self.system.n_ineq, self.fd_step,
+                self.lower[:self.k_beta_sigma])
         return self._stencil
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -502,7 +513,8 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
     Sigma[:p, :p] = Re0
     model0 = ext.model_of(ThetaPoint(theta0.beta, Re0))
     for i, c in enumerate(spec.eig_constraints):
-        target = c.resolve_target(model0, spec.ladm.n_s)
+        target = c.resolve_target(model0.A, model0.C, model0.K,
+                                  spec.ladm.n_s)
         off, size = ext.sigma_blocks[i + 1]
         weight = ext.weights[i]
         res = barrier_solve(BarrierQuery(c.region, target, ext.shifts[i],
@@ -747,8 +759,8 @@ def _blend_feasible(theta: ThetaPoint, spec: ProblemSpec,
 
     def margins(th: ThetaPoint) -> float:
         model = assemble_ladm(ladm, th, layout)
-        return min(membership_margin(c.region,
-                                     c.resolve_target(model, ladm.n_s))
+        return min(membership_margin(
+            c.region, c.resolve_target(model.A, model.C, model.K, ladm.n_s))
                    for c in spec.eig_constraints)
 
     if margins(theta) > 1e-3:

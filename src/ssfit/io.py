@@ -167,9 +167,34 @@ def save_model(path: str, model: InnovationModel,
 _MATRICES = ("A", "B", "C", "D", "x0hat", "K", "Re")
 
 
+def _number(value, what: str, integral: bool = False):
+    """``value`` as an ``int`` (a count, when ``integral``) or a ``float``:
+    a finite JSON number, integral for a count (3.0 reads as 3, 2.9 is
+    rejected).  JSON booleans are not numbers here, and nothing is rounded."""
+    number = ((isinstance(value, int) and not isinstance(value, bool))
+              or (isinstance(value, float) and np.isfinite(value)
+                  and (not integral or value.is_integer())))
+    if not number:
+        noun = "an integer" if integral else "a finite number"
+        raise ValueError(f"{what} must be {noun}, got {json.dumps(value)}")
+    return int(value) if integral else float(value)
+
+
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array; JSON ``NaN`` and ``Infinity`` entries are
-    rejected here, at the input boundary, so no hot path has to."""
+    """``value`` as a float array; entries that are not JSON numbers (a
+    boolean, say) and JSON ``NaN`` and ``Infinity`` are rejected here, at the
+    input boundary, so no hot path has to."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in _leaves(value)):
+        raise ValueError(f"{name} has a non-numeric entry")
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has a nonfinite entry")
@@ -193,8 +218,8 @@ def load_model(path: str):
                         {"plant_form", "C_fixed"}, "ladm")
         try:
             ladm = LadmSpec(
-                n_s=int(block["n_s"]), n_d=int(block["n_d"]),
-                m=int(block["m"]), p=int(block["p"]),
+                **{key: _number(block[key], key, integral=True)
+                   for key in ("n_s", "n_d", "m", "p")},
                 Bd=_finite(block["Bd"], "Bd"), Cd=_finite(block["Cd"], "Cd"),
                 plant_form=block.get("plant_form", "full"),
                 C_fixed=None if block.get("C_fixed") is None
@@ -379,7 +404,7 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
             constraints.append(EigConstraintSpec(
                 region=parse_region(cdoc["region"]),
                 target=cdoc.get("target", "filter"),
-                epsilon_i=float(cdoc.get("epsilon_i", 0.03)),
+                epsilon_i=_number(cdoc.get("epsilon_i", 0.03), "epsilon_i"),
                 weight=None if cdoc.get("weight") is None
                 else np.asarray(cdoc["weight"], dtype=float),
                 shift=None if cdoc.get("shift") is None
@@ -389,17 +414,18 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
             raise SchemaError(f"{where}: {exc}") from None
 
     try:
-        p = int(mdl["n_y"])
+        n_s, m, p = (_number(mdl[key], f"model {key}", integral=True)
+                     for key in ("n_s", "n_u", "n_y"))
         ladm = LadmSpec(
-            n_s=int(mdl["n_s"]), n_d=int(mdl.get("n_d", p)), m=int(mdl["n_u"]),
-            p=p,
+            n_s=n_s, n_d=_number(mdl.get("n_d", p), "model n_d", integral=True),
+            m=m, p=p,
             Bd=None if mdl.get("Bd") in (None, "zero")
             else np.asarray(mdl["Bd"], dtype=float),
             Cd=None if mdl.get("Cd") in (None, "identity")
             else np.asarray(mdl["Cd"], dtype=float),
             plant_form=mdl.get("plant_form", "full"),
             C_fixed=None if mdl.get("C_fixed") in (None, "free")
-            else (np.eye(int(mdl["n_s"]))[:p] if mdl["C_fixed"] == "identity"
+            else (np.eye(n_s)[:p] if mdl["C_fixed"] == "identity"
                   else np.asarray(mdl["C_fixed"], dtype=float)),
         )
         re_pattern = None
@@ -410,30 +436,19 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
             ladm=ladm,
             re_pattern=re_pattern,
             eig_constraints=tuple(constraints),
-            rho=float(obj.get("rho", 0.0)),
-            epsilon=float(obj.get("epsilon", 1e-6)),
-            delta_re=delta if delta == "auto" else float(delta),
+            rho=_number(obj.get("rho", 0.0), "objective rho"),
+            epsilon=_number(obj.get("epsilon", 1e-6), "objective epsilon"),
+            delta_re=delta if delta == "auto"
+            else _number(delta, "objective delta_re"),
         )
         solver = replace(FIT_OPTIONS, **{
-            key: _solver_value(key, value) for key, value in sol.items()})
-        seed = int(io_doc.get("seed", 0))
+            key: _number(value, f"solver {key}",
+                         integral=type(getattr(FIT_OPTIONS, key)) is int)
+            for key, value in sol.items()})
+        seed = _number(io_doc.get("seed", 0), "io seed", integral=True)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
     return RunConfig(problem=problem, solver=solver, seed=seed, raw=doc)
-
-
-def _solver_value(key: str, value):
-    """``value`` in the type of the fit default of ``key``: a finite JSON
-    number, and an integral one where that default is an ``int``.  JSON
-    booleans are not numbers here, and nothing is rounded."""
-    kind = type(getattr(FIT_OPTIONS, key))
-    number = ((isinstance(value, int) and not isinstance(value, bool))
-              or (isinstance(value, float) and np.isfinite(value)
-                  and (kind is float or value.is_integer())))
-    if not number:
-        noun = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"solver {key} must be {noun}, got {json.dumps(value)}")
-    return kind(value)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -27,6 +27,7 @@ __all__ = [
     "solve",
     "fd_gradient",
     "fd_jacobian",
+    "fd_stencil",
     "preflight_gradients",
 ]
 
@@ -151,40 +152,63 @@ def fd_jacobian(
     h0: float = 1e-6,
     lower_bounds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian of a vector function (rows are outputs).
+    """Central-difference Jacobian of a vector function (rows are outputs):
+    :func:`fd_stencil` with ``fn`` called once per stencil point."""
+    return fd_stencil(
+        lambda Z: [np.asarray(fn(z), dtype=float).ravel() for z in Z],
+        x, n_out, h0, lower_bounds)
 
-    Step sizes are ``h0 * max(1, |x_i|)``.  When ``lower_bounds`` is given
-    and the centered stencil would cross a bound, the stencil switches to a
-    one-sided difference on the feasible side, so no point below a bound is
-    ever evaluated; the same switch handles a nonfinite value on one side.
-    A nonfinite value at ``x`` or on both sides raises
+
+def fd_stencil(
+    fn_stack: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    n_out: int,
+    h0: float = 1e-6,
+    lower_bounds: np.ndarray | None = None,
+) -> np.ndarray:
+    """Central-difference Jacobian (rows are outputs) of a function that maps
+    a ``(B, k)`` stack of points to its ``(B, n_out)`` values.
+
+    Step sizes are ``h0 * max(1, |x_i|)``.  Every stencil point moves one
+    coordinate of ``x``; they are passed in one stack, coordinate by
+    coordinate, the plus point before the minus point.  When
+    ``lower_bounds`` is given and the centered stencil would cross a bound,
+    the stencil switches to a one-sided difference on the feasible side, so
+    no point below a bound is ever evaluated; the same switch handles a
+    nonfinite value on one side, with ``x`` itself evaluated (once) only
+    then.  A nonfinite value at ``x`` or on both sides raises
     :class:`FdGradientError` naming the coordinate.
     """
     x = np.asarray(x, dtype=float).ravel()
-    J = np.zeros((n_out, x.size))
-    f0 = None
-    for i in range(x.size):
-        h = h0 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        fp = np.asarray(fn(xp), dtype=float).ravel()
-        fm = None
-        if lower_bounds is None or x[i] - h >= lower_bounds[i]:
-            xm = x.copy()
-            xm[i] -= h
-            fm = np.asarray(fn(xm), dtype=float).ravel()
-        fp_ok = bool(np.all(np.isfinite(fp)))
-        fm_ok = fm is not None and bool(np.all(np.isfinite(fm)))
-        if fp_ok and fm_ok:
-            J[:, i] = (fp - fm) / (2.0 * h)
-            continue
-        if f0 is None:
-            f0 = np.asarray(fn(x), dtype=float).ravel()
-        if not (fp_ok or fm_ok) or not np.all(np.isfinite(f0)):
+    k = x.size
+    h = h0 * np.fmax(1.0, np.abs(x))
+    has_minus = np.ones(k, dtype=bool) if lower_bounds is None \
+        else x - h >= lower_bounds
+    coords = np.arange(k)
+    plus = coords + np.cumsum(has_minus) - has_minus
+    minus = plus[has_minus] + 1
+    Z = np.repeat(x[None, :], k + minus.size, axis=0)
+    Z[plus, coords] += h
+    Z[minus, coords[has_minus]] -= h[has_minus]
+    F = np.asarray(fn_stack(Z), dtype=float).reshape(len(Z), n_out)
+    fp = F[plus]
+    fm = np.full((k, n_out), np.nan)
+    fm[has_minus] = F[minus]
+    fp_ok = np.isfinite(fp).all(axis=1)
+    fm_ok = np.isfinite(fm).all(axis=1)
+    central = fp_ok & fm_ok
+    J = np.empty((n_out, k))
+    J[:, central] = (fp[central] - fm[central]).T / (2.0 * h[central])
+    if not central.all():
+        f0 = np.asarray(fn_stack(x[None, :]), dtype=float).reshape(n_out)
+        bad = ~central & (~(fp_ok | fm_ok) | ~np.isfinite(f0).all())
+        if bad.any():
             raise FdGradientError(
-                f"nonfinite finite-difference values at coordinate {i}"
-            )
-        J[:, i] = (fp - f0) / h if fp_ok else (f0 - fm) / h
+                f"nonfinite finite-difference values at coordinate "
+                f"{int(np.argmax(bad))}")
+        ahead, back = ~central & fp_ok, ~central & ~fp_ok
+        J[:, ahead] = (fp[ahead] - f0).T / h[ahead]
+        J[:, back] = (f0 - fm[back]).T / h[back]
     return J
 
 

@@ -168,23 +168,26 @@ def matrix_char_fn(region: LmiRegion, A: np.ndarray, P: np.ndarray) -> np.ndarra
 
     Returns a symmetric ``n*m x n*m`` matrix, linear in ``P`` for fixed ``A``.
     Strict feasibility of this matrix together with ``P > 0`` certifies that
-    every eigenvalue of ``A`` lies in the region.
+    every eigenvalue of ``A`` lies in the region.  Leading stack dimensions
+    of ``A`` and ``P`` broadcast, and each item of the stack is the 2-D value
+    bit for bit.
     """
     A = np.asarray(A, dtype=float)
     P = np.asarray(P, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    if P.shape != A.shape:
+    if P.shape[-2:] != A.shape[-2:]:
         raise ValueError(f"P shape {P.shape} does not match A shape {A.shape}")
     AP = A @ P
     # block (a, b) is m0[a, b] P + m1[a, b] AP + m1[b, a] AP^T, the same
-    # products and sums as the Kronecker form, broadcast over (a, i, b, j)
+    # products and sums as the Kronecker form, broadcast over (..., a, i, b, j)
     m0 = region.m0[:, None, :, None]
     m1 = region.m1[:, None, :, None]
     m1t = region.m1.T[:, None, :, None]
-    blocks = m0 * P[:, None, :] + m1 * AP[:, None, :] + m1t * AP.T[:, None, :]
-    nm = region.m * A.shape[0]
-    return blocks.reshape(nm, nm)
+    ix = (..., None, slice(None), None, slice(None))
+    blocks = m0 * P[ix] + m1 * AP[ix] + m1t * AP.swapaxes(-1, -2)[ix]
+    nm = region.m * A.shape[-1]
+    return blocks.reshape(blocks.shape[:-4] + (nm, nm))
 
 
 def eig_membership(region: LmiRegion, A: np.ndarray, tol: float | None = None) -> bool:

@@ -28,6 +28,7 @@ __all__ = [
     "Dataset",
     "FilterDivergedError",
     "assemble_ladm",
+    "ladm_blocks",
     "simulate",
     "filter_innovations",
     "neg_log_likelihood",
@@ -257,18 +258,21 @@ class ParameterLayout:
         object.__setattr__(self, "n_beta", offset)
 
     def matrices(self, beta: np.ndarray) -> dict[str, np.ndarray]:
-        """Expand a parameter vector into the plant matrices."""
-        beta = np.asarray(beta, dtype=float).ravel()
-        if beta.size != self.n_beta:
-            raise ValueError(f"beta has length {beta.size}, expected {self.n_beta}")
+        """Expand a parameter vector, or a ``(..., n_beta)`` stack of them,
+        into the plant matrices (with the same leading dimensions)."""
+        beta = np.asarray(beta, dtype=float)
+        if beta.ndim == 0 or beta.shape[-1] != self.n_beta:
+            raise ValueError(f"beta has shape {beta.shape}, expected "
+                             f"(..., {self.n_beta})")
         spec = self.ladm
+        lead = beta.shape[:-1]
         out: dict[str, np.ndarray] = {}
         for name, (sl, shape) in self.segments.items():
-            out[name] = beta[sl].reshape(shape)
+            out[name] = beta[..., sl].reshape(lead + shape)
         if spec.plant_form == "canonical":
-            A = np.zeros((spec.n_s, spec.n_s))
-            A[np.arange(spec.n_s - 1), np.arange(1, spec.n_s)] = 1.0
-            A[-1, :] = out["A_s"]
+            A = np.zeros(lead + (spec.n_s, spec.n_s))
+            A[..., np.arange(spec.n_s - 1), np.arange(1, spec.n_s)] = 1.0
+            A[..., -1, :] = out["A_s"]
             out["A_s"] = A
             out["C_s"] = np.eye(1, spec.n_s)
         elif spec.C_fixed is not None:
@@ -314,39 +318,50 @@ class Dataset:
         return self.y.shape[0]
 
 
-def assemble_ladm(
-    spec: LadmSpec, params, layout: ParameterLayout | None = None
-) -> InnovationModel:
-    """Build the augmented model from a parameter point.
-
-    The augmented matrices are
+def ladm_blocks(
+    layout: ParameterLayout, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The augmented ``(A, B, C, K)`` of ``layout.ladm`` at ``beta`` of shape
+    ``(..., n_beta)``, each with the leading dimensions of ``beta``:
 
         A = [[A_s, Bd], [0, I]],  B = [[B_s], [0]],
         C = [C_s, Cd],            K = [[K_s], [K_d]],
 
     with the integrator block exactly the identity and the zero blocks
-    exactly zero.  ``Re`` is the leading ``p x p`` block of ``Sigma``.
+    exactly zero.
     """
+    spec = layout.ladm
+    mats = layout.matrices(beta)
+    lead = np.shape(beta)[:-1]
+    n_s, n_d, m, p = spec.n_s, spec.n_d, spec.m, spec.p
+    n = n_s + n_d
+    A = np.zeros(lead + (n, n))
+    A[..., :n_s, :n_s] = mats["A_s"]
+    A[..., :n_s, n_s:] = spec.Bd
+    integrators = np.arange(n_s, n)
+    A[..., integrators, integrators] = 1.0
+    B = np.zeros(lead + (n, m))
+    B[..., :n_s, :] = mats["B_s"]
+    C = np.empty(lead + (p, n))
+    C[..., :n_s] = mats["C_s"]
+    C[..., n_s:] = spec.Cd
+    K = np.empty(lead + (n, p))
+    K[..., :n_s, :] = mats["K_s"]
+    K[..., n_s:, :] = mats["K_d"]
+    return A, B, C, K
+
+
+def assemble_ladm(
+    spec: LadmSpec, params, layout: ParameterLayout | None = None
+) -> InnovationModel:
+    """Build the augmented model (:func:`ladm_blocks`) from a parameter
+    point; ``Re`` is the leading ``p x p`` block of ``Sigma``."""
     if layout is None:
         layout = ParameterLayout(spec)
     if layout.ladm is not spec and layout.ladm != spec:
         raise ValueError("layout was built for a different model structure")
-    mats = layout.matrices(params.beta)
-    n_s, n_d, m, p = spec.n_s, spec.n_d, spec.m, spec.p
-    n = n_s + n_d
-    A = np.zeros((n, n))
-    A[:n_s, :n_s] = mats["A_s"]
-    A[:n_s, n_s:] = spec.Bd
-    integrators = np.arange(n_s, n)
-    A[integrators, integrators] = 1.0
-    B = np.zeros((n, m))
-    B[:n_s] = mats["B_s"]
-    C = np.empty((p, n))
-    C[:, :n_s] = mats["C_s"]
-    C[:, n_s:] = spec.Cd
-    K = np.empty((n, p))
-    K[:n_s] = mats["K_s"]
-    K[n_s:] = mats["K_d"]
+    A, B, C, K = ladm_blocks(layout, params.beta)
+    p, m, n = spec.p, spec.m, spec.n
     Sigma = np.asarray(params.Sigma, dtype=float)
     if Sigma.shape[0] < p:
         raise ValueError(f"Sigma must contain a leading {p} x {p} block")

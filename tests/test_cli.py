@@ -245,6 +245,30 @@ SOLVER_FAULTS = [(key, True) for key in (
     ("max_inner", 2.9), ("max_outer", 1.5), ("multistart", 0.5),
     ("verbose", -0.5), ("max_inner", INF), ("tol_eq", NAN),
     ("penalty0", INF), ("tol_stat", "1e-6")]
+# the other numbers of a config follow the same rule: counts are integral,
+# every number finite, and no value a boolean
+CONFIG_FAULTS = [
+    (("io", "seed"), 7.9, "io seed must be an integer, got 7.9"),
+    (("io", "seed"), True, "io seed must be an integer, got true"),
+    (("model", "n_s"), 2.9, "model n_s must be an integer, got 2.9"),
+    (("model", "n_u"), True, "model n_u must be an integer, got true"),
+    (("model", "n_y"), 1.5, "model n_y must be an integer, got 1.5"),
+    (("model", "n_d"), 0.5, "model n_d must be an integer, got 0.5"),
+    (("objective", "rho"), True,
+     "objective rho must be a finite number, got true"),
+    (("objective", "epsilon"), INF,
+     "objective epsilon must be a finite number, got Infinity"),
+    (("objective", "epsilon"), "1e-6",
+     "objective epsilon must be a finite number, got \"1e-6\""),
+    (("objective", "delta_re"), False,
+     "objective delta_re must be a finite number, got false"),
+    (("objective", "delta_re"), NAN,
+     "objective delta_re must be a finite number, got NaN"),
+    (("constraints", 0, "epsilon_i"), True,
+     "constraint 0: epsilon_i must be a finite number, got true"),
+    (("constraints", 0, "epsilon_i"), -INF,
+     "constraint 0: epsilon_i must be a finite number, got -Infinity"),
+]
 
 
 @pytest.mark.parametrize("argv, edit, code, err", [
@@ -299,6 +323,16 @@ SOLVER_FAULTS = [(key, True) for key in (
                    ERROR_IN_CFG + f"solver {key} must be ",
                    id=f"solver-{key}-{value}")
       for key, value in SOLVER_FAULTS],
+    *[pytest.param(FIT, ("cfg", keys, value), 1, ERROR_IN_CFG + message + "\n",
+                   id="-".join(map(str, keys)) + f"-{value}")
+      for keys, value, message in CONFIG_FAULTS],
+    pytest.param(["eig", "--model", "{model}"], ("model", ("D",), [[True]]),
+                 1, "error: {model}: D has a non-numeric entry\n",
+                 id="eig-model-D-boolean"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("ladm", "n_d"), 1.7), 1,
+                 "error: {model}: ladm: n_d must be an integer, got 1.7\n",
+                 id="eig-model-ladm-n_d-fraction"),
 ])
 def test_input_boundary(tmp_path, truth_model, capsys, argv, edit, code, err):
     """Every malformed input ends in ``error: ...`` and exit 1, and a

@@ -25,7 +25,7 @@ from ssfit.identify import (
 from ssfit import statespace
 from ssfit.indexsets import full_lower, vecs
 from ssfit.nlp import SolveOptions, fd_jacobian
-from ssfit.regions import disk, eig_membership, half_plane, intersect
+from ssfit.regions import cone, disk, eig_membership, half_plane, intersect
 from ssfit.statespace import (
     Dataset,
     FilterDivergedError,
@@ -220,6 +220,55 @@ def _fit_start(region, n=120, seed=7):
     return _IdentificationNlp(ext, data, phi0), ext.system.pack(phi0)
 
 
+def _random_point(ladm, constraints, seed=3):
+    """The identification NLP of a model structure on a tiny record, and a
+    random point of it with every factor diagonal inside its box."""
+    pspec = ProblemSpec(ladm=ladm, eig_constraints=constraints, delta_re=1e-8)
+    ext = extend_with_eig_constraints(pspec)
+    data = Dataset(np.zeros((5, ladm.m)), np.ones((5, ladm.p)))
+    nlp = _IdentificationNlp(ext, data, None)
+    rng = np.random.default_rng(seed)
+    x = 0.5 * rng.standard_normal(ext.system.dim)
+    boxed = nlp.lower > -np.inf
+    x[boxed] = rng.uniform(0.3, 1.2, int(np.sum(boxed)))
+    return nlp, x
+
+
+def _overflowing_side():
+    """The fit start of the disk case with the Re factor diagonal so large
+    that the symmetrized map overflows at its plus point only."""
+    nlp, x = _fit_start(disk(0.95, 0.0))
+    x = x.copy()
+    x[nlp.system.n_beta] = np.sqrt(np.finfo(float).max / 2) * (1 - 1e-7)
+    return nlp, x
+
+
+# stencil structures: targets, regions, constraint counts, plant forms,
+# disturbance and output counts, and a nonfinite stencil side
+STENCIL_CASES = {
+    "disk": lambda: _fit_start(disk(0.95, 0.0)),
+    "intersect": lambda: _fit_start(
+        intersect(half_plane(0.3), disk(0.998, 0.0))),
+    "cone": lambda: _fit_start(cone(1.0, 0.0)),
+    "open_loop": lambda: _random_point(siso_ladm_spec(), (
+        EigConstraintSpec(disk(1.05, 0.0), "open_loop", 0.05),)),
+    "plant_block": lambda: _random_point(siso_ladm_spec(), (
+        EigConstraintSpec(cone(1.0, 0.1), "plant_block", 0.05),)),
+    "two-constraints": lambda: _random_point(siso_ladm_spec(), (
+        EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),
+        EigConstraintSpec(half_plane(0.2), "plant_block", 0.03))),
+    "full-free-C_s": lambda: _random_point(LadmSpec(n_s=2, n_d=1, m=1, p=1), (
+        EigConstraintSpec(intersect(half_plane(0.3), disk(0.998, 0.0)),
+                          "filter", 0.05),)),
+    "n_d=0": lambda: _random_point(LadmSpec(n_s=3, n_d=0, m=1, p=1), (
+        EigConstraintSpec(disk(0.9, 0.1), "open_loop", 0.05),)),
+    "p=2": lambda: _random_point(LadmSpec(n_s=2, n_d=2, m=2, p=2), (
+        EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),
+        EigConstraintSpec(cone(1.0, 0.0), "plant_block", 0.1))),
+    "nonfinite-side": _overflowing_side,
+}
+
+
 def _reference_jacobians(nlp, x):
     """The constraint Jacobians as the previous implementation formed them:
     differences over the full forward map, and the -d(L L^T) block of the
@@ -266,13 +315,13 @@ class TestLeanHotPaths:
     """The evaluation shortcuts leave every value handed to the solver
     bit-for-bit unchanged."""
 
-    @pytest.mark.parametrize("region", [
-        disk(0.95, 0.0), intersect(half_plane(0.3), disk(0.998, 0.0))],
-        ids=["disk", "intersect"])
+    # the overflowing stencil side warns in numpy
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", list(STENCIL_CASES))
     @pytest.mark.parametrize("at_bound", [False, True],
                              ids=["interior", "diagonal-at-bound"])
-    def test_constraint_jacobians_bit_identical(self, region, at_bound):
-        nlp, x = _fit_start(region)
+    def test_constraint_jacobians_bit_identical(self, case, at_bound):
+        nlp, x = STENCIL_CASES[case]()
         ks = nlp.k_beta_sigma
         if at_bound:
             # a Lyapunov-factor diagonal on its floor: one-sided stencil
@@ -283,6 +332,14 @@ class TestLeanHotPaths:
             assert x[pos] - h < nlp.lower[pos]
         J_eq, J_in = _reference_jacobians(nlp, x)
         assert np.any(J_eq[:, ks:])
+        if case == "nonfinite-side":
+            # the plus point overflows, so the stencil goes one-sided
+            i = nlp.system.n_beta
+            xp = x.copy()
+            xp[i] += nlp.fd_step * x[i]
+            assert not np.all(np.isfinite(nlp.equality(xp)))
+            assert np.all(np.isfinite(nlp.equality(x)))
+            assert np.all(np.isfinite(J_eq)) and np.any(J_eq[:, i])
         assert np.array_equal(nlp.equality_jacobian(x), J_eq)
         assert np.array_equal(nlp.inequality_jacobian(x), J_in)
         # the stencils leave the evaluation cache alone
@@ -308,7 +365,8 @@ class TestLeanHotPaths:
         monkeypatch.setattr(identify, "sigma_forward", counted)
         nlp.equality_jacobian(x)
         nlp.inequality_jacobian(x)
-        assert len(calls) == 2 * nlp.k_beta_sigma
+        # only the stencil points that move the Sigma factor map Sigma
+        assert len(calls) == 2 * len(nlp.system.pattern_sigma)
 
     def test_gradient_reuses_objective_innovations(self, monkeypatch):
         nlp, x = _fit_start(disk(0.95, 0.0))

@@ -12,6 +12,47 @@ from ssfit.nlp import (
     preflight_gradients,
     solve,
 )
+from helpers import fd_jacobian_reference
+
+
+def _mixed(z):
+    return float(np.sin(z[0]) + z[1] ** 3 * np.exp(z[2]))
+
+
+# the cases of TestFdGradient as the stencil rule sees them: function, point,
+# output count and keyword arguments, plus a nonfinite value at x and a
+# coordinate with both sides nonfinite after central ones
+FD_CASES = {
+    "quadratic": (lambda x: x[0] ** 2, np.array([3.0]), 1, {}),
+    "constant": (lambda x: 7.0, np.array([1.0, -2.0, 0.5]), 1, {}),
+    "sine": (lambda x: np.sin(x[0]), np.array([0.0]), 1, {}),
+    "nonfinite-coordinate": (
+        lambda x: np.nan if abs(x[1]) > 0.0 else 0.0, np.array([0.0, 0.0]),
+        1, {}),
+    "one-sided-near-bound": (
+        lambda x: np.inf if x[0] < 0 else x[0] ** 2, np.array([0.0]), 1,
+        {"lower_bounds": np.array([0.0])}),
+    "jacobian": (lambda x: np.array([x[0] * x[1], x[0] + 2 * x[1]]),
+                 np.array([2.0, 3.0]), 2, {}),
+    "never-below-bound": (
+        lambda x: np.array([np.nan if x[0] > 0 else 1.0, x[1]]),
+        np.array([0.0, 1.0]), 2, {"lower_bounds": np.array([0.0, -np.inf])}),
+    "gradient-central": (_mixed, np.array([0.0, 0.7, -1.3]), 1,
+                         {"h0": 1e-6}),
+    "gradient-bound": (_mixed, np.array([0.0, 0.7, -1.3]), 1,
+                       {"h0": 1e-6,
+                        "lower_bounds": np.array([0.0, -np.inf, -np.inf])}),
+    "gradient-nonfinite-side": (
+        lambda z: np.inf if z[1] > 0.7 else _mixed(z),
+        np.array([0.0, 0.7, -1.3]), 1, {"h0": 1e-6}),
+    "nonfinite-at-x": (
+        lambda z: np.array([np.inf if z[0] == 1.0 or z[0] > 1.0 else z[0],
+                            z[1]]),
+        np.array([1.0, 2.0]), 2, {}),
+    "both-sides-later": (
+        lambda z: np.array([z[0], np.nan if z[2] != -1.0 else z[1]]),
+        np.array([0.5, 2.0, -1.0]), 2, {}),
+}
 
 
 class TestFdGradient:
@@ -74,6 +115,23 @@ class TestFdGradient:
 
         J = fd_jacobian(lambda z: float(f(z)), x, 1, 1e-6, lb)
         assert np.array_equal(fd_gradient(f, x, 1e-6, lb), J[0])
+
+    @pytest.mark.parametrize("case", sorted(FD_CASES))
+    def test_stacked_rule_matches_the_per_coordinate_loop(self, case):
+        fn, x, n_out, kwargs = FD_CASES[case]
+
+        def outcome(run):
+            try:
+                return run().tobytes()
+            except FdGradientError as exc:
+                return str(exc)
+
+        expected = outcome(
+            lambda: fd_jacobian_reference(fn, x, n_out, **kwargs))
+        assert outcome(lambda: fd_jacobian(fn, x, n_out, **kwargs)) == expected
+        if n_out == 1:
+            assert outcome(lambda: fd_gradient(
+                lambda z: float(fn(z)), x, **kwargs)) == expected
 
 
 class TestSolveAnalytic:

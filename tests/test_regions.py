@@ -170,6 +170,38 @@ class TestMatrixCharFn:
                     + np.kron(region.m1.T, AP.T)
                 assert np.array_equal(matrix_char_fn(region, A, P), kron)
 
+    @pytest.mark.parametrize("region", [
+        half_plane(0.3), disk(0.9, 0.1),
+        intersect(half_plane(0.3), disk(0.998, 0.0)),
+    ], ids=["m=1", "m=2", "m=3"])
+    def test_stack_is_the_per_item_value(self, region):
+        rng = np.random.default_rng(region.m)
+        for n in (1, 2, 4):
+            A = rng.standard_normal((3, 2, n + 1, n + 1))
+            X = rng.standard_normal((2, n, n))
+            P = X @ X.swapaxes(1, 2)
+            # leading blocks of larger matrices, as the plant-block target
+            # and the Lyapunov blocks of Sigma are
+            A = A[..., :n, :n]
+            M = matrix_char_fn(region, A, P)
+            nm = n * region.m
+            assert M.shape == (3, 2, nm, nm)
+            for i in range(3):
+                for j in range(2):
+                    assert np.array_equal(
+                        M[i, j], matrix_char_fn(region, A[i, j], P[j]))
+            # one operand fixed, the other stacked
+            assert np.array_equal(matrix_char_fn(region, A[1, 0], P)[1],
+                                  matrix_char_fn(region, A[1, 0], P[1]))
+            assert np.array_equal(matrix_char_fn(region, A[:, 1], P[0])[2],
+                                  matrix_char_fn(region, A[2, 1], P[0]))
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(ValueError, match="square"):
+            matrix_char_fn(disk(1.0, 0.0), np.zeros((2, 3, 2)), np.eye(2))
+        with pytest.raises(ValueError, match="does not match"):
+            matrix_char_fn(disk(1.0, 0.0), np.zeros((2, 3, 3)), np.eye(2))
+
 
 class TestEigMembership:
     def test_diagonal_inside_disk(self):
