@@ -413,10 +413,16 @@ class _IdentificationNlp:
         system = self.system
         nb, ps, pa = system.n_beta, system.pattern_sigma, system.pattern_a
         Sigma = np.repeat(Sigma0[None], len(Z), axis=0)
-        for r in np.flatnonzero(np.any(Z[:, nb:] != z0[nb:], axis=1)):
-            L_sigma = np.zeros((ps.n, ps.n))
-            L_sigma[ps._rows0, ps._cols0] = Z[r, nb:]
-            Sigma[r] = sigma_forward(system, Z[r, :nb], L_sigma)
+        rows = np.flatnonzero(np.any(Z[:, nb:] != z0[nb:], axis=1))
+        L = np.zeros((rows.size, ps.n, ps.n))
+        L[:, ps._rows0, ps._cols0] = Z[rows, nb:]
+        if getattr(system, "_sigma_trivial", False):
+            # Sigma = 0 + L L^T, per item the operations of sigma_forward
+            Q = 0.0 + np.matmul(L, np.swapaxes(L, 1, 2))
+            Sigma[rows] = 0.5 * (Q + np.swapaxes(Q, 1, 2))
+        else:
+            for r, L_sigma in zip(rows, L):
+                Sigma[r] = sigma_forward(system, Z[r, :nb], L_sigma)
         beta = Z[:, :nb]
         Amat = system.psd_fn(beta, Sigma)
         entries = (0.5 * (Amat + np.swapaxes(Amat, 1, 2)))[

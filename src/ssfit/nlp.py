@@ -51,6 +51,10 @@ class GradientMismatchError(ValueError):
 class NlpProblem:
     """A constrained minimization instance.
 
+    Every callable must be a pure function of ``x``: :func:`solve` evaluates
+    each trial point once and reuses the constraint values of an accepted
+    point for the gradient there.
+
     Parameters
     ----------
     dim : int
@@ -269,13 +273,16 @@ class _Counter:
         self.n = 0
 
 
+_EMPTY = np.zeros(0)
+
+
 def _evaluate(problem: NlpProblem, x: np.ndarray, count: _Counter):
     count.n += 1
     f = float(problem.objective(x))
     c = (np.asarray(problem.equality(x), dtype=float).ravel()
-         if problem.equality is not None else np.zeros(0))
+         if problem.equality is not None else _EMPTY)
     s = (np.asarray(problem.inequality(x), dtype=float).ravel()
-         if problem.inequality is not None else np.zeros(0))
+         if problem.inequality is not None else _EMPTY)
     return f, c, s
 
 
@@ -305,89 +312,80 @@ def _jacobian(problem, fn, jac, n_out, x, count):
     return fd_jacobian(fn, x, n_out, FD_STEP, problem.lower_bounds)
 
 
-def _al_gradient(problem, x, lam, mu, rho, count):
+def _al_gradient(problem, x, c, s, lam, mu, rho, count):
+    """AL gradient at ``x`` from the constraint values of its merit."""
     g = _objective_gradient(problem, x, count)
     if problem.n_eq:
-        c = np.asarray(problem.equality(x), dtype=float).ravel()
         Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
                        problem.n_eq, x, count)
         g = g + Jc.T @ (rho * c - lam)
     if problem.n_in:
-        s = np.asarray(problem.inequality(x), dtype=float).ravel()
         Js = _jacobian(problem, problem.inequality,
                        problem.inequality_jacobian, problem.n_in, x, count)
         g = g + Js.T @ np.maximum(0.0, mu + rho * s)
     return g
 
 
-def _at_bound(x: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.size, dtype=bool)
-    finite = np.isfinite(lb)
-    if np.any(finite):
-        tol = 1e-12 * np.maximum(1.0, np.abs(lb[finite]))
-        out[finite] = x[finite] <= lb[finite] + tol
-    return out
-
-
-def _projected_gradient(g: np.ndarray, x: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    pg = g.copy()
-    pg[_at_bound(x, lb) & (g > 0)] = 0.0
-    return pg
-
-
 def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
     """Projected-BFGS minimization of the augmented Lagrangian over x >= lb.
 
     Accepted steps are monotone in the merit value by the Armijo rule; this
-    is asserted each iteration.
+    is asserted each iteration.  Each trial point is evaluated once: the
+    gradient at an accepted point reuses the constraint values of its merit.
     """
     lb = problem.lower_bounds
     n = x.size
+    # on a bound: within 1e-12 * max(1, |lb|) of it (NaN edge: no bound)
+    finite = np.isfinite(lb)
+    edge = np.full(n, np.nan)
+    edge[finite] = lb[finite] + 1e-12 * np.maximum(1.0, np.abs(lb[finite]))
     scaled = False
     Hinv = np.eye(n)
 
     def merit(xq):
         f, c, s = _evaluate(problem, xq, count)
-        return _al_value(f, c, s, lam, mu, rho)
+        return _al_value(f, c, s, lam, mu, rho), c, s
 
-    fx = merit(x)
-    g = _al_gradient(problem, x, lam, mu, rho, count)
+    def backtrack(direction):
+        alpha = 1.0
+        for _ in range(40):
+            xt = np.maximum(lb, x + alpha * direction)
+            gd = float(g @ (xt - x))
+            ft, c, s = merit(xt)
+            if gd < 0 and np.isfinite(ft) and ft <= fx + 1e-4 * gd:
+                return xt, ft, c, s
+            alpha *= 0.5
+        return None
+
+    fx, c, s = merit(x)
+    g = _al_gradient(problem, x, c, s, lam, mu, rho, count)
     status = "ok"
     it = 0
     for it in range(1, max_iter + 1):
-        pg = _projected_gradient(g, x, lb)
+        at_bound = x <= edge
+        pg = np.where(at_bound & (g > 0), 0.0, g)  # projected gradient
         pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
         if pg_norm <= tol:
             break
         d = -Hinv @ g
-        d[_at_bound(x, lb) & (d < 0)] = 0.0
+        d[at_bound & (d < 0)] = 0.0
         if not np.any(d) or float(g @ d) >= 0.0:
             d = -pg
             Hinv = np.eye(n)
             scaled = False
 
-        def backtrack(direction):
-            alpha = 1.0
-            for _ in range(40):
-                xt = np.maximum(lb, x + alpha * direction)
-                gd = float(g @ (xt - x))
-                ft = merit(xt)
-                if gd < 0 and np.isfinite(ft) and ft <= fx + 1e-4 * gd:
-                    return xt, ft
-                alpha *= 0.5
-            return None, None
-
-        xt, ft = backtrack(d)
-        if xt is None and d is not pg:
+        trial = backtrack(d)
+        if trial is None and not np.array_equal(d, -pg):
             # quasi-Newton direction failed; drop the curvature estimate and
-            # retry along the projected steepest descent
+            # retry along the projected steepest descent, unless it was that
             Hinv = np.eye(n)
             scaled = False
-            xt, ft = backtrack(-pg)
-        if xt is None:
+            trial = backtrack(-pg)
+        if trial is None:
             status = "line-search-failure"
             break
-        gt = _al_gradient(problem, xt, lam, mu, rho, count)
+        xt, ft, c, s = trial
+        gt = _al_gradient(problem, xt, c, s, lam, mu, rho, count)
         sv = xt - x
         yv = gt - g
         sy = float(sv @ yv)
@@ -397,11 +395,11 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
                 scaled = True
             Hy = Hinv @ yv
             r = 1.0 / sy
-            Hinv = Hinv - r * (np.outer(sv, Hy) + np.outer(Hy, sv)) \
-                + r * r * (sy + float(yv @ Hy)) * np.outer(sv, sv)
+            Hinv = Hinv - r * (sv[:, None] * Hy + Hy[:, None] * sv) \
+                + r * r * (sy + float(yv @ Hy)) * (sv[:, None] * sv)
         assert ft <= fx + 1e-9 * max(1.0, abs(fx)), "merit increased on accepted step"
         x, g, fx = xt, gt, ft
-    pg = _projected_gradient(g, x, lb)
+    pg = np.where((x <= edge) & (g > 0), 0.0, g)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
     return x, fx, pg_norm, it, status
 

@@ -163,25 +163,34 @@ class _BarrierNlp:
 
     def _set_p_scale(self, p_scale: float):
         self.p_scale = p_scale
+        self._cache_key = None
         self.h0 = RELAXED_P_FLOOR / p_scale if self.relaxed else 0.0
         shift = self.q.shift / (self.scale * p_scale)
         self.shift = 0.5 * (shift + shift.T)
         self.m_vec = vecs(self.pat_a, self.shift)
 
     # -- packing -----------------------------------------------------------
+    def _factors(self, x):
+        """Read-only ``(Lp, La, P)`` at ``x``, kept for the last point."""
+        key = x.tobytes()
+        if key != self._cache_key:
+            n, nm = self.n, self.nm
+            Lp = np.zeros((n, n))
+            Lp[self.pat_p._rows0, self.pat_p._cols0] = x[:self.k_p]
+            La = np.zeros((nm, nm))
+            La[self.pat_a._rows0, self.pat_a._cols0] = x[self.k_p:]
+            P = Lp @ Lp.T
+            P = 0.5 * (P + P.T) + self.h0 * np.eye(n)
+            for a in (Lp, La, P):
+                a.flags.writeable = False
+            self._cache_key, self._cache_val = key, (Lp, La, P)
+        return self._cache_val
+
     def split(self, x):
-        n, nm = self.n, self.nm
-        Lp = np.zeros((n, n))
-        Lp[self.pat_p._rows0, self.pat_p._cols0] = x[:self.k_p]
-        La = np.zeros((nm, nm))
-        La[self.pat_a._rows0, self.pat_a._cols0] = x[self.k_p:]
-        return Lp, La
+        return self._factors(x)[:2]
 
     def p_of(self, x):
-        Lp, _ = self.split(x)
-        P = Lp @ Lp.T
-        P = 0.5 * (P + P.T)
-        return P + self.h0 * np.eye(self.n)
+        return self._factors(x)[2]
 
     # -- problem callables --------------------------------------------------
     def objective(self, x):
@@ -195,8 +204,7 @@ class _BarrierNlp:
         return out
 
     def equality(self, x):
-        Lp, La = self.split(x)
-        P = self.p_of(x)
+        _, La, P = self._factors(x)
         At = La @ La.T
         return self.W @ P[self.pat_p._rows0, self.pat_p._cols0] - self.m_vec \
             - At[self.pat_a._rows0, self.pat_a._cols0]

@@ -124,3 +124,130 @@ def fd_jacobian_reference(fn, x, n_out, h0=1e-6, lower_bounds=None):
             )
         J[:, i] = (fp - f0) / h if fp_ok else (f0 - fm) / h
     return J
+
+
+def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
+                             redundant=None):
+    """The projected-BFGS inner loop as it was before each trial point was
+    evaluated once: the gradient at an accepted point calls the constraints
+    again, the bound mask is rebuilt per use, and a failed line search
+    retries along -pg even when its direction already was -pg.
+    ``nlp._inner_minimize`` must return its bytes; ``redundant`` (a list)
+    gets one entry per such repeated retry, which costs 40 merit
+    evaluations and changes nothing else."""
+    from ssfit.nlp import _al_value, _evaluate, _jacobian, _objective_gradient
+
+    def _al_gradient(problem, x, lam, mu, rho, count):
+        g = _objective_gradient(problem, x, count)
+        if problem.n_eq:
+            c = np.asarray(problem.equality(x), dtype=float).ravel()
+            Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
+                           problem.n_eq, x, count)
+            g = g + Jc.T @ (rho * c - lam)
+        if problem.n_in:
+            s = np.asarray(problem.inequality(x), dtype=float).ravel()
+            Js = _jacobian(problem, problem.inequality,
+                           problem.inequality_jacobian, problem.n_in, x, count)
+            g = g + Js.T @ np.maximum(0.0, mu + rho * s)
+        return g
+
+    def _at_bound(x, lb):
+        out = np.zeros(x.size, dtype=bool)
+        finite = np.isfinite(lb)
+        if np.any(finite):
+            tol = 1e-12 * np.maximum(1.0, np.abs(lb[finite]))
+            out[finite] = x[finite] <= lb[finite] + tol
+        return out
+
+    def _projected_gradient(g, x, lb):
+        pg = g.copy()
+        pg[_at_bound(x, lb) & (g > 0)] = 0.0
+        return pg
+
+    lb = problem.lower_bounds
+    n = x.size
+    scaled = False
+    Hinv = np.eye(n)
+
+    def merit(xq):
+        f, c, s = _evaluate(problem, xq, count)
+        return _al_value(f, c, s, lam, mu, rho)
+
+    fx = merit(x)
+    g = _al_gradient(problem, x, lam, mu, rho, count)
+    status = "ok"
+    it = 0
+    for it in range(1, max_iter + 1):
+        pg = _projected_gradient(g, x, lb)
+        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+        if pg_norm <= tol:
+            break
+        d = -Hinv @ g
+        d[_at_bound(x, lb) & (d < 0)] = 0.0
+        if not np.any(d) or float(g @ d) >= 0.0:
+            d = -pg
+            Hinv = np.eye(n)
+            scaled = False
+
+        def backtrack(direction):
+            alpha = 1.0
+            for _ in range(40):
+                xt = np.maximum(lb, x + alpha * direction)
+                gd = float(g @ (xt - x))
+                ft = merit(xt)
+                if gd < 0 and np.isfinite(ft) and ft <= fx + 1e-4 * gd:
+                    return xt, ft
+                alpha *= 0.5
+            return None, None
+
+        xt, ft = backtrack(d)
+        if xt is None and d is not pg:
+            if redundant is not None and np.array_equal(d, -pg):
+                redundant.append(it)
+            # quasi-Newton direction failed; drop the curvature estimate and
+            # retry along the projected steepest descent
+            Hinv = np.eye(n)
+            scaled = False
+            xt, ft = backtrack(-pg)
+        if xt is None:
+            status = "line-search-failure"
+            break
+        gt = _al_gradient(problem, xt, lam, mu, rho, count)
+        sv = xt - x
+        yv = gt - g
+        sy = float(sv @ yv)
+        if sy > 1e-10 * float(np.linalg.norm(sv)) * float(np.linalg.norm(yv)):
+            if not scaled:
+                Hinv = (sy / float(yv @ yv)) * np.eye(n)
+                scaled = True
+            Hy = Hinv @ yv
+            r = 1.0 / sy
+            Hinv = Hinv - r * (np.outer(sv, Hy) + np.outer(Hy, sv)) \
+                + r * r * (sy + float(yv @ Hy)) * np.outer(sv, sv)
+        assert ft <= fx + 1e-9 * max(1.0, abs(fx)), "merit increased on accepted step"
+        x, g, fx = xt, gt, ft
+    pg = _projected_gradient(g, x, lb)
+    pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+    return x, fx, pg_norm, it, status
+
+
+def count_constraint_calls(problem):
+    """``problem`` with its ``equality`` and ``inequality`` wrapped to tally
+    calls per ``(kind, x bytes)`` in the returned ``Counter``."""
+    import collections
+    import dataclasses
+
+    calls = collections.Counter()
+
+    def counted(kind, fn):
+        if fn is None:
+            return None
+
+        def wrapper(x):
+            calls[kind, x.tobytes()] += 1
+            return fn(x)
+        return wrapper
+
+    return dataclasses.replace(
+        problem, equality=counted("eq", problem.equality),
+        inequality=counted("in", problem.inequality)), calls

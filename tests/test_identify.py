@@ -23,7 +23,7 @@ from ssfit.identify import (
     varx_init,
 )
 from ssfit import statespace
-from ssfit.indexsets import full_lower, vecs
+from ssfit.indexsets import IndexSet, full_lower, vecs
 from ssfit.nlp import SolveOptions, fd_jacobian
 from ssfit.regions import cone, disk, eig_membership, half_plane, intersect
 from ssfit.statespace import (
@@ -220,10 +220,11 @@ def _fit_start(region, n=120, seed=7):
     return _IdentificationNlp(ext, data, phi0), ext.system.pack(phi0)
 
 
-def _random_point(ladm, constraints, seed=3):
+def _random_point(ladm, constraints, seed=3, re_pattern=None):
     """The identification NLP of a model structure on a tiny record, and a
     random point of it with every factor diagonal inside its box."""
-    pspec = ProblemSpec(ladm=ladm, eig_constraints=constraints, delta_re=1e-8)
+    pspec = ProblemSpec(ladm=ladm, eig_constraints=constraints, delta_re=1e-8,
+                        re_pattern=re_pattern)
     ext = extend_with_eig_constraints(pspec)
     data = Dataset(np.zeros((5, ladm.m)), np.ones((5, ladm.p)))
     nlp = _IdentificationNlp(ext, data, None)
@@ -362,9 +363,43 @@ class TestLeanHotPaths:
             calls.append(1)
             return original(*args)
 
+        passes = []
+        outputs = nlp._constraint_outputs
+
+        def counted_pass(*args):
+            passes.append(1)
+            return outputs(*args)
+
         monkeypatch.setattr(identify, "sigma_forward", counted)
+        monkeypatch.setattr(nlp, "_constraint_outputs", counted_pass)
         nlp.equality_jacobian(x)
         nlp.inequality_jacobian(x)
+        # one stacked pass serves both Jacobians, and under the trivial
+        # completion it maps the Sigma-factor rows in one stacked product
+        assert len(passes) == 1
+        assert calls == []
+
+    def test_nontrivial_sigma_pattern_maps_each_row(self, monkeypatch):
+        from ssfit import identify
+
+        # (3, 2) is off the pattern while rows 2 and 3 share column 1, so
+        # the completion of the Re factor is not zero
+        pattern = IndexSet(3, ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3)))
+        nlp, x = _random_point(LadmSpec(n_s=2, n_d=3, m=1, p=3), (
+            EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),),
+            re_pattern=pattern)
+        assert not nlp.system._sigma_trivial
+        J_eq, J_in = _reference_jacobians(nlp, x)
+        calls = []
+        original = identify.sigma_forward
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(identify, "sigma_forward", counted)
+        assert np.array_equal(nlp.equality_jacobian(x), J_eq)
+        assert np.array_equal(nlp.inequality_jacobian(x), J_in)
         # only the stencil points that move the Sigma factor map Sigma
         assert len(calls) == 2 * len(nlp.system.pattern_sigma)
 

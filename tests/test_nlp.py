@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from ssfit import nlp
 from ssfit.nlp import (
     FdGradientError,
     GradientMismatchError,
@@ -12,7 +15,8 @@ from ssfit.nlp import (
     preflight_gradients,
     solve,
 )
-from helpers import fd_jacobian_reference
+from helpers import (count_constraint_calls, fd_jacobian_reference,
+                     inner_minimize_reference)
 
 
 def _mixed(z):
@@ -289,3 +293,116 @@ class TestPreflight:
     def test_no_providers_trivially_passes(self):
         problem = NlpProblem(dim=1, objective=lambda x: float(x[0] ** 2))
         assert preflight_gradients(problem, np.array([1.0])) == 0.0
+
+
+def _solve_cases():
+    """The problems of the solve tests above, a supplied gradient of the
+    wrong sign (every line search fails), and both constraint kinds with
+    Jacobian providers: name -> (problem, start, options)."""
+    def rosenbrock(x):
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+    def rosenbrock_gradient(x):
+        return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2)
+                         - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)])
+
+    return {
+        "unconstrained": (NlpProblem(
+            dim=1, objective=lambda x: float((x[0] - 1.0) ** 2)),
+            [5.0], None),
+        "circle": (NlpProblem(
+            dim=2, objective=lambda x: float(x[0] + x[1]),
+            equality=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+            n_eq=1), [1.0, 0.0], None),
+        "active-bound": (NlpProblem(
+            dim=1, objective=lambda x: float(x[0]),
+            lower_bounds=np.array([0.5])), [2.0], None),
+        "inequality": (NlpProblem(
+            dim=1, objective=lambda x: float((x[0] - 2.0) ** 2),
+            inequality=lambda x: np.array([x[0] - 1.0]), n_in=1),
+            [-1.0], None),
+        "rosenbrock": (NlpProblem(
+            dim=2, objective=rosenbrock, gradient=rosenbrock_gradient),
+            [-1.2, 1.0], SolveOptions(max_inner=500)),
+        "mixed": (NlpProblem(
+            dim=2, objective=lambda x: float(x @ x),
+            equality=lambda x: np.array([x[0] + x[1] - 1.0]), n_eq=1,
+            lower_bounds=np.array([0.8, -np.inf])), [0.9, 0.5], None),
+        "cliff": (NlpProblem(
+            dim=1, objective=lambda x: float(x[0] ** 2) if x[0] >= 0.5
+            else float("inf"), lower_bounds=np.array([0.5])), [3.0], None),
+        "double-well": (NlpProblem(
+            dim=1, objective=lambda x: float((x[0] ** 2 - 1.0) ** 2
+                                             + 0.2 * x[0])),
+            [0.9], SolveOptions(multistart=8, multistart_spread=1.5,
+                                seed=3)),
+        "wrong-sign-gradient": (NlpProblem(
+            dim=1, objective=lambda x: float(x @ x),
+            gradient=lambda x: -2.0 * x), [1.0], None),
+        "providers": (NlpProblem(
+            dim=3, objective=lambda x: float(x @ x - x[2]),
+            gradient=lambda x: 2.0 * x - np.array([0.0, 0.0, 1.0]),
+            equality=lambda x: np.array([x[0] * x[1] - 0.5]), n_eq=1,
+            equality_jacobian=lambda x: np.array([[x[1], x[0], 0.0]]),
+            inequality=lambda x: np.array([x[2] - x[0], x[1] - 2.0]),
+            n_in=2,
+            inequality_jacobian=lambda x: np.array([[-1.0, 0.0, 1.0],
+                                                    [0.0, 1.0, 0.0]]),
+            lower_bounds=np.array([0.1, -np.inf, 0.0])),
+            [1.0, 1.0, 0.5], None),
+    }
+
+
+SOLVE_CASES = _solve_cases()
+
+
+class TestOneEvaluationPerPoint:
+    # interior finite-difference stencils and Jacobian providers; a
+    # one-sided stencil at a bound maps x itself by the rule of fd_stencil
+    @pytest.mark.parametrize("case", ["circle", "inequality", "providers"])
+    def test_constraints_evaluated_once_per_point(self, case):
+        problem, x0, _ = SOLVE_CASES[case]
+        x0 = np.asarray(x0, dtype=float)
+        lam, mu = np.full(problem.n_eq, 0.3), np.full(problem.n_in, 0.2)
+        counted, calls = count_constraint_calls(problem)
+        out = nlp._inner_minimize(counted, x0, lam, mu, 10.0, 1e-8, 50,
+                                  nlp._Counter())
+        assert out[3] > 1
+        assert max(calls.values()) == 1
+        # the loop before the change called them twice at accepted points
+        counted, calls = count_constraint_calls(problem)
+        inner_minimize_reference(counted, x0, lam, mu, 10.0, 1e-8, 50,
+                                 nlp._Counter())
+        assert max(calls.values()) == 2
+
+    def test_failed_steepest_line_search_not_repeated(self):
+        # the gradient has the wrong sign, so the first direction is -pg and
+        # all 40 backtracking steps fail; one merit evaluation is the start
+        problem, x0, _ = SOLVE_CASES["wrong-sign-gradient"]
+        args = (problem, np.array(x0), np.zeros(0), np.zeros(0), 10.0, 1e-8,
+                10)
+        count = nlp._Counter()
+        x, fx, _, it, status = nlp._inner_minimize(*args, count)
+        assert (it, status, count.n) == (1, "line-search-failure", 41)
+        ref_count, redundant = nlp._Counter(), []
+        ref = inner_minimize_reference(*args, ref_count, redundant)
+        assert ref_count.n == 81 and redundant == [1]
+        assert x.tobytes() == ref[0].tobytes() and fx == ref[1]
+
+    @pytest.mark.parametrize("case", list(SOLVE_CASES))
+    def test_solve_matches_reference_inner_loop(self, case, monkeypatch):
+        problem, x0, opts = SOLVE_CASES[case]
+        new = solve(problem, np.array(x0, dtype=float), opts)
+        redundant = []
+        monkeypatch.setattr(nlp, "_inner_minimize", functools.partial(
+            inner_minimize_reference, redundant=redundant))
+        ref = solve(problem, np.array(x0, dtype=float), opts)
+        assert new.x_star.tobytes() == ref.x_star.tobytes()
+        assert np.float64(new.f_star).tobytes() \
+            == np.float64(ref.f_star).tobytes()
+        assert (new.iterations, new.outer_iterations, new.status) \
+            == (ref.iterations, ref.outer_iterations, ref.status)
+        # only the repeated steepest-descent retries are gone, 40 each
+        assert ref.n_evals - new.n_evals == 40 * len(redundant)
+        if case == "wrong-sign-gradient":
+            assert redundant

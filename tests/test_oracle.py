@@ -1,8 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
+from helpers import count_constraint_calls, inner_minimize_reference
+from ssfit import nlp as nlp_module
 from ssfit.oracle import BarrierQuery, _BarrierNlp, barrier_solve, barrier_value, region_feasible
-from ssfit.regions import cone, disk, eig_membership, half_plane, left_half_plane
+from ssfit.regions import (cone, disk, eig_membership, half_plane, intersect,
+                           left_half_plane)
 from ssfit.transform import transformed_constraints
 
 
@@ -159,3 +164,86 @@ class TestPipelineEquivalence:
         nlp = _BarrierNlp(q)
         worst = preflight_gradients(nlp.problem(), nlp.initial_point(), n_points=5)
         assert worst <= 1e-5
+
+
+# one query per region kind, inside and outside alternating
+REFERENCE_QUERIES = {
+    "half_plane": (half_plane(0.1), ([0.5, 0.9], [complex(0.7, 0.4)])),
+    "disk": (disk(0.9, 0.0), ([1.3, 0.5], [complex(0.2, 0.5)])),
+    "cone": (cone(1.0, 0.0), ([0.4, 1.0], [complex(0.8, 0.3)])),
+    "intersect": (intersect(half_plane(0.3), disk(0.998, 0.0)),
+                  ([0.1, 0.9], [complex(0.7, 0.4)])),
+}
+
+
+def _reference_query(kind):
+    region, eigs = REFERENCE_QUERIES[kind]
+    A = spectrum_matrix(np.random.default_rng(32), *eigs)
+    return BarrierQuery(region, A, 1e-4 * np.eye(A.shape[0] * region.m))
+
+
+class TestOneEvaluationPerPoint:
+    def test_constraints_evaluated_once_per_point(self):
+        nlp = _BarrierNlp(_reference_query("cone"))
+        x0 = nlp.initial_point()
+        problem, calls = count_constraint_calls(nlp.problem())
+        out = nlp_module._inner_minimize(
+            problem, x0, np.zeros(nlp.k_a), np.zeros(0), 1e2, 1e-8, 40,
+            nlp_module._Counter())
+        assert out[3] > 1
+        assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_factor_cache_coherent(self, relaxed):
+        q = _reference_query("intersect")
+        if relaxed:
+            # the floor h0 of P is nonzero only in the relaxed system
+            q = BarrierQuery(q.region, q.a_mat, 0.0)
+        nlp = _BarrierNlp(q)
+        x1 = nlp.initial_point()
+        x2 = x1 + 1e-3 * np.random.default_rng(5).standard_normal(nlp.dim)
+        names = ("split", "p_of", "objective", "gradient", "equality",
+                 "equality_jacobian")
+
+        def outputs(obj, name, x):
+            out = getattr(obj, name)(x)
+            return out if name == "split" else (out,)
+
+        def check(x, p_scale):
+            for name in names:
+                fresh = _BarrierNlp(q)
+                fresh._set_p_scale(p_scale)
+                for a, b in zip(outputs(nlp, name, x),
+                                outputs(fresh, name, x)):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        for x in (x1, x2, x1):
+            check(x, nlp.p_scale)
+        # h0 moves with the P scale, so the cached P must too
+        nlp.p_of(x1)
+        nlp._set_p_scale(2.0 * nlp.p_scale)
+        for x in (x1, x2):
+            check(x, nlp.p_scale)
+        Lp, La = nlp.split(x1)
+        for cached in (Lp, La, nlp.p_of(x1)):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", list(REFERENCE_QUERIES))
+    def test_query_matches_reference_inner_loop(self, kind, monkeypatch):
+        q = _reference_query(kind)
+        new = barrier_solve(q)
+        redundant = []
+        monkeypatch.setattr(nlp_module, "_inner_minimize", functools.partial(
+            inner_minimize_reference, redundant=redundant))
+        ref = barrier_solve(q)
+        assert np.float64(new.value).tobytes() \
+            == np.float64(ref.value).tobytes()
+        assert new.feasible == ref.feasible
+        if ref.p_matrix is not None:
+            assert new.p_matrix.tobytes() == ref.p_matrix.tobytes()
+        a, b = new.report, ref.report
+        assert a.x_star.tobytes() == b.x_star.tobytes()
+        assert (a.iterations, a.outer_iterations, a.status) \
+            == (b.iterations, b.outer_iterations, b.status)
+        assert b.n_evals - a.n_evals == 40 * len(redundant)
