@@ -9,7 +9,6 @@ sense).  :func:`main` is the one place that maps exceptions to exit codes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,22 +38,6 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
     return code
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=_jsonable)
-        fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
 def _spectrum(values: np.ndarray) -> list:
     return [{"re": float(z.real), "im": float(z.imag), "mod": float(abs(z))}
             for z in values]
@@ -72,7 +55,7 @@ def cmd_fit(args) -> int:
     report = dict(result.report)
     report["open_loop_eigs"] = _spectrum(report.pop("open_loop_eigs"))
     report["filter_eigs"] = _spectrum(report.pop("filter_eigs"))
-    _write_json(report_path, report)
+    ssio.save_json(report_path, report)
     if args.verbose:
         print(f"L_N = {result.nll:.6f}  iterations = "
               f"{result.solve_report.iterations}  "
@@ -115,9 +98,10 @@ def cmd_simulate(args) -> int:
         return _fail(f"input has {u.shape[1]} columns, model expects {model.m}")
     y = simulate(model, u, seed=args.seed, noise=not args.no_noise)
     ssio.save_dataset(args.out, Dataset(u, y))
-    _write_json(args.out + ".meta.json",
-                {"seed": args.seed, "noise": not args.no_noise,
-                 "model": os.path.basename(args.model), "samples": int(u.shape[0])})
+    ssio.save_json(args.out + ".meta.json",
+                   {"seed": args.seed, "noise": not args.no_noise,
+                    "model": os.path.basename(args.model),
+                    "samples": int(u.shape[0])})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -135,26 +119,19 @@ def cmd_eval(args) -> int:
     nll = neg_log_likelihood(model, data, innovations)
     y_free = simulate(model, data.u, noise=False)
     csv_path = os.path.join(args.out, "eval.csv")
-    with open(csv_path, "w") as fh:
-        cols = ["t"]
-        cols += [f"e{i + 1}" for i in range(model.p)]
-        cols += ["q"] + [f"q_avg{w}" for w in windows]
-        cols += [f"yfree{i + 1}" for i in range(model.p)]
-        fh.write(",".join(cols) + "\n")
-        for k in range(data.N):
-            row = [format(k * data.dt, ".17g")]
-            row += [format(v, ".17g") for v in e[k]]
-            row.append(format(q[k], ".17g"))
-            row += [format(averages[w][k], ".17g") for w in windows]
-            row += [format(v, ".17g") for v in y_free[k]]
-            fh.write(",".join(row) + "\n")
+    header = ["t"] + [f"e{i + 1}" for i in range(model.p)]
+    header += ["q"] + [f"q_avg{w}" for w in windows]
+    header += [f"yfree{i + 1}" for i in range(model.p)]
+    ssio.save_table(csv_path, header, [
+        np.arange(data.N) * data.dt, *e.T, q,
+        *(averages[w] for w in windows), *y_free.T])
     summary = {
         "nll": nll,
         "mean_q": float(np.mean(q)),
         "expected_mean_q": model.p,
         "n_samples": data.N,
     }
-    _write_json(os.path.join(args.out, "eval_summary.json"), summary)
+    ssio.save_json(os.path.join(args.out, "eval_summary.json"), summary)
     print(f"wrote {csv_path}")
     return EXIT_OK
 

@@ -566,7 +566,6 @@ def fit(
     data: Dataset,
     init: ThetaPoint | str = "auto",
     options: SolveOptions | None = None,
-    preflight: bool = False,
 ) -> FitResult:
     """Identify a model by constrained maximum likelihood.
 
@@ -597,9 +596,6 @@ def fit(
     problem = nlp.problem()
     x0 = ext.system.pack(phi0)
     opts = options or FIT_OPTIONS
-    if preflight:
-        from .nlp import preflight_gradients
-        preflight_gradients(problem, x0, n_points=5)
     report = solve(problem, x0, opts)
     # restoration rounds: snap the coupled factor back onto the equality
     # manifold (exact when the semidefinite map stays nonnegative) and

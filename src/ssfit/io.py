@@ -27,6 +27,8 @@ __all__ = [
     "RunConfig",
     "load_dataset",
     "save_dataset",
+    "save_table",
+    "save_json",
     "load_model",
     "save_model",
     "parse_region",
@@ -121,18 +123,26 @@ def save_dataset(path: str, data: Dataset) -> None:
     """Write a dataset CSV (deterministic formatting, 17 significant digits)."""
     m, p = data.u.shape[1], data.y.shape[1]
     header = ["t"] + [f"u{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(p)]
+    save_table(path, header,
+               [np.arange(data.N) * data.dt, *data.u.T, *data.y.T])
+
+
+def save_table(path: str, header: list[str], columns: list) -> None:
+    """Write a CSV table: the ``header`` row, then one row per entry of the
+    equal-length ``columns``, every number ``.17g``, every line ending in
+    ``\\n``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(data.N):
-            row = [_fmt(k * data.dt)]
-            row += [_fmt(v) for v in data.u[k]]
-            row += [_fmt(v) for v in data.y[k]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def save_json(path: str, doc: dict) -> None:
+    """Write a JSON artifact: keys sorted, one-space indent, a final
+    newline.  A value JSON cannot encode raises ``TypeError``."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 # -- models -------------------------------------------------------------------
@@ -159,9 +169,7 @@ def save_model(path: str, model: InnovationModel,
         }
     if meta:
         doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 _MATRICES = ("A", "B", "C", "D", "x0hat", "K", "Re")

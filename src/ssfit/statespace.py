@@ -373,51 +373,52 @@ def assemble_ladm(
                                         np.zeros(n), K, Re)
 
 
-def _states_loop(F: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    N, n = c.shape[0], x0.size
-    x = np.empty((N + 1, n))
-    x[0] = x0
-    cur = x0.copy()
-    for k in range(N):
-        cur = F @ cur + c[k]
-        x[k + 1] = cur
-    return x
+# Float64 entries of the prefix-power ramp of the state recursion (64 MB);
+# a longer record runs in chunks of as many samples as the ramp holds.
+RAMP_ELEMENTS = 8_000_000
 
 
 def _states_scan(F: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """States of ``x[k+1] = F x[k] + c[k]`` via prefix-composition doubling.
 
-    Returns the ``(N+1, n)`` array of ``x[0..N]``.  The level with offset
-    ``o`` sets ``d[k] += P[k] d[k-o]`` and ``P[k] = P[k] P[k-o]`` for
-    ``k >= o``; in the end ``P[k] = F^(k+1)`` and ``x[k+1] = P[k] x0 +
-    d[k]``.  As ``F`` is time-invariant, before that level every ``P[k]``
-    with ``k >= o-1`` is the same ``S = P[o-1]``, so the ramp ``P`` keeps
-    only the distinct powers and each level writes ``S P[j]`` into
-    ``P[o+j]`` for ``j < min(o, N-o)``: O(N) small matrix products in all,
-    plus N log N matrix-vector products for ``d``.  Each product is the
-    same per-item ``np.matmul`` kernel on the same operand bytes as in the
-    plain doubling tree over N copies of ``F``, and IEEE addition commutes,
-    so every bit (NaN, inf and sign too) matches that tree.  Round-off
+    Returns the ``(N+1, n)`` array of ``x[0..N]``.  The plain doubling tree
+    over N copies of ``F`` sets ``d[k] += P[k] d[k-o]`` and ``P[k] = P[k]
+    P[k-o]`` for ``k >= o`` at the level with offset ``o``; as ``F`` is
+    time-invariant, every such ``P[k]`` is then ``F^o``.  So the ramp
+    ``P[j] = F^(j+1)``, ``j < L = min(N, RAMP_ELEMENTS // n^2)``, is built
+    once (each level writes ``P[o-1] P[j]`` into ``P[o+j]``: O(L) small
+    matrix products), and each chunk of ``m <= L`` samples from ``s`` runs
+    the levels ``d[k] += P[o-1] d[k-o]`` on ``d = c[s:s+m]`` and sets
+    ``x[s+1:s+m+1] = P[:m] x[s] + d``.  Each product is the same per-item
+    ``np.matmul`` kernel on the same operand bytes as in the tree, and IEEE
+    addition commutes, so a record of at most ``L`` samples (one chunk)
+    matches the tree in every bit (NaN, inf and sign too).  Round-off
     matches a sequential loop to within a few ulps per step.
     """
     N, n = c.shape[0], x0.size
     if N == 0:
         return x0[None, :].copy()
-    if N * n * n > 8_000_000:
-        return _states_loop(F, c, x0)
-    P = np.empty((N, n, n))
+    L = min(N, max(1, RAMP_ELEMENTS // (n * n)))
+    P = np.empty((L, n, n))
     P[0] = F
-    d, Sd = c.copy(), np.empty((N, n, 1))
-    offset = 1
+    Sd = np.empty((L, n, 1))
+    x = np.empty((N + 1, n))
+    x[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        while offset < N:
-            S, m = P[offset - 1], min(offset, N - offset)
-            d[offset:] += np.matmul(S, d[:-offset, :, None], out=Sd[offset:])[..., 0]
-            np.matmul(S, P[:m], out=P[offset:offset + m])
+        offset = 1
+        while offset < L:
+            m = min(offset, L - offset)
+            np.matmul(P[offset - 1], P[:m], out=P[offset:offset + m])
             offset *= 2
-        x = np.empty((N + 1, n))
-        x[0] = x0
-        x[1:] = np.matmul(P, x0) + d
+        for s in range(0, N, L):
+            m = min(L, N - s)
+            d = c[s:s + m].copy()
+            offset = 1
+            while offset < m:
+                d[offset:] += np.matmul(P[offset - 1], d[:-offset, :, None],
+                                        out=Sd[offset:m])[..., 0]
+                offset *= 2
+            x[s + 1:s + m + 1] = np.matmul(P[:m], x[s]) + d
     return x
 
 

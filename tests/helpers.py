@@ -8,7 +8,6 @@ from ssfit.statespace import (
     Dataset,
     LadmSpec,
     ParameterLayout,
-    _states_loop,
     assemble_ladm,
     simulate,
 )
@@ -66,15 +65,28 @@ def siso_problem(**kwargs) -> ProblemSpec:
     return ProblemSpec(ladm=siso_ladm_spec(), **kwargs)
 
 
+def states_loop_reference(F, c, x0):
+    """The sequential state recursion ``x[k+1] = F x[k] + c[k]``, one sample
+    at a time; returns ``x[0..N]``."""
+    N, n = c.shape[0], x0.size
+    x = np.empty((N + 1, n))
+    x[0] = x0
+    cur = x0.copy()
+    for k in range(N):
+        cur = F @ cur + c[k]
+        x[k + 1] = cur
+    return x
+
+
 def doubling_scan_reference(F, c, x0):
     """The plain prefix-composition doubling tree over N copies of ``F``:
     O(N log N) matrix products.  ``statespace._states_scan`` must match it
-    bit for bit."""
+    bit for bit within its ramp budget; above it this is the loop."""
     N, n = c.shape[0], x0.size
     if N == 0:
         return x0[None, :].copy()
     if N * n * n > 8_000_000:
-        return _states_loop(F, c, x0)
+        return states_loop_reference(F, c, x0)
     P = np.broadcast_to(F, (N, n, n)).copy()
     d = c.copy()
     offset = 1

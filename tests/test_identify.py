@@ -24,7 +24,8 @@ from ssfit.identify import (
 )
 from ssfit import statespace
 from ssfit.indexsets import IndexSet, full_lower, vecs
-from ssfit.nlp import SolveOptions, fd_jacobian
+from ssfit.nlp import (SolveOptions, fd_gradient, fd_jacobian,
+                       preflight_gradients)
 from ssfit.regions import cone, disk, eig_membership, half_plane, intersect
 from ssfit.statespace import (
     Dataset,
@@ -35,6 +36,7 @@ from ssfit.statespace import (
     filter_innovations,
     identification_index,
     neg_log_likelihood,
+    regularizer,
 )
 from ssfit.transform import (
     ThetaPoint,
@@ -432,6 +434,70 @@ class TestLeanHotPaths:
         assert nlp._innovations is None
         with pytest.raises(FilterDivergedError):
             nlp.gradient(x_div)
+
+
+DISK_CONSTRAINT = (EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),)
+
+
+class TestObjectivePaths:
+    """The MAP regularizer in the objective and in its adjoint gradient,
+    and the finite-difference gradient under a non-trivial Sigma
+    completion."""
+
+    @staticmethod
+    def _map_start(constraints, rho):
+        """The extended problem at the fit start of the SISO truth, that
+        start, and a prior whose beta is shifted by 0.1 N(0, 1)."""
+        from ssfit.identify import _extend_theta
+
+        spec, layout, theta = siso_truth(filter_poles=(0.45, 0.55, 0.65))
+        data = siso_dataset(theta, spec, layout, n=120, seed=7)
+        pspec = siso_problem(eig_constraints=constraints, rho=rho)
+        pspec = replace(pspec, delta_re=resolve_delta(pspec, data))
+        ext = extend_with_eig_constraints(pspec)
+        phi0 = gbmz_inverse(_extend_theta(ext, theta), ext.system)
+        rng = np.random.default_rng(11)
+        phi_bar = replace(phi0, beta=phi0.beta
+                          + 0.1 * rng.standard_normal(phi0.beta.size))
+        return ext, data, phi0, phi_bar
+
+    @pytest.mark.parametrize("constraints", [(), DISK_CONSTRAINT],
+                             ids=["unconstrained", "disk"])
+    def test_map_gradient_matches_fd(self, constraints):
+        ext, data, phi0, phi_bar = self._map_start(constraints, 2.5)
+        problem = build_nlp(ext, data, phi_bar)
+        worst = preflight_gradients(problem, ext.system.pack(phi0),
+                                    n_points=5, seed=7)
+        assert worst <= 1e-5
+
+    @pytest.mark.parametrize("constraints", [(), DISK_CONSTRAINT],
+                             ids=["unconstrained", "disk"])
+    def test_map_objective_adds_the_regularizer(self, constraints):
+        ext, data, phi0, phi_bar = self._map_start(constraints, 2.5)
+        ext_ml = extend_with_eig_constraints(replace(ext.spec, rho=0.0))
+        nlp = _IdentificationNlp(ext, data, phi_bar)
+        nlp_ml = _IdentificationNlp(ext_ml, data, phi_bar)
+        x = ext.system.pack(phi0)
+        x[:nlp.k_beta_sigma] *= 1.0 + 0.01 * np.random.default_rng(12) \
+            .standard_normal(nlp.k_beta_sigma)
+        added = regularizer(ext.system.unpack(x), phi_bar, 2.5, ext.system)
+        assert added > 0
+        assert nlp.objective(x) - nlp_ml.objective(x) \
+            == pytest.approx(added / nlp.obj_scale, rel=1e-9)
+
+    def test_fd_gradient_under_nontrivial_sigma_completion(self):
+        # the p = 3 pattern without (3, 2) of the stencil test above
+        pattern = IndexSet(3, ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3)))
+        nlp, x = _random_point(LadmSpec(n_s=2, n_d=3, m=1, p=3),
+                               DISK_CONSTRAINT, re_pattern=pattern)
+        assert not nlp._adjoint_ok
+        assert np.isfinite(nlp.objective(x))
+        g = nlp.gradient(x)
+        ks = nlp.k_beta_sigma
+        assert np.all(g[ks:] == 0.0)
+        assert np.any(g[:ks] != 0.0)
+        fd = fd_gradient(nlp.objective, x, lower_bounds=nlp.lower)
+        assert np.allclose(g, fd, rtol=1e-5, atol=1e-8)
 
 
 class TestVarxInit:

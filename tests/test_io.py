@@ -19,7 +19,9 @@ from ssfit.io import (
     parse_region,
     region_to_text,
     save_dataset,
+    save_json,
     save_model,
+    save_table,
 )
 from ssfit.nlp import SolveOptions
 from ssfit.regions import band, contains, disk, half_plane, intersect
@@ -69,6 +71,27 @@ class TestDatasetsCsv:
         path.write_text("time,u1,y1\n0,1,2\n")
         with pytest.raises(SchemaError, match="'t'"):
             load_dataset(path)
+
+
+class TestArtifactWriters:
+    def test_table_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_table(path, ["t", "a", "b"], [
+            np.arange(3) * 0.1, np.array([1 / 3, -0.0, np.nan]),
+            np.array([1e300, np.inf, 2.0])])
+        assert path.read_bytes() == (
+            b"t,a,b\n"
+            b"0,0.33333333333333331,1.0000000000000001e+300\n"
+            b"0.10000000000000001,-0,inf\n"
+            b"0.20000000000000001,nan,2\n")
+
+    def test_json_format(self, tmp_path):
+        path = tmp_path / "d.json"
+        save_json(path, {"b": [1, 2.5], "a": {"c": None}})
+        assert path.read_text() \
+            == '{\n "a": {\n  "c": null\n },\n "b": [\n  1,\n  2.5\n ]\n}\n'
+        with pytest.raises(TypeError):
+            save_json(tmp_path / "x.json", {"a": np.zeros(2)})
 
 
 class TestModelFiles:

@@ -52,6 +52,33 @@ class TestBarrierAnalytic:
         assert res.feasible
         assert np.min(np.linalg.eigvalsh(res.p_matrix)) > 0
 
+    def test_penalty_escalation_reaches_a_feasible_point(self, monkeypatch):
+        """A defective pair at 0.612 inside disk(0.9, 0): the first solve
+        ends without a feasible point, so the verdict comes from a solve at
+        an escalated penalty."""
+        from ssfit import oracle
+
+        calls = []
+        original = oracle.solve
+
+        def counted(problem, x0, options):
+            report = original(problem, x0, options)
+            calls.append((options.penalty0, report.penalty))
+            return report
+
+        monkeypatch.setattr(oracle, "solve", counted)
+        A = np.array([[0.8487359511693996, 2.4255827058407897],
+                      [-0.023098333132860777, 0.37533583549211585]])
+        shift = 0.01968960371375985
+        res = barrier_solve(BarrierQuery(disk(0.9, 0.0), A,
+                                         shift * np.eye(4)))
+        assert len(calls) >= 2
+        # escalation starts above the penalty the first solve ended at
+        assert calls[1][0] > calls[0][1]
+        assert res.feasible
+        assert np.isfinite(res.value) and res.value <= 1.0 / shift
+        assert np.min(np.linalg.eigvalsh(res.p_matrix)) > 0
+
 
 class TestRegionFeasible:
     def test_sublevel_membership(self):

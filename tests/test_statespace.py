@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import doubling_scan_reference
+from helpers import doubling_scan_reference, states_loop_reference
 from ssfit import statespace
 from ssfit.indexsets import empty_set, full_lower
 from ssfit.statespace import (
@@ -13,7 +13,6 @@ from ssfit.statespace import (
     InnovationModel,
     LadmSpec,
     ParameterLayout,
-    _states_loop,
     _states_scan,
     assemble_ladm,
     eigen_report,
@@ -62,7 +61,8 @@ class TestRecursionKernels:
             F *= 0.95 / max(rho, 0.1)
             c = rng.standard_normal((N, n))
             x0 = rng.standard_normal(n)
-            assert np.allclose(_states_scan(F, c, x0), _states_loop(F, c, x0),
+            assert np.allclose(_states_scan(F, c, x0),
+                               states_loop_reference(F, c, x0),
                                rtol=1e-10, atol=1e-12)
 
     def test_empty_horizon(self):
@@ -113,6 +113,74 @@ class TestRecursionKernels:
         got = diverged_at()
         monkeypatch.setattr(statespace, "_states_scan", doubling_scan_reference)
         assert got == diverged_at()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_chunks_match_loop(self, n, monkeypatch):
+        """A 64-entry ramp budget splits a record into chunks of 64 // n^2
+        samples, each starting from the last state of the one before."""
+        monkeypatch.setattr(statespace, "RAMP_ELEMENTS", 64)
+        rng = np.random.default_rng(40 + n)
+        for N in (1, 2, 7, 8, 63, 64, 65, 300):
+            for rho in (0.95, 1.0):
+                F = rng.standard_normal((n, n))
+                F *= rho / max(float(np.max(np.abs(np.linalg.eigvals(F)))),
+                               1e-3)
+                c = rng.standard_normal((N, n))
+                for x0 in (np.zeros(n), rng.standard_normal(n)):
+                    for G in (F, F.T):
+                        assert np.allclose(_states_scan(G, c, x0),
+                                           states_loop_reference(G, c, x0),
+                                           rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_divergence_in_a_later_chunk_matches_loop(self, seed, monkeypatch):
+        # 7-sample chunks at n = 3; spectral radius 3 passes the blow-up
+        # bound some 25 samples in
+        monkeypatch.setattr(statespace, "RAMP_ELEMENTS", 64)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n=3, m=1, p=1, stable_filter=False)
+        A = model.A * 3.0 / float(np.max(np.abs(np.linalg.eigvals(model.A))))
+        model = InnovationModel(A, model.B, model.C, model.D, model.x0hat,
+                                model.K, model.Re)
+        u = rng.standard_normal((200, 1))
+        data = Dataset(u, rng.standard_normal((200, 1)))
+
+        def diverged_at():
+            ks = []
+            for run in (lambda: simulate(model, u, seed=seed),
+                        lambda: filter_innovations(model, data)):
+                with pytest.raises(FilterDivergedError) as info:
+                    run()
+                ks.append(info.value.k)
+            return ks
+
+        got = diverged_at()
+        assert min(got) > 7
+        monkeypatch.setattr(statespace, "_states_scan", states_loop_reference)
+        assert got == diverged_at()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_in_chunks_matches_loop(self, bad, monkeypatch):
+        monkeypatch.setattr(statespace, "RAMP_ELEMENTS", 64)
+        rng = np.random.default_rng(50)
+        F = rng.standard_normal((3, 3))
+        F *= 0.9 / float(np.max(np.abs(np.linalg.eigvals(F))))
+        x0 = rng.standard_normal(3)
+        # first sample, end of a chunk, start of a chunk, last sample
+        for k in (0, 27, 28, 59):
+            c = rng.standard_normal((60, 3))
+            c[k, 1] = bad
+            for G in (F, F.T):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = _states_scan(G, c, x0)
+                    want = states_loop_reference(G, c, x0)
+                finite = np.isfinite(want)
+                assert np.array_equal(np.isfinite(got), finite)
+                if np.isnan(bad):
+                    assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert not finite[k + 1, 1] and not finite[k + 2:].any()
+                assert np.allclose(got[finite], want[finite],
+                                   rtol=1e-10, atol=1e-12)
 
 
 class TestSimulate:
