@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import statespace
-from .indexsets import IndexSet, direct_sum, full_lower, project_lower, vecs
+from .indexsets import IndexSet, direct_sum, full_lower, vecs
 from .nlp import (FD_STEP, NlpProblem, SolveOptions, SolveReport,
                   fd_gradient, fd_stencil, solve)
 from .oracle import BarrierQuery, barrier_solve
-from .regions import (LmiRegion, TightenedRegionConstraint, matrix_char_fn,
-                      membership_margin)
+from .regions import (LmiRegion, matrix_char_fn, membership_margin,
+                      require_pd_weight, require_sound_shift)
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -45,7 +45,6 @@ from .transform import (
     gbmz_forward,
     gbmz_inverse,
     gram_jacobian,
-    restore_factor,
     sigma_forward,
 )
 
@@ -208,8 +207,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
             raise ValueError(f"constraint shift must be {n_i * m_i} square")
         if weight.shape != (n_i, n_i):
             raise ValueError(f"constraint weight must be {n_i} square")
-        # M PSD (PD or the disk corner block) and V PD
-        TightenedRegionConstraint(c.region, shift, weight, c.epsilon_i)
+        require_pd_weight(weight)
+        require_sound_shift(c.region, shift)
         sigma_blocks.append((pattern_sigma.n, n_i))
         pattern_sigma = direct_sum(pattern_sigma, full_lower(n_i))
         a_blocks.append((pattern_a.n, n_i * m_i))
@@ -379,25 +378,6 @@ class _IdentificationNlp:
         g[:self.system.n_beta] = g_beta
         g[self.system.n_beta:self.k_beta_sigma] = g_lsigma
         return g / self.obj_scale
-
-    def restore(self, x: np.ndarray) -> np.ndarray | None:
-        """Recompute the coupled-block factor from the current parameters.
-
-        Exact whenever the semidefinite map at the mapped point is (nearly)
-        positive semidefinite; returns ``None`` otherwise.
-        """
-        _, theta, _ = self._forward(x)
-        Amat = np.asarray(self.system.psd_fn(theta.beta, theta.Sigma))
-        La = restore_factor(Amat, self.ext.spec.epsilon ** 2)
-        if La is None:
-            return None
-        pa = self.system.pattern_a
-        off_pattern = np.abs(project_lower(pa, La) - np.tril(La))
-        if off_pattern.size and float(np.max(off_pattern)) > 1e-8:
-            return None
-        out = x.copy()
-        out[self.k_beta_sigma:] = La[pa._rows0, pa._cols0]
-        return out
 
     def equality(self, x: np.ndarray) -> np.ndarray:
         phi, theta, A_T = self._forward(x)
@@ -570,9 +550,11 @@ def fit(
     """Identify a model by constrained maximum likelihood.
 
     ``init`` is a base parameter point (beta plus innovation covariance) or
-    ``"auto"`` for the regression initializer.  The returned report carries
-    the unregularized log-likelihood, both spectra, iteration counts, wall
-    time, and constraint residuals.
+    ``"auto"`` for the regression initializer.  The problem is solved once;
+    a solve that does not converge returns its own last iterate, and its
+    status says why it stopped.  The returned report carries the
+    unregularized log-likelihood, both spectra, the iteration counts of that
+    solve, wall time, and constraint residuals.
     """
     t_start = time.perf_counter()
     if data.N < 1:
@@ -593,32 +575,8 @@ def fit(
             f"initial parameters are not strictly feasible: {exc}") from exc
     phi_bar = spec.phi_bar if spec.phi_bar is not None else phi0
     nlp = _IdentificationNlp(ext, data, phi_bar)
-    problem = nlp.problem()
-    x0 = ext.system.pack(phi0)
-    opts = options or FIT_OPTIONS
-    report = solve(problem, x0, opts)
-    # restoration rounds: snap the coupled factor back onto the equality
-    # manifold (exact when the semidefinite map stays nonnegative) and
-    # resolve with a reduced budget; this repairs drift that the penalty
-    # iteration cannot
-    best = report
-    for _ in range(4):
-        if report.converged:
-            break
-        restored = nlp.restore(report.x_star)
-        if restored is None:
-            break
-        again = replace(opts, penalty0=max(opts.penalty0, report.penalty),
-                        max_outer=min(opts.max_outer, 12))
-        prev_f = report.f_star
-        report = solve(problem, restored, again)
-        if report.eq_residual_inf <= best.eq_residual_inf \
-                and report.f_star <= best.f_star + 1e-12:
-            best = report
-        if not report.converged \
-                and report.f_star > prev_f - 1e-10 * max(1.0, abs(prev_f)):
-            break
-    report = best if not report.converged else report
+    report = solve(nlp.problem(), ext.system.pack(phi0),
+                   options or FIT_OPTIONS)
     phi_hat = ext.system.unpack(report.x_star)
     theta_hat, _ = gbmz_forward(phi_hat, ext.system)
     model = ext.model_of(theta_hat)

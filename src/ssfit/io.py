@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,8 +258,7 @@ def parse_region(spec) -> LmiRegion:
     """
     if isinstance(spec, dict):
         _fields(spec, "raw region", {"M0", "M1"}, {"label"})
-        return LmiRegion(np.asarray(spec["M0"], dtype=float),
-                         np.asarray(spec["M1"], dtype=float),
+        return LmiRegion(_finite(spec["M0"], "M0"), _finite(spec["M1"], "M1"),
                          kind="raw", label=spec.get("label", "raw"))
     if not isinstance(spec, str):
         raise SchemaError(f"region must be text or raw matrices, got {type(spec)}")
@@ -373,7 +372,6 @@ class RunConfig:
     problem: ProblemSpec
     solver: SolveOptions
     seed: int = 0
-    raw: dict = field(default_factory=dict, compare=False)
 
 
 def load_config(path: str) -> RunConfig:
@@ -414,9 +412,9 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
                 target=cdoc.get("target", "filter"),
                 epsilon_i=_number(cdoc.get("epsilon_i", 0.03), "epsilon_i"),
                 weight=None if cdoc.get("weight") is None
-                else np.asarray(cdoc["weight"], dtype=float),
+                else _finite(cdoc["weight"], "weight"),
                 shift=None if cdoc.get("shift") is None
-                else np.asarray(cdoc["shift"], dtype=float),
+                else _finite(cdoc["shift"], "shift"),
             ))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from None
@@ -428,13 +426,13 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
             n_s=n_s, n_d=_number(mdl.get("n_d", p), "model n_d", integral=True),
             m=m, p=p,
             Bd=None if mdl.get("Bd") in (None, "zero")
-            else np.asarray(mdl["Bd"], dtype=float),
+            else _finite(mdl["Bd"], "model Bd"),
             Cd=None if mdl.get("Cd") in (None, "identity")
-            else np.asarray(mdl["Cd"], dtype=float),
+            else _finite(mdl["Cd"], "model Cd"),
             plant_form=mdl.get("plant_form", "full"),
             C_fixed=None if mdl.get("C_fixed") in (None, "free")
             else (np.eye(n_s)[:p] if mdl["C_fixed"] == "identity"
-                  else np.asarray(mdl["C_fixed"], dtype=float)),
+                  else _finite(mdl["C_fixed"], "model C_fixed")),
         )
         re_pattern = None
         if mdl.get("re_pattern") not in (None, "full"):
@@ -456,7 +454,7 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
         seed = _number(io_doc.get("seed", 0), "io seed", integral=True)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
-    return RunConfig(problem=problem, solver=solver, seed=seed, raw=doc)
+    return RunConfig(problem=problem, solver=solver, seed=seed)
 
 
 def config_to_dict(config: RunConfig) -> dict:

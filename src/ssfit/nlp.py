@@ -312,8 +312,9 @@ def _jacobian(problem, fn, jac, n_out, x, count):
     return fd_jacobian(fn, x, n_out, FD_STEP, problem.lower_bounds)
 
 
-def _al_gradient(problem, x, c, s, lam, mu, rho, count):
-    """AL gradient at ``x`` from the constraint values of its merit."""
+def _al_gradient(problem, x, fcs, lam, mu, rho, count):
+    """AL gradient at ``x`` from the raw ``(f, c, s)`` of its merit."""
+    _, c, s = fcs
     g = _objective_gradient(problem, x, count)
     if problem.n_eq:
         Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
@@ -326,12 +327,15 @@ def _al_gradient(problem, x, c, s, lam, mu, rho, count):
     return g
 
 
-def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
+def _inner_minimize(problem, x, fcs, lam, mu, rho, tol, max_iter, count):
     """Projected-BFGS minimization of the augmented Lagrangian over x >= lb.
 
     Accepted steps are monotone in the merit value by the Armijo rule; this
     is asserted each iteration.  Each trial point is evaluated once: the
     gradient at an accepted point reuses the constraint values of its merit.
+    ``fcs`` is the raw ``(f, c, s)`` of :func:`_evaluate` at the start ``x``,
+    and the end point's comes back with it, so the caller evaluates no
+    point again.
     """
     lb = problem.lower_bounds
     n = x.size
@@ -342,23 +346,20 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
     scaled = False
     Hinv = np.eye(n)
 
-    def merit(xq):
-        f, c, s = _evaluate(problem, xq, count)
-        return _al_value(f, c, s, lam, mu, rho), c, s
-
     def backtrack(direction):
         alpha = 1.0
         for _ in range(40):
             xt = np.maximum(lb, x + alpha * direction)
             gd = float(g @ (xt - x))
-            ft, c, s = merit(xt)
+            trial = _evaluate(problem, xt, count)
+            ft = _al_value(*trial, lam, mu, rho)
             if gd < 0 and np.isfinite(ft) and ft <= fx + 1e-4 * gd:
-                return xt, ft, c, s
+                return xt, ft, trial
             alpha *= 0.5
         return None
 
-    fx, c, s = merit(x)
-    g = _al_gradient(problem, x, c, s, lam, mu, rho, count)
+    fx = _al_value(*fcs, lam, mu, rho)
+    g = _al_gradient(problem, x, fcs, lam, mu, rho, count)
     status = "ok"
     it = 0
     for it in range(1, max_iter + 1):
@@ -384,8 +385,8 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
         if trial is None:
             status = "line-search-failure"
             break
-        xt, ft, c, s = trial
-        gt = _al_gradient(problem, xt, c, s, lam, mu, rho, count)
+        xt, ft, fcs_t = trial
+        gt = _al_gradient(problem, xt, fcs_t, lam, mu, rho, count)
         sv = xt - x
         yv = gt - g
         sy = float(sv @ yv)
@@ -398,10 +399,10 @@ def _inner_minimize(problem, x, lam, mu, rho, tol, max_iter, count):
             Hinv = Hinv - r * (sv[:, None] * Hy + Hy[:, None] * sv) \
                 + r * r * (sy + float(yv @ Hy)) * (sv[:, None] * sv)
         assert ft <= fx + 1e-9 * max(1.0, abs(fx)), "merit increased on accepted step"
-        x, g, fx = xt, gt, ft
+        x, g, fx, fcs = xt, gt, ft, fcs_t
     pg = np.where((x <= edge) & (g > 0), 0.0, g)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    return x, fx, pg_norm, it, status
+    return x, fx, pg_norm, it, status, fcs
 
 
 def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> SolveReport:
@@ -414,7 +415,8 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         x = np.maximum(x, lb)
 
     count = _Counter()
-    f, c, s = _evaluate(problem, x, count)
+    fcs = _evaluate(problem, x, count)
+    f, c, s = fcs
     if not np.isfinite(f):
         return SolveReport(x, f, _inf_norm(c), _pos_inf_norm(s), np.inf,
                            0, 0, "domain-error", opts.penalty0, count.n)
@@ -446,10 +448,10 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         # for the penalty cap to settle infeasibility quickly
         inner_budget = opts.max_inner if stagnant < 1 \
             else min(100, opts.max_inner)
-        x, fx, pg_norm, inner_iters, inner_status = _inner_minimize(
-            problem, x, lam, mu, rho, omega, inner_budget, count)
+        x, fx, pg_norm, inner_iters, inner_status, fcs = _inner_minimize(
+            problem, x, fcs, lam, mu, rho, omega, inner_budget, count)
         total_inner += inner_iters
-        f, c, s = _evaluate(problem, x, count)
+        f, c, s = fcs
         ceq = _inf_norm(c)
         cin = _pos_inf_norm(s)
         v = max(ceq, cin)
@@ -495,7 +497,6 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
             omega = max(opts.tol_stat, 1.0 / rho)
         v_prev = min(v_prev, v)
 
-    f, c, s = _evaluate(problem, x, count)
     return SolveReport(
         x_star=x,
         f_star=f,

@@ -243,6 +243,21 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
     return x, fx, pg_norm, it, status
 
 
+def inner_minimize_reference_adapter(problem, x, fcs, lam, mu, rho, tol,
+                                     max_iter, count, redundant=None):
+    """:func:`inner_minimize_reference` behind the protocol of
+    ``nlp._inner_minimize``, as the outer loop drove it before the inner
+    loop handed back its end point's ``(f, c, s)``: the start's ``fcs`` is
+    ignored (the reference evaluates the start itself) and the end point is
+    evaluated once more.  That is two evaluations per outer iteration more
+    than ``nlp._solve_single`` makes."""
+    from ssfit.nlp import _evaluate
+
+    out = inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter,
+                                   count, redundant)
+    return (*out, _evaluate(problem, out[0], count))
+
+
 def count_constraint_calls(problem):
     """``problem`` with its ``equality`` and ``inequality`` wrapped to tally
     calls per ``(kind, x bytes)`` in the returned ``Counter``."""

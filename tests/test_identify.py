@@ -22,7 +22,7 @@ from ssfit.identify import (
     resolve_delta,
     varx_init,
 )
-from ssfit import statespace
+from ssfit import identify, statespace
 from ssfit.indexsets import IndexSet, full_lower, vecs
 from ssfit.nlp import (SolveOptions, fd_gradient, fd_jacobian,
                        preflight_gradients)
@@ -590,6 +590,32 @@ class TestFit:
                      options=SolveOptions(max_inner=250, init_multipliers="lsq"))
         eigs = np.linalg.eigvals(result.model.filter_matrix())
         assert np.all(np.abs(eigs) <= 0.95 + 1e-6)
+
+    def test_unconverged_fit_is_one_solve(self, monkeypatch):
+        # case A on a shorter record with a small budget stops max-iter at a
+        # point whose coupled factor could be restored onto the equality
+        # manifold; the fit still returns that one solve as it ended
+        spec, layout, theta = siso_truth(filter_poles=(0.45, 0.55, 0.65))
+        data = siso_dataset(theta, spec, layout, n=150, seed=7)
+        pspec = siso_problem(eig_constraints=(
+            EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),))
+        reports = []
+        solve = identify.solve
+
+        def counted(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(identify, "solve", counted)
+        result = fit(pspec, data, init=theta, options=SolveOptions(
+            max_inner=30, max_outer=2, init_multipliers="lsq"))
+        assert len(reports) == 1
+        (report,) = reports
+        assert report.status == "max-iter"
+        assert result.solve_report.x_star.tobytes() == report.x_star.tobytes()
+        assert (result.report["iterations"], result.report["outer_iterations"],
+                result.report["status"]) \
+            == (report.iterations, report.outer_iterations, "max-iter")
 
 
 class TestContinuation:

@@ -246,6 +246,26 @@ class TestRunConfig:
         with pytest.raises(SchemaError):
             parse_config(doc)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True],
+                             ids=["NaN", "Infinity", "true"])
+    @pytest.mark.parametrize("path", [
+        ("constraints", 0, "weight"), ("constraints", 0, "shift"),
+        ("constraints", 0, "region", "M0"), ("constraints", 0, "region", "M1"),
+        ("model", "Bd"), ("model", "Cd"), ("model", "C_fixed"),
+    ], ids=lambda path: "-".join(map(str, path)))
+    def test_matrices_follow_the_number_rule(self, path, bad):
+        # the rule of model files: a finite JSON number in every entry
+        doc = sample_config()
+        doc["constraints"][0]["region"] = {"M0": [[0.3]], "M1": [[-0.5]]}
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = [[1.0, bad]]
+        name = f"model {path[-1]}" if path[0] == "model" else path[-1]
+        kind = "non-numeric" if bad is True else "nonfinite"
+        with pytest.raises(SchemaError, match=f": {name} has a {kind} entry"):
+            parse_config(doc)
+
     def test_emit_reparse_roundtrip(self):
         config = parse_config(sample_config())
         doc = config_to_dict(config)

@@ -16,7 +16,7 @@ from ssfit.nlp import (
     solve,
 )
 from helpers import (count_constraint_calls, fd_jacobian_reference,
-                     inner_minimize_reference)
+                     inner_minimize_reference, inner_minimize_reference_adapter)
 
 
 def _mixed(z):
@@ -365,7 +365,8 @@ class TestOneEvaluationPerPoint:
         x0 = np.asarray(x0, dtype=float)
         lam, mu = np.full(problem.n_eq, 0.3), np.full(problem.n_in, 0.2)
         counted, calls = count_constraint_calls(problem)
-        out = nlp._inner_minimize(counted, x0, lam, mu, 10.0, 1e-8, 50,
+        fcs = nlp._evaluate(counted, x0, nlp._Counter())
+        out = nlp._inner_minimize(counted, x0, fcs, lam, mu, 10.0, 1e-8, 50,
                                   nlp._Counter())
         assert out[3] > 1
         assert max(calls.values()) == 1
@@ -375,17 +376,38 @@ class TestOneEvaluationPerPoint:
                                  nlp._Counter())
         assert max(calls.values()) == 2
 
+    @pytest.mark.parametrize("case", list(SOLVE_CASES))
+    def test_solve_evaluates_constraints_once_per_point(self, case,
+                                                        monkeypatch):
+        # over a whole solve: the start and every trial point once, the end
+        # point of each inner solve included.  Finite-difference stencils
+        # call the uncounted constraints: a one-sided stencil at a bound
+        # maps x itself (fd_stencil), and each inner solve recomputes the
+        # Jacobians at its start.
+        problem, x0, opts = SOLVE_CASES[case]
+        counted, calls = count_constraint_calls(problem)
+        plain = {counted.equality: problem.equality,
+                 counted.inequality: problem.inequality}
+        monkeypatch.setattr(nlp, "fd_jacobian", lambda fn, *args: fd_jacobian(
+            plain.get(fn, fn), *args))
+        report = solve(counted, np.array(x0, dtype=float), opts)
+        assert report.outer_iterations >= 1
+        assert max(calls.values(), default=1) == 1
+
     def test_failed_steepest_line_search_not_repeated(self):
         # the gradient has the wrong sign, so the first direction is -pg and
         # all 40 backtracking steps fail; one merit evaluation is the start
         problem, x0, _ = SOLVE_CASES["wrong-sign-gradient"]
-        args = (problem, np.array(x0), np.zeros(0), np.zeros(0), 10.0, 1e-8,
-                10)
+        x0 = np.array(x0)
+        args = (np.zeros(0), np.zeros(0), 10.0, 1e-8, 10)
         count = nlp._Counter()
-        x, fx, _, it, status = nlp._inner_minimize(*args, count)
+        fcs = nlp._evaluate(problem, x0, count)
+        x, fx, _, it, status, _ = nlp._inner_minimize(problem, x0, fcs, *args,
+                                                      count)
         assert (it, status, count.n) == (1, "line-search-failure", 41)
         ref_count, redundant = nlp._Counter(), []
-        ref = inner_minimize_reference(*args, ref_count, redundant)
+        ref = inner_minimize_reference(problem, x0, *args, ref_count,
+                                       redundant)
         assert ref_count.n == 81 and redundant == [1]
         assert x.tobytes() == ref[0].tobytes() and fx == ref[1]
 
@@ -395,14 +417,20 @@ class TestOneEvaluationPerPoint:
         new = solve(problem, np.array(x0, dtype=float), opts)
         redundant = []
         monkeypatch.setattr(nlp, "_inner_minimize", functools.partial(
-            inner_minimize_reference, redundant=redundant))
+            inner_minimize_reference_adapter, redundant=redundant))
         ref = solve(problem, np.array(x0, dtype=float), opts)
         assert new.x_star.tobytes() == ref.x_star.tobytes()
         assert np.float64(new.f_star).tobytes() \
             == np.float64(ref.f_star).tobytes()
         assert (new.iterations, new.outer_iterations, new.status) \
             == (ref.iterations, ref.outer_iterations, ref.status)
-        # only the repeated steepest-descent retries are gone, 40 each
-        assert ref.n_evals - new.n_evals == 40 * len(redundant)
+        assert (new.eq_residual_inf, new.in_violation_inf,
+                new.stationarity_inf, new.penalty) \
+            == (ref.eq_residual_inf, ref.in_violation_inf,
+                ref.stationarity_inf, ref.penalty)
+        # only the repeated steepest-descent retries (40 each) and the two
+        # evaluations per outer iteration at the inner end point are gone
+        assert ref.n_evals - new.n_evals \
+            == 40 * len(redundant) + 2 * new.outer_iterations
         if case == "wrong-sign-gradient":
             assert redundant

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import count_constraint_calls, inner_minimize_reference
+from helpers import count_constraint_calls, inner_minimize_reference_adapter
 from ssfit import nlp as nlp_module
 from ssfit.oracle import BarrierQuery, _BarrierNlp, barrier_solve, barrier_value, region_feasible
 from ssfit.regions import (cone, disk, eig_membership, half_plane, intersect,
@@ -214,10 +214,18 @@ class TestOneEvaluationPerPoint:
         nlp = _BarrierNlp(_reference_query("cone"))
         x0 = nlp.initial_point()
         problem, calls = count_constraint_calls(nlp.problem())
+        fcs = nlp_module._evaluate(problem, x0, nlp_module._Counter())
         out = nlp_module._inner_minimize(
-            problem, x0, np.zeros(nlp.k_a), np.zeros(0), 1e2, 1e-8, 40,
+            problem, x0, fcs, np.zeros(nlp.k_a), np.zeros(0), 1e2, 1e-8, 40,
             nlp_module._Counter())
         assert out[3] > 1
+        assert max(calls.values()) == 1
+        # a whole solve too: the end point of each inner solve is the start
+        # of the next, evaluated once
+        problem, calls = count_constraint_calls(nlp.problem())
+        report = nlp_module.solve(problem, x0, nlp_module.SolveOptions(
+            max_outer=6, max_inner=40))
+        assert report.outer_iterations > 1
         assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("relaxed", [False, True])
@@ -262,7 +270,7 @@ class TestOneEvaluationPerPoint:
         new = barrier_solve(q)
         redundant = []
         monkeypatch.setattr(nlp_module, "_inner_minimize", functools.partial(
-            inner_minimize_reference, redundant=redundant))
+            inner_minimize_reference_adapter, redundant=redundant))
         ref = barrier_solve(q)
         assert np.float64(new.value).tobytes() \
             == np.float64(ref.value).tobytes()
@@ -273,4 +281,5 @@ class TestOneEvaluationPerPoint:
         assert a.x_star.tobytes() == b.x_star.tobytes()
         assert (a.iterations, a.outer_iterations, a.status) \
             == (b.iterations, b.outer_iterations, b.status)
-        assert b.n_evals - a.n_evals == 40 * len(redundant)
+        assert b.n_evals - a.n_evals \
+            == 40 * len(redundant) + 2 * a.outer_iterations
