@@ -52,8 +52,8 @@ class NlpProblem:
     """A constrained minimization instance.
 
     Every callable must be a pure function of ``x``: :func:`solve` evaluates
-    each trial point once and reuses the constraint values of an accepted
-    point for the gradient there.
+    each trial point once, reuses the constraint values of an accepted
+    point for the gradient there, and differentiates each point once.
 
     Parameters
     ----------
@@ -312,30 +312,40 @@ def _jacobian(problem, fn, jac, n_out, x, count):
     return fd_jacobian(fn, x, n_out, FD_STEP, problem.lower_bounds)
 
 
-def _al_gradient(problem, x, fcs, lam, mu, rho, count):
-    """AL gradient at ``x`` from the raw ``(f, c, s)`` of its merit."""
-    _, c, s = fcs
+def _derivatives(problem, x, count):
+    """Raw ``(g_f, J_c, J_s)`` at ``x``: the objective gradient and the
+    equality and inequality Jacobians (``None`` without such constraints)."""
     g = _objective_gradient(problem, x, count)
-    if problem.n_eq:
-        Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
-                       problem.n_eq, x, count)
+    Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
+                   problem.n_eq, x, count) if problem.n_eq else None
+    Js = _jacobian(problem, problem.inequality, problem.inequality_jacobian,
+                   problem.n_in, x, count) if problem.n_in else None
+    return g, Jc, Js
+
+
+def _al_gradient(fcs, ders, lam, mu, rho):
+    """AL gradient from the raw ``(f, c, s)`` and ``(g_f, J_c, J_s)`` of a
+    point."""
+    _, c, s = fcs
+    g, Jc, Js = ders
+    if Jc is not None:
         g = g + Jc.T @ (rho * c - lam)
-    if problem.n_in:
-        Js = _jacobian(problem, problem.inequality,
-                       problem.inequality_jacobian, problem.n_in, x, count)
+    if Js is not None:
         g = g + Js.T @ np.maximum(0.0, mu + rho * s)
     return g
 
 
-def _inner_minimize(problem, x, fcs, lam, mu, rho, tol, max_iter, count):
+def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
+                    count):
     """Projected-BFGS minimization of the augmented Lagrangian over x >= lb.
 
     Accepted steps are monotone in the merit value by the Armijo rule; this
     is asserted each iteration.  Each trial point is evaluated once: the
     gradient at an accepted point reuses the constraint values of its merit.
-    ``fcs`` is the raw ``(f, c, s)`` of :func:`_evaluate` at the start ``x``,
-    and the end point's comes back with it, so the caller evaluates no
-    point again.
+    ``fcs`` and ``ders`` are the raw ``(f, c, s)`` of :func:`_evaluate` and
+    ``(g_f, J_c, J_s)`` of :func:`_derivatives` at the start ``x``, and the
+    end point's come back with it, so the caller evaluates and
+    differentiates no point again.
     """
     lb = problem.lower_bounds
     n = x.size
@@ -359,7 +369,7 @@ def _inner_minimize(problem, x, fcs, lam, mu, rho, tol, max_iter, count):
         return None
 
     fx = _al_value(*fcs, lam, mu, rho)
-    g = _al_gradient(problem, x, fcs, lam, mu, rho, count)
+    g = _al_gradient(fcs, ders, lam, mu, rho)
     status = "ok"
     it = 0
     for it in range(1, max_iter + 1):
@@ -386,7 +396,8 @@ def _inner_minimize(problem, x, fcs, lam, mu, rho, tol, max_iter, count):
             status = "line-search-failure"
             break
         xt, ft, fcs_t = trial
-        gt = _al_gradient(problem, xt, fcs_t, lam, mu, rho, count)
+        ders_t = _derivatives(problem, xt, count)
+        gt = _al_gradient(fcs_t, ders_t, lam, mu, rho)
         sv = xt - x
         yv = gt - g
         sy = float(sv @ yv)
@@ -399,10 +410,10 @@ def _inner_minimize(problem, x, fcs, lam, mu, rho, tol, max_iter, count):
             Hinv = Hinv - r * (sv[:, None] * Hy + Hy[:, None] * sv) \
                 + r * r * (sy + float(yv @ Hy)) * (sv[:, None] * sv)
         assert ft <= fx + 1e-9 * max(1.0, abs(fx)), "merit increased on accepted step"
-        x, g, fx, fcs = xt, gt, ft, fcs_t
+        x, g, fx, fcs, ders = xt, gt, ft, fcs_t, ders_t
     pg = np.where((x <= edge) & (g > 0), 0.0, g)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    return x, fx, pg_norm, it, status, fcs
+    return x, fx, pg_norm, it, status, fcs, ders
 
 
 def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> SolveReport:
@@ -421,15 +432,14 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         return SolveReport(x, f, _inf_norm(c), _pos_inf_norm(s), np.inf,
                            0, 0, "domain-error", opts.penalty0, count.n)
 
+    ders = _derivatives(problem, x, count)
     lam = np.zeros(problem.n_eq)
     mu = np.zeros(problem.n_in)
     if opts.init_multipliers == "lsq" and problem.n_eq:
         # least-squares multipliers make the Lagrangian stationary in the
         # tangent directions at the start, which keeps early iterates from
         # trading feasibility for objective
-        g0 = _objective_gradient(problem, x, count)
-        J0 = _jacobian(problem, problem.equality, problem.equality_jacobian,
-                       problem.n_eq, x, count)
+        g0, J0, _ = ders
         lam = np.linalg.lstsq(J0.T, g0, rcond=None)[0]
     rho = opts.penalty0
     unconstrained = problem.n_eq + problem.n_in == 0
@@ -448,8 +458,9 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         # for the penalty cap to settle infeasibility quickly
         inner_budget = opts.max_inner if stagnant < 1 \
             else min(100, opts.max_inner)
-        x, fx, pg_norm, inner_iters, inner_status, fcs = _inner_minimize(
-            problem, x, fcs, lam, mu, rho, omega, inner_budget, count)
+        x, fx, pg_norm, inner_iters, inner_status, fcs, ders = \
+            _inner_minimize(problem, x, fcs, ders, lam, mu, rho, omega,
+                            inner_budget, count)
         total_inner += inner_iters
         f, c, s = fcs
         ceq = _inf_norm(c)

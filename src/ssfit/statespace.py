@@ -373,61 +373,41 @@ def assemble_ladm(
                                         np.zeros(n), K, Re)
 
 
-# Float64 entries of the prefix-power ramp of the state recursion (64 MB);
-# a longer record runs in chunks of as many samples as the ramp holds.
-RAMP_ELEMENTS = 8_000_000
-
-
 def _states_scan(F: np.ndarray, c: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """States of ``x[k+1] = F x[k] + c[k]`` via prefix-composition doubling.
+    """States of ``x[k+1] = F x[k] + c[k]`` via a doubling prefix scan.
 
-    Returns the ``(N+1, n)`` array of ``x[0..N]``.  The plain doubling tree
-    over N copies of ``F`` sets ``d[k] += P[k] d[k-o]`` and ``P[k] = P[k]
-    P[k-o]`` for ``k >= o`` at the level with offset ``o``; as ``F`` is
-    time-invariant, every such ``P[k]`` is then ``F^o``.  So the ramp
-    ``P[j] = F^(j+1)``, ``j < L = min(N, RAMP_ELEMENTS // n^2)``, is built
-    once (each level writes ``P[o-1] P[j]`` into ``P[o+j]``: O(L) small
-    matrix products), and each chunk of ``m <= L`` samples from ``s`` runs
-    the levels ``d[k] += P[o-1] d[k-o]`` on ``d = c[s:s+m]`` and sets
-    ``x[s+1:s+m+1] = P[:m] x[s] + d``.  Each product is the same per-item
-    ``np.matmul`` kernel on the same operand bytes as in the tree, and IEEE
-    addition commutes, so a record of at most ``L`` samples (one chunk)
-    matches the tree in every bit (NaN, inf and sign too).  Round-off
-    matches a sequential loop to within a few ulps per step.
+    Returns the ``(N+1, n)`` array of ``x[0..N]``.  With ``c[0]`` replaced
+    by ``c[0] + F x0``, ``x[1..N]`` are the prefix sums of ``c`` under the
+    time-invariant map ``F`` (Hillis & Steele; Blelloch 1990): the level
+    with offset ``o`` adds ``F^o x[k-o]`` to every ``x[k]`` with ``k > o``,
+    all rows at once as one ``(N-o, n) @ (n, n)`` product on the row-major
+    states, and squares ``F^o``.  That is ``ceil(log2 N)`` matrix products
+    and no memory beyond the output and one product.  Round-off matches a
+    sequential loop to a few ulps per level; nonfinite values propagate to
+    every later state they reach.
     """
-    N, n = c.shape[0], x0.size
-    if N == 0:
-        return x0[None, :].copy()
-    L = min(N, max(1, RAMP_ELEMENTS // (n * n)))
-    P = np.empty((L, n, n))
-    P[0] = F
-    Sd = np.empty((L, n, 1))
-    x = np.empty((N + 1, n))
+    N = c.shape[0]
+    x = np.empty((N + 1, x0.size))
     x[0] = x0
+    x[1:] = c
+    G = F.T
     with np.errstate(over="ignore", invalid="ignore"):
+        x[1:2] += x0 @ G
         offset = 1
-        while offset < L:
-            m = min(offset, L - offset)
-            np.matmul(P[offset - 1], P[:m], out=P[offset:offset + m])
+        while offset < N:
+            x[1 + offset:] += x[1:N + 1 - offset] @ G
+            G = G @ G
             offset *= 2
-        for s in range(0, N, L):
-            m = min(L, N - s)
-            d = c[s:s + m].copy()
-            offset = 1
-            while offset < m:
-                d[offset:] += np.matmul(P[offset - 1], d[:-offset, :, None],
-                                        out=Sd[offset:m])[..., 0]
-                offset *= 2
-            x[s + 1:s + m + 1] = np.matmul(P[:m], x[s]) + d
     return x
 
 
 def _check_states(x: np.ndarray) -> None:
+    # NaN fails both comparisons, as it propagates through max and min
+    if x.max() <= STATE_BLOWUP and x.min() >= -STATE_BLOWUP:
+        return
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(x) | (np.abs(x) > STATE_BLOWUP)
-    rows = np.flatnonzero(np.any(bad, axis=1))
-    if rows.size:
-        raise FilterDivergedError(int(rows[0]))
+    raise FilterDivergedError(int(np.flatnonzero(np.any(bad, axis=1))[0]))
 
 
 def _innovation_chol(Re: np.ndarray) -> np.ndarray:

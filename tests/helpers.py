@@ -80,8 +80,10 @@ def states_loop_reference(F, c, x0):
 
 def doubling_scan_reference(F, c, x0):
     """The plain prefix-composition doubling tree over N copies of ``F``:
-    O(N log N) matrix products.  ``statespace._states_scan`` must match it
-    bit for bit within its ramp budget; above it this is the loop."""
+    O(N log N) matrix products, one small product per item and level.  It is
+    the accuracy yardstick of ``statespace._states_scan``: both stay within
+    the same bound of an extended-precision loop.  Above 8e6 entries of
+    ``F`` copies this is the loop."""
     N, n = c.shape[0], x0.size
     if N == 0:
         return x0[None, :].copy()
@@ -243,24 +245,29 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
     return x, fx, pg_norm, it, status
 
 
-def inner_minimize_reference_adapter(problem, x, fcs, lam, mu, rho, tol,
+def inner_minimize_reference_adapter(problem, x, fcs, ders, lam, mu, rho, tol,
                                      max_iter, count, redundant=None):
     """:func:`inner_minimize_reference` behind the protocol of
     ``nlp._inner_minimize``, as the outer loop drove it before the inner
-    loop handed back its end point's ``(f, c, s)``: the start's ``fcs`` is
-    ignored (the reference evaluates the start itself) and the end point is
-    evaluated once more.  That is two evaluations per outer iteration more
-    than ``nlp._solve_single`` makes."""
-    from ssfit.nlp import _evaluate
+    loop handed back its end point's ``(f, c, s)`` and derivatives: the
+    start's ``fcs`` and ``ders`` are ignored (the reference evaluates and
+    differentiates the start itself) and the end point is evaluated and
+    differentiated once more.  That is two evaluations and two
+    differentiations per outer iteration more than ``nlp._solve_single``
+    makes."""
+    from ssfit.nlp import _derivatives, _evaluate
 
     out = inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter,
                                    count, redundant)
-    return (*out, _evaluate(problem, out[0], count))
+    return (*out, _evaluate(problem, out[0], count),
+            _derivatives(problem, out[0], count))
 
 
 def count_constraint_calls(problem):
-    """``problem`` with its ``equality`` and ``inequality`` wrapped to tally
-    calls per ``(kind, x bytes)`` in the returned ``Counter``."""
+    """``problem`` with its ``equality`` and ``inequality`` and its
+    derivative providers wrapped to tally calls per ``(kind, x bytes)`` in
+    the returned ``Counter``; the kinds are ``eq``, ``in``, ``grad``,
+    ``eq_jac`` and ``in_jac``."""
     import collections
     import dataclasses
 
@@ -277,4 +284,8 @@ def count_constraint_calls(problem):
 
     return dataclasses.replace(
         problem, equality=counted("eq", problem.equality),
-        inequality=counted("in", problem.inequality)), calls
+        inequality=counted("in", problem.inequality),
+        gradient=counted("grad", problem.gradient),
+        equality_jacobian=counted("eq_jac", problem.equality_jacobian),
+        inequality_jacobian=counted("in_jac", problem.inequality_jacobian),
+    ), calls

@@ -366,8 +366,9 @@ class TestOneEvaluationPerPoint:
         lam, mu = np.full(problem.n_eq, 0.3), np.full(problem.n_in, 0.2)
         counted, calls = count_constraint_calls(problem)
         fcs = nlp._evaluate(counted, x0, nlp._Counter())
-        out = nlp._inner_minimize(counted, x0, fcs, lam, mu, 10.0, 1e-8, 50,
-                                  nlp._Counter())
+        ders = nlp._derivatives(counted, x0, nlp._Counter())
+        out = nlp._inner_minimize(counted, x0, fcs, ders, lam, mu, 10.0, 1e-8,
+                                  50, nlp._Counter())
         assert out[3] > 1
         assert max(calls.values()) == 1
         # the loop before the change called them twice at accepted points
@@ -382,8 +383,7 @@ class TestOneEvaluationPerPoint:
         # over a whole solve: the start and every trial point once, the end
         # point of each inner solve included.  Finite-difference stencils
         # call the uncounted constraints: a one-sided stencil at a bound
-        # maps x itself (fd_stencil), and each inner solve recomputes the
-        # Jacobians at its start.
+        # maps x itself (fd_stencil).
         problem, x0, opts = SOLVE_CASES[case]
         counted, calls = count_constraint_calls(problem)
         plain = {counted.equality: problem.equality,
@@ -394,6 +394,37 @@ class TestOneEvaluationPerPoint:
         assert report.outer_iterations >= 1
         assert max(calls.values(), default=1) == 1
 
+    @pytest.mark.parametrize("init", ["zero", "lsq"])
+    @pytest.mark.parametrize("case", ["circle", "mixed", "providers"])
+    def test_solve_differentiates_once_per_point(self, case, init,
+                                                 monkeypatch):
+        # the objective gradient and each constraint Jacobian, from a
+        # provider or by finite differences, once per point over a whole
+        # solve: the start (the lsq multipliers share it) and each accepted
+        # point, the end of one inner solve being the start of the next
+        problem, x0, _ = SOLVE_CASES[case]
+        counted, calls = count_constraint_calls(problem)
+        kinds = {counted.equality: "eq_jac", counted.inequality: "in_jac"}
+
+        def counted_fd_gradient(f, x, *args):
+            calls["grad", x.tobytes()] += 1
+            return fd_gradient(f, x, *args)
+
+        def counted_fd_jacobian(fn, x, *args):
+            if fn in kinds:  # not the objective inside fd_gradient
+                calls[kinds[fn], x.tobytes()] += 1
+            return fd_jacobian(fn, x, *args)
+
+        monkeypatch.setattr(nlp, "fd_gradient", counted_fd_gradient)
+        monkeypatch.setattr(nlp, "fd_jacobian", counted_fd_jacobian)
+        report = solve(counted, np.array(x0, dtype=float),
+                       SolveOptions(init_multipliers=init))
+        assert report.outer_iterations > 1
+        derivatives = [n for (kind, _), n in calls.items()
+                       if kind in ("grad", "eq_jac", "in_jac")]
+        assert len(derivatives) > report.outer_iterations
+        assert max(derivatives) == 1
+
     def test_failed_steepest_line_search_not_repeated(self):
         # the gradient has the wrong sign, so the first direction is -pg and
         # all 40 backtracking steps fail; one merit evaluation is the start
@@ -402,8 +433,9 @@ class TestOneEvaluationPerPoint:
         args = (np.zeros(0), np.zeros(0), 10.0, 1e-8, 10)
         count = nlp._Counter()
         fcs = nlp._evaluate(problem, x0, count)
-        x, fx, _, it, status, _ = nlp._inner_minimize(problem, x0, fcs, *args,
-                                                      count)
+        ders = nlp._derivatives(problem, x0, count)
+        x, fx, _, it, status, _, _ = nlp._inner_minimize(problem, x0, fcs,
+                                                         ders, *args, count)
         assert (it, status, count.n) == (1, "line-search-failure", 41)
         ref_count, redundant = nlp._Counter(), []
         ref = inner_minimize_reference(problem, x0, *args, ref_count,
@@ -429,8 +461,14 @@ class TestOneEvaluationPerPoint:
             == (ref.eq_residual_inf, ref.in_violation_inf,
                 ref.stationarity_inf, ref.penalty)
         # only the repeated steepest-descent retries (40 each) and the two
-        # evaluations per outer iteration at the inner end point are gone
+        # evaluations and two differentiations per outer iteration at the
+        # inner end point are gone; a differentiation costs 2 evaluations
+        # per coordinate for each derivative without a provider
+        fd_pieces = (problem.gradient is None) \
+            + (problem.n_eq > 0 and problem.equality_jacobian is None) \
+            + (problem.n_in > 0 and problem.inequality_jacobian is None)
         assert ref.n_evals - new.n_evals \
-            == 40 * len(redundant) + 2 * new.outer_iterations
+            == 40 * len(redundant) \
+            + 2 * new.outer_iterations * (1 + 2 * problem.dim * fd_pieces)
         if case == "wrong-sign-gradient":
             assert redundant

@@ -215,9 +215,10 @@ class TestOneEvaluationPerPoint:
         x0 = nlp.initial_point()
         problem, calls = count_constraint_calls(nlp.problem())
         fcs = nlp_module._evaluate(problem, x0, nlp_module._Counter())
+        ders = nlp_module._derivatives(problem, x0, nlp_module._Counter())
         out = nlp_module._inner_minimize(
-            problem, x0, fcs, np.zeros(nlp.k_a), np.zeros(0), 1e2, 1e-8, 40,
-            nlp_module._Counter())
+            problem, x0, fcs, ders, np.zeros(nlp.k_a), np.zeros(0), 1e2, 1e-8,
+            40, nlp_module._Counter())
         assert out[3] > 1
         assert max(calls.values()) == 1
         # a whole solve too: the end point of each inner solve is the start

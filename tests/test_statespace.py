@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from ssfit.statespace import (
     InnovationModel,
     LadmSpec,
     ParameterLayout,
+    STATE_BLOWUP,
+    _check_states,
     _states_scan,
     assemble_ladm,
     eigen_report,
@@ -23,6 +26,23 @@ from ssfit.statespace import (
     simulate,
 )
 from ssfit.transform import ConstraintSystem, FactorPoint, ThetaPoint
+
+
+def longdouble_loop(F, c, x0):
+    """The sequential recursion in extended precision (``np.longdouble``)."""
+    F = F.astype(np.longdouble)
+    x = np.empty((c.shape[0] + 1, x0.size), dtype=np.longdouble)
+    x[0] = x0
+    for k in range(c.shape[0]):
+        x[k + 1] = F @ x[k] + c[k]
+    return x
+
+
+def first_bad_row(x):
+    """The first row with an entry past ``STATE_BLOWUP`` or nonfinite."""
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(x) <= STATE_BLOWUP).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def random_model(rng, n=3, m=1, p=1, stable_filter=True):
@@ -70,11 +90,14 @@ class TestRecursionKernels:
         assert x.shape == (1, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_scan_is_bit_identical_to_doubling_tree(self, n):
-        """Same bits as the tree over N copies of ``F``, NaN, inf and sign
-        included: stable and overflowing (spectral radius 3) ``F``, the
-        contiguous ``F`` and the transposed view the adjoint passes."""
+    def test_scan_accuracy(self, n):
+        """Within 16 eps (1 + log2 N) max|x| of an extended-precision loop
+        for a stable ``F`` (spectral radius 0.95), as is the plain doubling
+        tree; past the blow-up bound (spectral radius 3) the first offending
+        row is the tree's and the loop's.  The contiguous ``F`` and the
+        transposed view the adjoint passes."""
         rng = np.random.default_rng(100 + n)
+        eps = np.finfo(float).eps
         for N in (0, 1, 2, 3, 255, 256, 257, 3000):
             for rho in (0.95, 3.0):
                 F = rng.standard_normal((n, n))
@@ -83,13 +106,50 @@ class TestRecursionKernels:
                 c = rng.standard_normal((N, n))
                 for x0 in (np.zeros(n), rng.standard_normal(n)):
                     for G in (F, F.T):
-                        want = doubling_scan_reference(G, c, x0)
                         got = _states_scan(G, c, x0)
-                        assert np.array_equal(got, want, equal_nan=True)
-                        assert np.array_equal(np.signbit(got),
-                                              np.signbit(want))
+                        tree = doubling_scan_reference(G, c, x0)
+                        if rho > 1.0:
+                            with np.errstate(over="ignore", invalid="ignore"):
+                                loop = states_loop_reference(G, c, x0)
+                            assert first_bad_row(got) == first_bad_row(tree) \
+                                == first_bad_row(loop)
+                            continue
+                        exact = longdouble_loop(G, c, x0)
+                        bound = 16 * eps * (1 + np.log2(max(N, 1))) \
+                            * float(np.max(np.abs(exact)))
+                        for x in (got, tree):
+                            assert float(np.max(np.abs(x - exact))) <= bound
                 if rho > 1.0 and N == 3000:
-                    assert not np.isfinite(want).all()
+                    assert first_bad_row(got) is not None
+
+    def test_scan_peak_memory(self):
+        """One scan holds the output and one product at a time."""
+        rng = np.random.default_rng(7)
+        N, n = 200_000, 3
+        F = 0.3 * rng.standard_normal((n, n))
+        c = rng.standard_normal((N, n))
+        x0 = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            _states_scan(F, c, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (N + 1) * n * 8
+
+    def test_check_states_names_first_offending_row(self):
+        x = np.zeros((10, 3))
+        x[6, 1] = np.nan
+        with pytest.raises(FilterDivergedError) as info:
+            _check_states(x)
+        assert info.value.k == 6
+        x[4, 2] = -2 * STATE_BLOWUP
+        with pytest.raises(FilterDivergedError) as info:
+            _check_states(x)
+        assert info.value.k == 4
+        x[4, 2] = -STATE_BLOWUP
+        x[6, 1] = STATE_BLOWUP
+        _check_states(x)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_divergence_index_matches_doubling_tree(self, seed, monkeypatch):
@@ -115,10 +175,9 @@ class TestRecursionKernels:
         assert got == diverged_at()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_chunks_match_loop(self, n, monkeypatch):
-        """A 64-entry ramp budget splits a record into chunks of 64 // n^2
-        samples, each starting from the last state of the one before."""
-        monkeypatch.setattr(statespace, "RAMP_ELEMENTS", 64)
+    def test_chunks_match_loop(self, n):
+        """Records across the levels of the scan, from one sample to
+        several powers of two."""
         rng = np.random.default_rng(40 + n)
         for N in (1, 2, 7, 8, 63, 64, 65, 300):
             for rho in (0.95, 1.0):
@@ -134,9 +193,7 @@ class TestRecursionKernels:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_divergence_in_a_later_chunk_matches_loop(self, seed, monkeypatch):
-        # 7-sample chunks at n = 3; spectral radius 3 passes the blow-up
-        # bound some 25 samples in
-        monkeypatch.setattr(statespace, "RAMP_ELEMENTS", 64)
+        # spectral radius 3 passes the blow-up bound some 25 samples in
         rng = np.random.default_rng(seed)
         model = random_model(rng, n=3, m=1, p=1, stable_filter=False)
         A = model.A * 3.0 / float(np.max(np.abs(np.linalg.eigvals(model.A))))
@@ -160,13 +217,12 @@ class TestRecursionKernels:
         assert got == diverged_at()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_input_in_chunks_matches_loop(self, bad, monkeypatch):
-        monkeypatch.setattr(statespace, "RAMP_ELEMENTS", 64)
+    def test_nonfinite_input_in_chunks_matches_loop(self, bad):
         rng = np.random.default_rng(50)
         F = rng.standard_normal((3, 3))
         F *= 0.9 / float(np.max(np.abs(np.linalg.eigvals(F))))
         x0 = rng.standard_normal(3)
-        # first sample, end of a chunk, start of a chunk, last sample
+        # first sample, two in the middle, last sample
         for k in (0, 27, 28, 59):
             c = rng.standard_normal((60, 3))
             c[k, 1] = bad
