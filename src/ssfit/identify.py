@@ -4,8 +4,10 @@ Ties the pieces together: the parameter layout and covariance block form the
 base constraint system; each eigenvalue-region constraint appends a Lyapunov
 block to the covariance argument, a characteristic block to the coupled
 semidefinite map, and a trace row to the inequalities.  The resulting
-problem is transformed to factor space and handed to the solver, and the
-solution is mapped back to model matrices.
+problem is transformed to factor space and handed to the solver with
+closed-form derivatives (the filter adjoint and one linearization of the
+polynomial constraint maps per point), and the solution is mapped back to
+model matrices.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower, vecs
-from .nlp import (FD_STEP, NlpProblem, SolveOptions, SolveReport,
-                  fd_gradient, fd_stencil, solve)
+from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .oracle import BarrierQuery, barrier_solve
 from .regions import (LmiRegion, matrix_char_fn, membership_margin,
                       require_pd_weight, require_sound_shift)
@@ -45,7 +47,7 @@ from .transform import (
     gbmz_forward,
     gbmz_inverse,
     gram_jacobian,
-    sigma_forward,
+    sigma_factor_tangents,
 )
 
 __all__ = [
@@ -114,6 +116,17 @@ class EigConstraintSpec:
             return A - K @ C
         return A[..., :n_s, :n_s]
 
+    def target_derivative(self, dA: np.ndarray, dC: np.ndarray,
+                          dK: np.ndarray, C: np.ndarray, K: np.ndarray,
+                          n_s: int) -> np.ndarray:
+        """The derivative of :meth:`resolve_target` along model-block
+        directions ``(dA, dC, dK)`` at ``(C, K)``."""
+        if self.target == "open_loop":
+            return dA
+        if self.target == "filter":
+            return dA - dK @ C - K @ dC
+        return dA[..., :n_s, :n_s]
+
     def target_dim(self, spec: LadmSpec) -> int:
         return spec.n_s if self.target == "plant_block" else spec.n
 
@@ -156,7 +169,10 @@ class ExtendedProblem:
     """A problem with its Lyapunov blocks and constraint system materialized.
 
     ``shifts`` and ``weights`` hold each constraint's shift ``M`` and trace
-    weight ``V`` with their defaults resolved.
+    weight ``V`` with their defaults resolved.  ``derivative_fn(beta, Sigma,
+    dSigma)`` is the closed-form Jacobian of the pattern entries of the
+    coupled map followed by the trace rows: one column per beta coordinate,
+    then one per symmetric direction ``dSigma[k]`` of Sigma.
     """
 
     spec: ProblemSpec
@@ -167,6 +183,7 @@ class ExtendedProblem:
     delta_re: float
     shifts: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
+    derivative_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     def model_of(self, theta: ThetaPoint) -> InnovationModel:
         return assemble_ladm(self.spec.ladm, theta, self.layout)
@@ -213,7 +230,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         pattern_sigma = direct_sum(pattern_sigma, full_lower(n_i))
         a_blocks.append((pattern_a.n, n_i * m_i))
         pattern_a = direct_sum(pattern_a, full_lower(n_i * m_i))
-        resolved.append((c, n_i, shift, weight))
+        resolved.append((c, n_i, shift, weight,
+                         replace(c.region, m0=np.zeros_like(c.region.m0))))
 
     # Both maps take one point or a stack: the leading dimensions of beta
     # (..., n_beta) and Sigma (..., n_sigma, n_sigma) broadcast, and each
@@ -224,7 +242,7 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         out[..., :p, :p] = Sigma[..., :p, :p] - delta * np.eye(p)
         if resolved:
             A, _, C, K = ladm_blocks(layout, beta)
-            for (c, n_i, shift, _), (soff, _), (aoff, asize) in zip(
+            for (c, n_i, shift, _, _), (soff, _), (aoff, asize) in zip(
                     resolved, sigma_blocks[1:], a_blocks[1:]):
                 P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
                 target = c.resolve_target(A, C, K, ladm.n_s)
@@ -234,12 +252,39 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
 
     def ineq_fn(beta, Sigma):
         rows = np.empty(np.shape(Sigma)[:-2] + (len(resolved),))
-        for k, ((c, n_i, _, weight), (soff, _)) in enumerate(
+        for k, ((c, n_i, _, weight, _), (soff, _)) in enumerate(
                 zip(resolved, sigma_blocks[1:])):
             P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
             rows[..., k] = (np.trace(weight @ P_i, axis1=-2, axis2=-1)
                             - 1.0 / c.epsilon_i)
         return rows
+
+    # the model blocks are affine in beta, so their directions along each
+    # coordinate are exact differences
+    nb = layout.n_beta
+    dA, _, dC, dK = (b1 - b0 for b1, b0 in zip(
+        ladm_blocks(layout, np.eye(nb)), ladm_blocks(layout, np.zeros(nb))))
+
+    # M_D(T, P) is linear in P and, with M0 = 0, in T, and the trace rows
+    # are linear in Sigma and free of beta
+    def derivative_fn(beta, Sigma, dSigma):
+        out = np.zeros((nb + len(dSigma), pattern_a.n, pattern_a.n))
+        out[nb:, :p, :p] = dSigma[:, :p, :p]
+        rows = np.zeros((len(out), len(resolved)))
+        if resolved:
+            A, _, C, K = ladm_blocks(layout, beta)
+        for k, ((c, n_i, _, weight, region0), (soff, _), (aoff, asize)) in \
+                enumerate(zip(resolved, sigma_blocks[1:], a_blocks[1:])):
+            P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
+            dP = dSigma[:, soff:soff + n_i, soff:soff + n_i]
+            block = out[:, aoff:aoff + asize, aoff:aoff + asize]
+            block[:nb] = matrix_char_fn(
+                region0, c.target_derivative(dA, dC, dK, C, K, ladm.n_s), P_i)
+            block[nb:] = matrix_char_fn(
+                c.region, c.resolve_target(A, C, K, ladm.n_s), dP)
+            rows[nb:, k] = np.trace(weight @ dP, axis1=-2, axis2=-1)
+        return np.concatenate(
+            [out[:, pattern_a._rows0, pattern_a._cols0], rows], axis=1).T
 
     system = ConstraintSystem(
         n_beta=layout.n_beta,
@@ -254,21 +299,18 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         spec=spec, layout=layout, system=system,
         sigma_blocks=tuple(sigma_blocks), a_blocks=tuple(a_blocks),
         delta_re=delta, shifts=tuple(r[2] for r in resolved),
-        weights=tuple(r[3] for r in resolved))
+        weights=tuple(r[3] for r in resolved), derivative_fn=derivative_fn)
 
 
 class _IdentificationNlp:
     """Callable bundle for one identification solve.
 
     The objective runs the innovation filter and keeps its innovations for
-    the gradient at the same point, which is the filter adjoint (a central
-    difference over the model parameters and the covariance factor only
-    when the Sigma completion is not trivial).  Both constraint Jacobians
-    share one difference pass of the polynomial maps per point, evaluated
-    as one stack: rows that move beta keep Sigma of the point, and only
-    rows that move the Sigma factor map Sigma again.  The coupled-block
-    factor enters the equalities alone, where its Jacobian block is
-    analytic.
+    the gradient at the same point, which is the filter adjoint pulled back
+    through the completed Sigma factor's tangents.  Both constraint
+    Jacobians share one closed-form derivative pass per point
+    (``ExtendedProblem.derivative_fn`` along the same tangents); the
+    coupled-block factor enters the equalities alone, as ``-d(L L^T)``.
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
@@ -278,7 +320,6 @@ class _IdentificationNlp:
         self.system = ext.system
         self.phi_bar = phi_bar
         self.rho = ext.spec.rho
-        self.fd_step = FD_STEP
         self.dim = self.system.dim
         self.n_eq = len(self.system.pattern_a)
         self.k_beta_sigma = self.system.n_beta + len(self.system.pattern_sigma)
@@ -286,18 +327,17 @@ class _IdentificationNlp:
         # per-sample objective scaling keeps likelihood gradients O(1)
         # against the constraint residuals
         self.obj_scale = float(max(1, data.N))
+        self._regularized = self.rho > 0 and phi_bar is not None
+        self._L_bar = (sigma_factor_tangents(self.system, phi_bar.L_sigma)[0]
+                       if self._regularized else None)
         self._cache_key = None
         self._cache_val = None
         # filter innovations at the cached point, left by the objective,
-        # and the constraint stencil at that point, left by a Jacobian
+        # and the constraint derivatives at that point, left by a Jacobian
         self._innovations = None
-        self._stencil = None
+        self._derivatives = None
         self._gram = gram_jacobian(self.system.pattern_a)
         self._gram_cols = self.k_beta_sigma + self._gram.cols
-        # the adjoint gradient applies when Sigma is exactly L L^T on its
-        # pattern (zero shift, trivial completion), which holds for every
-        # layout this module builds
-        self._adjoint_ok = bool(getattr(self.system, "_sigma_trivial", False))
 
     def _forward(self, x: np.ndarray):
         key = x.tobytes()
@@ -307,7 +347,7 @@ class _IdentificationNlp:
             self._cache_key = key
             self._cache_val = (phi, theta, A_T)
             self._innovations = None
-            self._stencil = None
+            self._derivatives = None
         return self._cache_val
 
     def objective(self, x: np.ndarray) -> float:
@@ -319,34 +359,19 @@ class _IdentificationNlp:
         except (ValueError, FilterDivergedError):
             return float("inf")
         self._innovations = innovations
-        if self.rho > 0 and self.phi_bar is not None:
+        if self._regularized:
             value += regularizer(phi, self.phi_bar, self.rho, self.system)
         return value / self.obj_scale
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self._adjoint_ok:
-            return self._adjoint_gradient(x)
-        g = np.zeros(self.dim)
-        ks = self.k_beta_sigma
-        if ks == 0:
-            return g
-
-        def f_reduced(z):
-            xx = x.copy()
-            xx[:ks] = z
-            return self.objective(xx)
-
-        g[:ks] = fd_gradient(f_reduced, x[:ks], self.fd_step, self.lower[:ks])
-        return g
-
-    def _adjoint_gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact objective gradient via the filter adjoint.
 
         The likelihood touches only the model parameters and the leading
         covariance block; matrix gradients pull back through the (linear)
-        layout and the factor product, and the coupled-block factor
-        coordinates carry zero gradient.  The innovations come from the
-        objective call at ``x`` when there was one.
+        layout and along the tangents ``dL`` of the completed Sigma factor
+        ``L``, and the coupled-block factor coordinates carry zero gradient.
+        The innovations come from the objective call at ``x`` when there
+        was one.
         """
         phi, theta, _ = self._forward(x)
         ext = self.ext
@@ -367,16 +392,14 @@ class _IdentificationNlp:
         p = ladm.p
         grad_sigma = np.zeros_like(theta.Sigma)
         grad_sigma[:p, :p] = grads["Re"]
-        GL = 2.0 * grad_sigma @ phi.L_sigma
-        ps = self.system.pattern_sigma
-        g_lsigma = GL[ps._rows0, ps._cols0]
-        if self.rho > 0 and self.phi_bar is not None:
+        L, dL = sigma_factor_tangents(self.system, phi.L_sigma)
+        G = 2.0 * grad_sigma @ L
+        if self._regularized:
             g_beta = g_beta + self.rho * (phi.beta - self.phi_bar.beta)
-            dL = phi.L_sigma - self.phi_bar.L_sigma
-            g_lsigma = g_lsigma + self.rho * dL[ps._rows0, ps._cols0]
+            G = G + self.rho * (L - self._L_bar)
         g = np.zeros(self.dim)
         g[:self.system.n_beta] = g_beta
-        g[self.system.n_beta:self.k_beta_sigma] = g_lsigma
+        g[self.system.n_beta:self.k_beta_sigma] = np.einsum("kij,ij->k", dL, G)
         return g / self.obj_scale
 
     def equality(self, x: np.ndarray) -> np.ndarray:
@@ -384,50 +407,23 @@ class _IdentificationNlp:
         Amat = self.system.psd_fn(theta.beta, theta.Sigma)
         return vecs(self.system.pattern_a, 0.5 * (Amat + Amat.T) - A_T)
 
-    def _constraint_outputs(self, Z: np.ndarray, z0: np.ndarray,
-                            Sigma0: np.ndarray) -> np.ndarray:
-        """Pattern entries of the symmetrized coupled map, then the trace
-        rows, at a stack ``Z`` of leading coordinates: every constraint
-        output that depends on (beta, L_Sigma).  ``Sigma0`` is Sigma at
-        ``z0``; only rows whose L_Sigma part differs from ``z0`` map it."""
-        system = self.system
-        nb, ps, pa = system.n_beta, system.pattern_sigma, system.pattern_a
-        Sigma = np.repeat(Sigma0[None], len(Z), axis=0)
-        rows = np.flatnonzero(np.any(Z[:, nb:] != z0[nb:], axis=1))
-        L = np.zeros((rows.size, ps.n, ps.n))
-        L[:, ps._rows0, ps._cols0] = Z[rows, nb:]
-        if getattr(system, "_sigma_trivial", False):
-            # Sigma = 0 + L L^T, per item the operations of sigma_forward
-            Q = 0.0 + np.matmul(L, np.swapaxes(L, 1, 2))
-            Sigma[rows] = 0.5 * (Q + np.swapaxes(Q, 1, 2))
-        else:
-            for r, L_sigma in zip(rows, L):
-                Sigma[r] = sigma_forward(system, Z[r, :nb], L_sigma)
-        beta = Z[:, :nb]
-        Amat = system.psd_fn(beta, Sigma)
-        entries = (0.5 * (Amat + np.swapaxes(Amat, 1, 2)))[
-            :, pa._rows0, pa._cols0]
-        if system.ineq_fn is None:
-            return entries
-        return np.concatenate([entries, system.ineq_fn(beta, Sigma)], axis=1)
-
-    def _constraint_stencil(self, x: np.ndarray) -> np.ndarray:
-        """One stacked difference pass of :meth:`_constraint_outputs` over
-        the leading coordinates, kept with the cached point."""
-        _, theta, _ = self._forward(x)
-        if self._stencil is None:
-            z0 = x[:self.k_beta_sigma]
-            self._stencil = fd_stencil(
-                lambda Z: self._constraint_outputs(Z, z0, theta.Sigma),
-                z0, self.n_eq + self.system.n_ineq, self.fd_step,
-                self.lower[:self.k_beta_sigma])
-        return self._stencil
+    def _constraint_derivatives(self, x: np.ndarray) -> np.ndarray:
+        """Jacobian columns in (beta, L_Sigma) of the pattern entries of the
+        coupled map and of the trace rows: one closed-form pass along the
+        Sigma factor's tangents, kept with the cached point."""
+        phi, theta, _ = self._forward(x)
+        if self._derivatives is None:
+            L, dL = sigma_factor_tangents(self.system, phi.L_sigma)
+            Q = dL @ L.T
+            self._derivatives = self.ext.derivative_fn(
+                theta.beta, theta.Sigma, Q + np.swapaxes(Q, 1, 2))
+        return self._derivatives
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
         ks = self.k_beta_sigma
         J = np.zeros((self.n_eq, self.dim))
-        J[:, :ks] = self._constraint_stencil(x)[:self.n_eq]
-        # the completed coupled factor contributes -d(L L^T) analytically
+        J[:, :ks] = self._constraint_derivatives(x)[:self.n_eq]
+        # the completed coupled factor contributes -d(L L^T)
         pa = self.system.pattern_a
         La = np.zeros((pa.n, pa.n))
         La[pa._rows0, pa._cols0] = x[ks:]
@@ -440,7 +436,7 @@ class _IdentificationNlp:
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
         J = np.zeros((self.system.n_ineq, self.dim))
-        J[:, :self.k_beta_sigma] = self._constraint_stencil(x)[self.n_eq:]
+        J[:, :self.k_beta_sigma] = self._constraint_derivatives(x)[self.n_eq:]
         return J
 
     def problem(self) -> NlpProblem:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -108,7 +109,7 @@ def load_dataset(path: str) -> Dataset:
                 vals = [float(v) for v in row]
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if not all(np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise SchemaError(f"{path}:{lineno}: nonfinite value")
             rows.append(vals)
     if not rows:
@@ -131,10 +132,11 @@ def save_table(path: str, header: list[str], columns: list) -> None:
     """Write a CSV table: the ``header`` row, then one row per entry of the
     equal-length ``columns``, every number ``.17g``, every line ending in
     ``\\n``."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            fh.write(line % row)
 
 
 def save_json(path: str, doc: dict) -> None:

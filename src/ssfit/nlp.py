@@ -27,7 +27,6 @@ __all__ = [
     "solve",
     "fd_gradient",
     "fd_jacobian",
-    "fd_stencil",
     "preflight_gradients",
 ]
 
@@ -156,25 +155,10 @@ def fd_jacobian(
     h0: float = 1e-6,
     lower_bounds: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Central-difference Jacobian of a vector function (rows are outputs):
-    :func:`fd_stencil` with ``fn`` called once per stencil point."""
-    return fd_stencil(
-        lambda Z: [np.asarray(fn(z), dtype=float).ravel() for z in Z],
-        x, n_out, h0, lower_bounds)
-
-
-def fd_stencil(
-    fn_stack: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    n_out: int,
-    h0: float = 1e-6,
-    lower_bounds: np.ndarray | None = None,
-) -> np.ndarray:
-    """Central-difference Jacobian (rows are outputs) of a function that maps
-    a ``(B, k)`` stack of points to its ``(B, n_out)`` values.
+    """Central-difference Jacobian of a vector function (rows are outputs).
 
     Step sizes are ``h0 * max(1, |x_i|)``.  Every stencil point moves one
-    coordinate of ``x``; they are passed in one stack, coordinate by
+    coordinate of ``x``; ``fn`` is called once per point, coordinate by
     coordinate, the plus point before the minus point.  When
     ``lower_bounds`` is given and the centered stencil would cross a bound,
     the stencil switches to a one-sided difference on the feasible side, so
@@ -194,7 +178,8 @@ def fd_stencil(
     Z = np.repeat(x[None, :], k + minus.size, axis=0)
     Z[plus, coords] += h
     Z[minus, coords[has_minus]] -= h[has_minus]
-    F = np.asarray(fn_stack(Z), dtype=float).reshape(len(Z), n_out)
+    F = np.asarray([np.asarray(fn(z), dtype=float).ravel() for z in Z],
+                   dtype=float).reshape(len(Z), n_out)
     fp = F[plus]
     fm = np.full((k, n_out), np.nan)
     fm[has_minus] = F[minus]
@@ -204,7 +189,7 @@ def fd_stencil(
     J = np.empty((n_out, k))
     J[:, central] = (fp[central] - fm[central]).T / (2.0 * h[central])
     if not central.all():
-        f0 = np.asarray(fn_stack(x[None, :]), dtype=float).reshape(n_out)
+        f0 = np.asarray(fn(x), dtype=float).reshape(n_out)
         bad = ~central & (~(fp_ok | fm_ok) | ~np.isfinite(f0).all())
         if bad.any():
             raise FdGradientError(

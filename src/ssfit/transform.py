@@ -35,7 +35,7 @@ __all__ = [
     "reconstruct_q",
     "bmz_forward",
     "bmz_inverse",
-    "sigma_forward",
+    "sigma_factor_tangents",
     "gbmz_forward",
     "gbmz_inverse",
     "GramJacobian",
@@ -312,20 +312,29 @@ class ConstraintSystem:
         return np.concatenate([pos_sigma, pos_a]).astype(np.intp)
 
 
-def sigma_forward(
-    system: ConstraintSystem, beta: np.ndarray, L_sigma: np.ndarray
-) -> np.ndarray:
-    """``Sigma = H(beta) + L L^T`` from the completed Sigma factor.
+def sigma_factor_tangents(
+    system: ConstraintSystem, L_sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The completed Sigma factor ``L`` of a zero-shift system and its
+    tangents ``dL[k]`` along each pattern entry ``k`` of ``L_sigma``.
 
-    This is the Sigma half of :func:`gbmz_forward`, for callers that need
-    nothing else of the mapped point.
+    A tangent is the unit at its entry plus, for a non-trivial completion,
+    the derivatives of the completed entries, taken in the completion's own
+    order (forward-mode differentiation of :func:`complete_factor`).
     """
-    H = system.shift(beta)
+    if system.shift_fn is not None:
+        raise ValueError("Sigma factor tangents need a zero shift")
+    ps, n = system.pattern_sigma, system.n_sigma
+    dL = np.zeros((len(ps), n, n))
+    dL[np.arange(len(ps)), ps._rows0, ps._cols0] = 1.0
     if getattr(system, "_sigma_trivial", False):
-        L_off = np.zeros_like(L_sigma)
-    else:
-        L_off = complete_factor(system.pattern_sigma, L_sigma, H)
-    return reconstruct_q(H, L_sigma, L_off)
+        return L_sigma, dL
+    L = L_sigma + complete_factor(ps, L_sigma, np.zeros((n, n)))
+    for i1, j1 in complement(ps).entries:
+        i, j = i1 - 1, j1 - 1
+        dacc = dL[:, i, :j] @ L[j, :j] + dL[:, j, :j] @ L[i, :j]
+        dL[:, i, j] = -(dacc + L[i, j] * dL[:, j, j]) / L[j, j]
+    return L, dL
 
 
 def gbmz_forward(
@@ -337,7 +346,12 @@ def gbmz_forward(
     from the completed Sigma factor, together with the completed coupled
     block ``A_T = (L_a + L_a_off)(L_a + L_a_off)^T``.
     """
-    Sigma = sigma_forward(system, phi.beta, phi.L_sigma)
+    H = system.shift(phi.beta)
+    if getattr(system, "_sigma_trivial", False):
+        L_off = np.zeros_like(phi.L_sigma)
+    else:
+        L_off = complete_factor(system.pattern_sigma, phi.L_sigma, H)
+    Sigma = reconstruct_q(H, phi.L_sigma, L_off)
     if system.n_a > 0:
         Ha = np.zeros((system.n_a, system.n_a))
         if getattr(system, "_a_trivial", False):

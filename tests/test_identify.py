@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     perturbed,
@@ -23,10 +24,11 @@ from ssfit.identify import (
     varx_init,
 )
 from ssfit import identify, statespace
-from ssfit.indexsets import IndexSet, full_lower, vecs
+from ssfit.indexsets import IndexSet, diagonal, full_lower, vecs
 from ssfit.nlp import (SolveOptions, fd_gradient, fd_jacobian,
                        preflight_gradients)
-from ssfit.regions import cone, disk, eig_membership, half_plane, intersect
+from ssfit.regions import (band, cone, disk, eig_membership, half_plane,
+                           intersect)
 from ssfit.statespace import (
     Dataset,
     FilterDivergedError,
@@ -40,6 +42,7 @@ from ssfit.statespace import (
 )
 from ssfit.transform import (
     ThetaPoint,
+    epsilon_box,
     gbmz_forward,
     gbmz_inverse,
     transformed_constraints,
@@ -222,19 +225,26 @@ def _fit_start(region, n=120, seed=7):
     return _IdentificationNlp(ext, data, phi0), ext.system.pack(phi0)
 
 
-def _random_point(ladm, constraints, seed=3, re_pattern=None):
-    """The identification NLP of a model structure on a tiny record, and a
-    random point of it with every factor diagonal inside its box."""
+def _random_point(ladm, constraints, seed=3, re_pattern=None, rho=0.0):
+    """The identification NLP of a model structure on a short random record,
+    and a random point of it with every factor diagonal inside its box; the
+    prior of a positive ``rho`` is another such point."""
     pspec = ProblemSpec(ladm=ladm, eig_constraints=constraints, delta_re=1e-8,
-                        re_pattern=re_pattern)
+                        re_pattern=re_pattern, rho=rho)
     ext = extend_with_eig_constraints(pspec)
-    data = Dataset(np.zeros((5, ladm.m)), np.ones((5, ladm.p)))
-    nlp = _IdentificationNlp(ext, data, None)
     rng = np.random.default_rng(seed)
-    x = 0.5 * rng.standard_normal(ext.system.dim)
-    boxed = nlp.lower > -np.inf
-    x[boxed] = rng.uniform(0.3, 1.2, int(np.sum(boxed)))
-    return nlp, x
+    boxed = epsilon_box(ext.system, pspec.epsilon) > -np.inf
+
+    def point():
+        x = 0.5 * rng.standard_normal(ext.system.dim)
+        x[boxed] = rng.uniform(0.3, 1.2, int(np.sum(boxed)))
+        return x
+
+    x = point()
+    phi_bar = ext.system.unpack(point()) if rho > 0 else None
+    data = Dataset(rng.standard_normal((8, ladm.m)),
+                   rng.standard_normal((8, ladm.p)))
+    return _IdentificationNlp(ext, data, phi_bar), x
 
 
 def _overflowing_side():
@@ -273,9 +283,10 @@ STENCIL_CASES = {
 
 
 def _reference_jacobians(nlp, x):
-    """The constraint Jacobians as the previous implementation formed them:
-    differences over the full forward map, and the -d(L L^T) block of the
-    coupled factor by a loop over pattern entries."""
+    """The yardstick of the closed-form constraint Jacobians: central
+    differences over the full forward map (no lower bounds, one-sided only
+    beside a nonfinite side), and the -d(L L^T) block of the coupled factor
+    by a loop over pattern entries."""
     system = nlp.system
     ks = nlp.k_beta_sigma
     pat = system.pattern_a
@@ -296,8 +307,7 @@ def _reference_jacobians(nlp, x):
         return system.ineq_fn(theta.beta, theta.Sigma)
 
     J_eq = np.zeros((len(pat), system.dim))
-    J_eq[:, :ks] = fd_jacobian(psd, x[:ks], len(pat), nlp.fd_step,
-                               nlp.lower[:ks])
+    J_eq[:, :ks] = fd_jacobian(psd, x[:ks], len(pat))
     La = system.unpack(x).L_a
     a_pos = {e: i for i, e in enumerate(pat.entries)}
     for col, (r1, s1) in enumerate(pat.entries):
@@ -309,101 +319,160 @@ def _reference_jacobians(nlp, x):
             if row is not None:
                 J_eq[row, ks + col] -= 2.0 * c[k] if k == r else c[k]
     J_in = np.zeros((system.n_ineq, system.dim))
-    J_in[:, :ks] = fd_jacobian(ineq, x[:ks], system.n_ineq, nlp.fd_step,
-                               nlp.lower[:ks])
+    J_in[:, :ks] = fd_jacobian(ineq, x[:ks], system.n_ineq)
     return J_eq, J_in
 
 
-class TestLeanHotPaths:
-    """The evaluation shortcuts leave every value handed to the solver
-    bit-for-bit unchanged."""
+def _assert_close(J, J_ref, rtol):
+    assert J.shape == J_ref.shape
+    scale = max(1.0, float(np.max(np.abs(J_ref), initial=0.0)))
+    assert float(np.max(np.abs(J - J_ref), initial=0.0)) <= rtol * scale
 
-    # the overflowing stencil side warns in numpy
+
+DISK_CONSTRAINT = (EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),)
+# a p = 3 pattern without (3, 2): rows 2 and 3 share column 1, so the
+# completion of the Re factor is not zero
+NONTRIVIAL_RE = IndexSet(3, ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3)))
+
+
+class TestClosedForms:
+    """The constraint Jacobians and the objective gradient of a fit are
+    closed forms; central differences are their yardstick."""
+
+    # the overflowing reference side warns in numpy
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", list(STENCIL_CASES))
     @pytest.mark.parametrize("at_bound", [False, True],
-                             ids=["interior", "diagonal-at-bound"])
-    def test_constraint_jacobians_bit_identical(self, case, at_bound):
+                             ids=["interior", "at-bound"])
+    def test_jacobians_match_fd_reference(self, case, at_bound):
         nlp, x = STENCIL_CASES[case]()
         ks = nlp.k_beta_sigma
         if at_bound:
-            # a Lyapunov-factor diagonal on its floor: one-sided stencil
+            # a Lyapunov-factor diagonal on its floor
             pos = [int(i) for i in nlp.system.diag_positions() if i < ks][-1]
             x = x.copy()
             x[pos] = nlp.lower[pos]
-            h = nlp.fd_step * max(1.0, abs(x[pos]))
-            assert x[pos] - h < nlp.lower[pos]
         J_eq, J_in = _reference_jacobians(nlp, x)
         assert np.any(J_eq[:, ks:])
+        eq, ineq = nlp.equality_jacobian(x), nlp.inequality_jacobian(x)
         if case == "nonfinite-side":
-            # the plus point overflows, so the stencil goes one-sided
+            # the plus point overflows, so the reference goes one-sided in
+            # that column; the closed form stays finite and agrees with it
             i = nlp.system.n_beta
             xp = x.copy()
-            xp[i] += nlp.fd_step * x[i]
+            xp[i] += 1e-6 * x[i]
             assert not np.all(np.isfinite(nlp.equality(xp)))
-            assert np.all(np.isfinite(nlp.equality(x)))
-            assert np.all(np.isfinite(J_eq)) and np.any(J_eq[:, i])
-        assert np.array_equal(nlp.equality_jacobian(x), J_eq)
-        assert np.array_equal(nlp.inequality_jacobian(x), J_in)
-        # the stencils leave the evaluation cache alone
+            assert np.all(np.isfinite(eq)) and np.any(eq[:, i])
+            for J, J_ref in ((eq, J_eq), (ineq, J_in)):
+                for col in range(J.shape[1]):
+                    _assert_close(J[:, col], J_ref[:, col], 1e-6)
+        else:
+            _assert_close(eq, J_eq, 1e-8)
+            _assert_close(ineq, J_in, 1e-8)
+        # the Jacobians leave the evaluation cache alone
         nlp.objective(x)
         key = nlp._cache_key
         nlp.equality_jacobian(x)
         nlp.inequality_jacobian(x)
         assert nlp._cache_key == key
 
-    def test_one_constraint_stencil_per_point(self, monkeypatch):
-        from ssfit import identify
-
+    def test_one_derivative_pass_per_point(self, monkeypatch):
         # the fit-active start: N = 300, data seed 7, disk(0.95, 0)
         nlp, x = _fit_start(disk(0.95, 0.0), n=300, seed=7)
         nlp.equality(x)
         calls = []
-        original = identify.sigma_forward
+        original = identify.sigma_factor_tangents
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        passes = []
-        outputs = nlp._constraint_outputs
-
-        def counted_pass(*args):
-            passes.append(1)
-            return outputs(*args)
-
-        monkeypatch.setattr(identify, "sigma_forward", counted)
-        monkeypatch.setattr(nlp, "_constraint_outputs", counted_pass)
-        nlp.equality_jacobian(x)
-        nlp.inequality_jacobian(x)
-        # one stacked pass serves both Jacobians, and under the trivial
-        # completion it maps the Sigma-factor rows in one stacked product
-        assert len(passes) == 1
-        assert calls == []
-
-    def test_nontrivial_sigma_pattern_maps_each_row(self, monkeypatch):
-        from ssfit import identify
-
-        # (3, 2) is off the pattern while rows 2 and 3 share column 1, so
-        # the completion of the Re factor is not zero
-        pattern = IndexSet(3, ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3)))
-        nlp, x = _random_point(LadmSpec(n_s=2, n_d=3, m=1, p=3), (
-            EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),),
-            re_pattern=pattern)
-        assert not nlp.system._sigma_trivial
-        J_eq, J_in = _reference_jacobians(nlp, x)
-        calls = []
-        original = identify.sigma_forward
-
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(identify, "sigma_forward", counted)
+        monkeypatch.setattr(identify, "sigma_factor_tangents", counted)
+        J_eq = nlp.equality_jacobian(x)
+        J_in = nlp.inequality_jacobian(x)
+        # one pass serves both Jacobians, and a repeated request reuses it
+        assert len(calls) == 1
         assert np.array_equal(nlp.equality_jacobian(x), J_eq)
         assert np.array_equal(nlp.inequality_jacobian(x), J_in)
-        # only the stencil points that move the Sigma factor map Sigma
-        assert len(calls) == 2 * len(nlp.system.pattern_sigma)
+        assert len(calls) == 1
+        # a new point gets a new pass
+        nlp.inequality_jacobian(x + 1e-3)
+        assert len(calls) == 2
+
+    def test_preflight_at_the_fit_active_start(self):
+        nlp, x = _fit_start(disk(0.95, 0.0), n=300, seed=7)
+        assert preflight_gradients(nlp.problem(), x, n_points=3) <= 1e-8
+
+
+REGION_KINDS = {
+    "half_plane": lambda r: half_plane(-r),
+    "disk": lambda r: disk(0.5 + r, 0.1 * r),
+    "cone": lambda r: cone(0.5 + r, -r),
+    "band": lambda r: band(0.5 + r),
+    "intersect": lambda r: intersect(half_plane(-r), disk(1.0 + r, 0.0)),
+}
+
+
+@st.composite
+def identification_problems(draw):
+    """A random model structure with one eigenvalue constraint, an optional
+    Re pattern (the p = 3 non-trivial one among them) and prior weight."""
+    re_kind = draw(st.sampled_from(("none", "diagonal", "nontrivial")))
+    canonical = re_kind == "none" and draw(st.booleans())
+    p = 3 if re_kind == "nontrivial" else 1 if canonical \
+        else draw(st.integers(1, 3))
+    n_s = draw(st.integers(2 if canonical else 1, 3))
+    ladm = LadmSpec(
+        n_s=n_s, n_d=draw(st.sampled_from((0, p))),
+        m=draw(st.integers(1, 2)), p=p,
+        plant_form="canonical" if canonical else "full",
+        C_fixed=None if canonical or draw(st.booleans()) else np.eye(p, n_s))
+    region = REGION_KINDS[draw(st.sampled_from(sorted(REGION_KINDS)))](
+        draw(st.floats(0.0, 0.5)))
+    constraint = EigConstraintSpec(region, draw(st.sampled_from(
+        identify.TARGETS)), 0.05)
+    re_pattern = {"none": None, "diagonal": diagonal(p),
+                  "nontrivial": NONTRIVIAL_RE}[re_kind]
+    rho = draw(st.sampled_from((0.0, 0.8)))
+    seed = draw(st.integers(0, 2**16))
+    return ladm, constraint, re_pattern, rho, seed
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(identification_problems())
+def test_fit_derivatives_match_finite_differences(problem):
+    ladm, constraint, re_pattern, rho, seed = problem
+    nlp, x = _random_point(ladm, (constraint,), seed, re_pattern, rho)
+    assert preflight_gradients(nlp.problem(), x, n_points=2, rtol=1e-6,
+                               seed=seed) <= 1e-6
+
+
+class TestLeanHotPaths:
+    """The evaluation shortcuts leave every value handed to the solver
+    unchanged."""
+
+    def test_nontrivial_sigma_pattern_maps_each_row(self, monkeypatch):
+        nlp, x = _random_point(LadmSpec(n_s=2, n_d=3, m=1, p=3),
+                               DISK_CONSTRAINT, re_pattern=NONTRIVIAL_RE)
+        assert not nlp.system._sigma_trivial
+        J_eq, J_in = _reference_jacobians(nlp, x)
+        tangents = []
+        original = identify.sigma_factor_tangents
+
+        def recorded(*args):
+            out = original(*args)
+            tangents.append(out[1])
+            return out
+
+        monkeypatch.setattr(identify, "sigma_factor_tangents", recorded)
+        _assert_close(nlp.equality_jacobian(x), J_eq, 1e-8)
+        _assert_close(nlp.inequality_jacobian(x), J_in, 1e-8)
+        # one pass maps every Sigma-factor entry, and the completed entry
+        # (3, 2) moves with the entries of the rows it is built from
+        assert len(tangents) == 1
+        dL = tangents[0]
+        assert dL.shape[0] == len(nlp.system.pattern_sigma)
+        assert np.any(dL[:, 2, 1] != 0.0)
 
     def test_gradient_reuses_objective_innovations(self, monkeypatch):
         nlp, x = _fit_start(disk(0.95, 0.0))
@@ -436,13 +505,9 @@ class TestLeanHotPaths:
             nlp.gradient(x_div)
 
 
-DISK_CONSTRAINT = (EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),)
-
-
 class TestObjectivePaths:
     """The MAP regularizer in the objective and in its adjoint gradient,
-    and the finite-difference gradient under a non-trivial Sigma
-    completion."""
+    and the adjoint gradient under a non-trivial Sigma completion."""
 
     @staticmethod
     def _map_start(constraints, rho):
@@ -485,20 +550,19 @@ class TestObjectivePaths:
         assert nlp.objective(x) - nlp_ml.objective(x) \
             == pytest.approx(added / nlp.obj_scale, rel=1e-9)
 
+
     def test_fd_gradient_under_nontrivial_sigma_completion(self):
-        # the p = 3 pattern without (3, 2) of the stencil test above
-        pattern = IndexSet(3, ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3)))
         nlp, x = _random_point(LadmSpec(n_s=2, n_d=3, m=1, p=3),
-                               DISK_CONSTRAINT, re_pattern=pattern)
-        assert not nlp._adjoint_ok
+                               DISK_CONSTRAINT, re_pattern=NONTRIVIAL_RE,
+                               rho=0.7)
+        assert not nlp.system._sigma_trivial
         assert np.isfinite(nlp.objective(x))
         g = nlp.gradient(x)
         ks = nlp.k_beta_sigma
         assert np.all(g[ks:] == 0.0)
         assert np.any(g[:ks] != 0.0)
-        fd = fd_gradient(nlp.objective, x, lower_bounds=nlp.lower)
-        assert np.allclose(g, fd, rtol=1e-5, atol=1e-8)
-
+        _assert_close(g, fd_gradient(nlp.objective, x), 1e-8)
+        assert preflight_gradients(nlp.problem(), x, n_points=3) <= 1e-8
 
 class TestVarxInit:
     def test_recovers_varx_truth(self):

@@ -66,6 +66,12 @@ class TestDatasetsCsv:
         with pytest.raises(SchemaError, match="nonfinite"):
             load_dataset(path)
 
+    def test_nonfinite_value_reports_line_past_a_blank_one(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,u1,y1\n0,1,2\n\n1,inf,3\n")
+        with pytest.raises(SchemaError, match=r"bad\.csv:4: nonfinite value$"):
+            load_dataset(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,u1,y1\n0,1,2\n")

@@ -358,7 +358,7 @@ SOLVE_CASES = _solve_cases()
 
 class TestOneEvaluationPerPoint:
     # interior finite-difference stencils and Jacobian providers; a
-    # one-sided stencil at a bound maps x itself by the rule of fd_stencil
+    # one-sided stencil at a bound maps x itself by the rule of fd_jacobian
     @pytest.mark.parametrize("case", ["circle", "inequality", "providers"])
     def test_constraints_evaluated_once_per_point(self, case):
         problem, x0, _ = SOLVE_CASES[case]
@@ -383,7 +383,7 @@ class TestOneEvaluationPerPoint:
         # over a whole solve: the start and every trial point once, the end
         # point of each inner solve included.  Finite-difference stencils
         # call the uncounted constraints: a one-sided stencil at a bound
-        # maps x itself (fd_stencil).
+        # maps x itself (fd_jacobian).
         problem, x0, opts = SOLVE_CASES[case]
         counted, calls = count_constraint_calls(problem)
         plain = {counted.equality: problem.equality,

@@ -25,6 +25,7 @@ from ssfit.transform import (
     gbmz_inverse,
     reconstruct_q,
     restore_factor,
+    sigma_factor_tangents,
     transformed_constraints,
 )
 from test_indexsets import random_pattern
@@ -332,6 +333,57 @@ class TestPacking:
         assert np.array_equal(phi2.beta, phi.beta)
         assert np.array_equal(phi2.L_sigma, phi.L_sigma)
         assert np.array_equal(phi2.L_a, phi.L_a)
+
+
+class TestSigmaFactorTangents:
+    @staticmethod
+    def _system(pattern):
+        return ConstraintSystem(n_beta=0, pattern_sigma=pattern,
+                                pattern_a=empty_set(0))
+
+    def test_matches_central_differences_of_the_completion(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 8:
+            n = int(rng.integers(3, 6))
+            pattern, L_on, _ = random_instance(rng, n)
+            system = self._system(pattern)
+            if system._sigma_trivial:
+                continue
+            checked += 1
+
+            def completed(entries):
+                Lp = np.zeros((n, n))
+                Lp[pattern._rows0, pattern._cols0] = entries
+                return Lp + complete_factor(pattern, Lp, np.zeros((n, n)))
+
+            L, dL = sigma_factor_tangents(system, L_on)
+            z = L_on[pattern._rows0, pattern._cols0]
+            assert np.array_equal(L, completed(z))
+            for k in range(len(pattern)):
+                h = 1e-6 * max(1.0, abs(z[k]))
+                zp, zm = z.copy(), z.copy()
+                zp[k] += h
+                zm[k] -= h
+                fd = (completed(zp) - completed(zm)) / (2.0 * h)
+                scale = max(1.0, float(np.max(np.abs(fd))))
+                assert float(np.max(np.abs(dL[k] - fd))) <= 1e-8 * scale
+
+    def test_trivial_pattern_gives_units(self):
+        pattern = direct_sum(diagonal(2), full_lower(2))
+        system = self._system(pattern)
+        assert system._sigma_trivial
+        L_on = np.zeros((4, 4))
+        L_on[pattern._rows0, pattern._cols0] = np.arange(1.0, len(pattern) + 1)
+        L, dL = sigma_factor_tangents(system, L_on)
+        assert np.array_equal(L, L_on)
+        units = np.zeros((len(pattern), 4, 4))
+        units[np.arange(len(pattern)), pattern._rows0, pattern._cols0] = 1.0
+        assert np.array_equal(dL, units)
+
+    def test_shifted_system_rejected(self):
+        with pytest.raises(ValueError, match="zero shift"):
+            sigma_factor_tangents(toy_system(), np.eye(2))
 
 
 class TestRestoreFactor:
