@@ -158,6 +158,7 @@ def cmd_eig(args) -> int:
     oracle = within_sublevel(value, args.epsilon)
     print(f"direct membership: {direct}")
     print(f"barrier value: {value}")
+    print(f"lower bound: {result.lower_bound}")
     print(f"oracle verdict (epsilon = {args.epsilon}): {oracle}")
     if direct != oracle:
         # near the boundary the tightened set is strictly inside the open

@@ -188,10 +188,6 @@ class ExtendedProblem:
     def model_of(self, theta: ThetaPoint) -> InnovationModel:
         return assemble_ladm(self.spec.ladm, theta, self.layout)
 
-    def lyapunov_block(self, Sigma: np.ndarray, i: int) -> np.ndarray:
-        off, size = self.sigma_blocks[i + 1]
-        return Sigma[off:off + size, off:off + size]
-
 
 def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     """Materialize the extended parameterization of a problem.

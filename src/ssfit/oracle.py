@@ -2,13 +2,19 @@
 
 The barrier value of a matrix ``A`` against a region is
 
-    phi(A) = inf tr(V P)  subject to  M_D(A, P) >= M,  P >= 0
+    phi(A) = min tr(V P)  subject to  M_D(A, P) >= M,  P >= h0 I
 
 which is finite exactly when the spectrum of ``A`` lies in the region, and
 whose sublevel sets ``phi(A) <= 1/eps`` are the closed tightened constraint
-sets.  The semidefinite program is solved through the same factor
-substitution and NLP machinery used for identification, which doubles as an
-integration test of that pipeline.
+sets.  ``h0`` is zero, or ``RELAXED_P_FLOOR`` for the relaxed system
+``M = 0``.  The program is linear in ``P``, so each query is one small
+semidefinite program in ``y = svec(P)``, solved by a primal-dual
+interior-point method (Mehrotra predictor-corrector with the HKM direction
+and SDPT3's infeasible start; Todd, Toh and Tutuncu 1998).  Its answer
+carries two certificates recomputed from the iterates: the value is
+``tr(V P)`` of a ``P`` whose two slacks pass Cholesky in the query's own
+coordinates, and the lower bound is the objective of a dual point made
+exactly feasible by scaling (Chilali and Gahinet 1996 for the regions).
 """
 
 from __future__ import annotations
@@ -16,39 +22,30 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
-from .indexsets import full_lower, vecs
-from .nlp import PENALTY_MAX, NlpProblem, SolveOptions, SolveReport, solve
-from .regions import (LmiRegion, matrix_char_fn, require_pd_weight,
+from .nlp import SolveReport
+from .regions import (LmiRegion, char_fn, matrix_char_fn, require_pd_weight,
                       require_sound_shift)
-from .transform import ConstraintSystem, gram_jacobian, restore_factor
 
-__all__ = ["BarrierQuery", "BarrierResult", "barrier_solve", "barrier_value",
-           "region_feasible", "within_sublevel"]
-
-# Feasibility decision threshold: after penalty escalation to PENALTY_MAX the
-# query is declared infeasible when the residual still exceeds INFEAS_TOL.
-INFEAS_TOL = 1e-5
-
-# Floor on the factor diagonals of the barrier NLP.
-EPSILON_FLOOR = 1e-5
+__all__ = ["BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve",
+           "barrier_value", "region_feasible", "solve", "within_sublevel"]
 
 # Floor on P (as P >= floor * I) used for the relaxed system M = 0, where
 # plain semidefinite feasibility would be trivially satisfied by P = 0.
 RELAXED_P_FLOOR = 1.0
 
-# Solver tolerances and starting penalty of every barrier solve.
-TOL_EQ = 1e-7
-TOL_STAT = 1e-5
-PENALTY0 = 1e2
+# Interior-point stopping tests on the normalized program: relative gap and
+# both residuals below STOP_TOL, or a dual iterate that is a Farkas ray to
+# FARKAS_TOL; at most MAX_ITER iterations.
+STOP_TOL = 1e-9
+FARKAS_TOL = 1e-8
+MAX_ITER = 50
 
-
-def _options(penalty0: float, factor: float, max_outer: int,
-             max_inner: int) -> SolveOptions:
-    return SolveOptions(
-        tol_eq=TOL_EQ, tol_in=TOL_EQ, tol_stat=TOL_STAT, penalty0=penalty0,
-        penalty_factor=factor, max_outer=max_outer, max_inner=max_inner,
-        init_multipliers="lsq")
+# A query is converged when its value is within GAP_TOL (relative) of its
+# lower bound.  Its coordinates must keep their round-off below that:
+# cond(T T^T) * eps <= GAP_TOL.
+GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,401 +103,258 @@ class BarrierQuery:
 
 @dataclass(frozen=True)
 class BarrierResult:
-    """Value and certificate of one barrier solve."""
+    """Value, certificate and lower bound of one barrier solve.
+
+    ``value`` is ``tr(V P)`` for ``P = p_matrix`` (``inf`` and ``None`` when
+    no iterate was certified), and ``lower_bound <= phi(A)`` holds whatever
+    the solve's residuals.  ``report.status`` is ``converged`` when the two
+    are within ``GAP_TOL`` of each other, ``infeasible`` when no ``P`` was
+    certified and the dual iterates ended on a Farkas ray, and ``max-iter``
+    otherwise.
+    """
 
     value: float
     p_matrix: np.ndarray | None
     report: SolveReport
     feasible: bool
+    lower_bound: float
 
 
-class _BarrierNlp:
-    """Assembled NLP for one query, with analytic derivatives.
+@dataclass(frozen=True)
+class SdpProblem:
+    """``min c^T y`` subject to ``F(y) - F_0 >= 0``, ``F(y) = sum_i y_i F_i``.
 
-    Decision vector: pattern entries of the P factor followed by pattern
-    entries of the coupled-block factor.  Both patterns are full lower
-    triangles, so no completion is needed and all maps are polynomial.
+    ``blocks`` stacks the symmetric ``F_i`` as ``(k, d, d)``; ``f0`` is
+    ``F_0`` and ``c`` has length ``k``.  The dual is ``max tr(F_0 X)``
+    subject to ``F*(X) = c``, ``X >= 0``, with ``F*(X)_i = tr(F_i X)``.
     """
 
-    def __init__(self, query: BarrierQuery):
-        self.q = query
-        n = query.n
-        nm = n * query.region.m
-        self.n, self.nm = n, nm
-        self.relaxed = not np.any(query.shift)
-        self.pat_p = full_lower(n)
-        self.pat_a = full_lower(nm)
-        self.k_p = len(self.pat_p)
-        self.k_a = len(self.pat_a)
-        self.dim = self.k_p + self.k_a
-        self.eps = EPSILON_FLOOR
-        # set from the starting point so the trace objective is O(1); the
-        # reported value is rescaled on exit
-        self.obj_scale = 1.0
-        # symmetric basis of P and its images under M_D(A, .): columns of
-        # the linear map from the lower entries of P to the pattern entries
-        # of M_D(A, P)
-        self._basis = [np.zeros((n, n)) for _ in self.pat_p.entries]
-        for B, (i, j) in zip(self._basis, self.pat_p.entries):
-            B[i - 1, j - 1] = B[j - 1, i - 1] = 1.0
-        self._md_basis = [matrix_char_fn(query.region, query.a_mat, B)
-                          for B in self._basis]
-        self.W = np.column_stack([vecs(self.pat_a, Mb)
-                                  for Mb in self._md_basis])
-        # the program is positively homogeneous in (P, M): normalize the
-        # shift to unit norm, then put the P iterate at unit scale (p_scale
-        # read off the leading unit-scale candidate), and scale the value
-        # back on exit
-        self.scale = 1.0 if self.relaxed \
-            else float(np.linalg.norm(query.shift, 2))
-        self._set_p_scale(1.0)
-        self._set_p_scale(max(
-            1.0, float(np.trace(self._candidate_p()[0])) / n))
-        # index tables of the vectorized d(L L^T) blocks of the Jacobian
-        self._jac_p = gram_jacobian(self.pat_p)
-        self._jac_a = gram_jacobian(self.pat_a)
-        self._jac_cols_a = self.k_p + self._jac_a.cols
+    blocks: np.ndarray
+    f0: np.ndarray
+    c: np.ndarray
 
-    def _set_p_scale(self, p_scale: float):
-        self.p_scale = p_scale
-        self._cache_key = None
-        self.h0 = RELAXED_P_FLOOR / p_scale if self.relaxed else 0.0
-        shift = self.q.shift / (self.scale * p_scale)
-        self.shift = 0.5 * (shift + shift.T)
-        self.m_vec = vecs(self.pat_a, self.shift)
+    # the callables of an NlpProblem, which an SDP has none of: code that
+    # wraps them on whatever ``solve`` receives (the benchmark's tracer)
+    # finds nothing to wrap
+    objective = gradient = equality = equality_jacobian = inequality = \
+        inequality_jacobian = None
 
-    # -- packing -----------------------------------------------------------
-    def _factors(self, x):
-        """Read-only ``(Lp, La, P)`` at ``x``, kept for the last point."""
-        key = x.tobytes()
-        if key != self._cache_key:
-            n, nm = self.n, self.nm
-            Lp = np.zeros((n, n))
-            Lp[self.pat_p._rows0, self.pat_p._cols0] = x[:self.k_p]
-            La = np.zeros((nm, nm))
-            La[self.pat_a._rows0, self.pat_a._cols0] = x[self.k_p:]
-            P = Lp @ Lp.T
-            P = 0.5 * (P + P.T) + self.h0 * np.eye(n)
-            for a in (Lp, La, P):
-                a.flags.writeable = False
-            self._cache_key, self._cache_val = key, (Lp, La, P)
-        return self._cache_val
 
-    def split(self, x):
-        return self._factors(x)[:2]
+def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
+    """Largest ``a`` with ``X + a dX >= 0``, for ``X > 0``."""
+    Li = np.linalg.inv(np.linalg.cholesky(X))
+    lam = float(np.linalg.eigvalsh(Li @ dX @ Li.T)[0])
+    return np.inf if lam >= 0 else -1.0 / lam
 
-    def p_of(self, x):
-        return self._factors(x)[2]
 
-    # -- problem callables --------------------------------------------------
-    def objective(self, x):
-        return float(np.trace(self.q.weight @ self.p_of(x))) / self.obj_scale
+def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
+    """Primal-dual path-following solve of one :class:`SdpProblem`.
 
-    def gradient(self, x):
-        Lp, _ = self.split(x)
-        G = (2.0 / self.obj_scale) * self.q.weight @ Lp
-        out = np.zeros(self.dim)
-        out[:self.k_p] = G[self.pat_p._rows0, self.pat_p._cols0]
-        return out
-
-    def equality(self, x):
-        _, La, P = self._factors(x)
-        At = La @ La.T
-        return self.W @ P[self.pat_p._rows0, self.pat_p._cols0] - self.m_vec \
-            - At[self.pat_a._rows0, self.pat_a._cols0]
-
-    def equality_jacobian(self, x):
-        Lp, La = self.split(x)
-        # dP for factor entry (i, j) is e_i c^T + c e_i^T with c = L[:, j];
-        # its lower entries land at precomputed rows with the diagonal doubled
-        D = np.zeros((self.k_p, self.k_p))
-        D[self._jac_p.rows, self._jac_p.cols] += self._jac_p.values(Lp)
-        J = np.zeros((self.k_a, self.dim))
-        J[:, :self.k_p] = self.W @ D
-        J[self._jac_a.rows, self._jac_cols_a] -= self._jac_a.values(La)
-        return J
-
-    # -- initialization ------------------------------------------------------
-    def _candidate_p(self):
-        """Feasible P candidates, best first.
-
-        For a diagonalizable matrix with spectrum inside the region, the
-        real part of the eigenvector Gram matrix makes the characteristic
-        block definite; suitably scaled it clears the shift with margin and
-        the start is then exactly on the equality manifold.  A scaled
-        identity is the fallback.
-        """
-        A = self.q.a_mat
-        n = self.n
-        region = self.q.region
-        candidates = []
+    ``F_0`` and ``c`` are scaled to unit norm, and the path starts from
+    ``(y0, S = eta I, X = xi I)`` with SDPT3's scale factors.  Each
+    iteration takes a predictor and a corrector HKM direction from one
+    Cholesky factorization of the ``k x k`` Schur complement
+    ``H_ij = tr(F_i X F_j S^-1)``, and steps ``y, S`` and ``X`` separately
+    to a fraction of the distance to the boundary.  ``observe(y, X)`` sees
+    every iterate in the problem's own units.  The status is ``converged``
+    when the relative gap and both residuals are below ``STOP_TOL``,
+    ``infeasible`` when ``X`` is a Farkas ray (``tr(F_0 X) > 0`` with
+    ``|F*(X)| <= FARKAS_TOL tr(F_0 X)``), and ``max-iter`` when neither
+    holds after ``MAX_ITER`` iterations or a factorization fails first.
+    One loop: ``outer_iterations`` equals ``iterations``.
+    """
+    k, d, _ = problem.blocks.shape
+    F = problem.blocks.reshape(k, d * d)
+    f0_norm = float(np.linalg.norm(problem.f0))
+    c_norm = float(np.linalg.norm(problem.c))
+    F0 = problem.f0 / f0_norm
+    c = problem.c / c_norm
+    norms = np.linalg.norm(F, axis=1)
+    xi = max(10.0, np.sqrt(d),
+             np.sqrt(d) * float(np.max((1.0 + np.abs(c)) / (1.0 + norms))))
+    eta = max(10.0, np.sqrt(d), float(np.max(norms)))
+    y = np.asarray(y0, dtype=float) / f0_norm
+    X = xi * np.eye(d)
+    S = eta * np.eye(d)
+    status = "max-iter"
+    for it in range(MAX_ITER + 1):
+        observe(f0_norm * y, c_norm * X)
+        Rp = (y @ F).reshape(d, d) - F0 - S
+        FX = F @ X.ravel()
+        pobj, dobj = float(c @ y), float(np.sum(F0 * X))
+        p_res = float(np.linalg.norm(Rp)) / 2.0
+        d_res = float(np.linalg.norm(c - FX)) / 2.0
+        if max(abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+               p_res, d_res) < STOP_TOL:
+            status = "converged"
+            break
+        if dobj > 0 and float(np.linalg.norm(FX)) <= FARKAS_TOL * dobj:
+            status = "infeasible"
+            break
+        if it == MAX_ITER:
+            break
         try:
-            eigs, V = np.linalg.eig(A)
-            f_mins = np.array([
-                float(np.min(np.linalg.eigvalsh(
-                    region.m0 + region.m1 * z + region.m1.T * np.conj(z))))
-                for z in eigs])
-            if np.all(f_mins > 0):
-                # modal weights d_i give M_D(A, V diag(d) V^H) the congruent
-                # form (I x V)[sum_i d_i f(lam_i)](I x V)^H; weighting by
-                # 1/lambda_min(f(lam_i)) equalizes the blocks, and the exact
-                # linear scaling then clears the shift with margin
-                Pt = np.real((V * (1.0 / f_mins)) @ V.conj().T)
-                Pt = 0.5 * (Pt + Pt.T)
-                e0 = float(np.min(np.linalg.eigvalsh(
-                    matrix_char_fn(region, A, Pt))))
-                pmin = float(np.min(np.linalg.eigvalsh(Pt)))
-                if e0 > 0 and pmin > 0:
-                    shift_norm = float(np.linalg.norm(self.shift, 2))
-                    if self.relaxed:
-                        gamma = max(0.05 / e0, 2.0 * self.h0 / pmin)
-                    else:
-                        gamma = 1.05 * shift_norm / e0
-                    Pt = gamma * Pt
-                    emin = float(np.min(np.linalg.eigvalsh(
-                        matrix_char_fn(region, A, Pt) - self.shift)))
-                    if emin > 0 and float(np.min(np.linalg.eigvalsh(Pt))) \
-                            > self.h0:
-                        candidates.append(Pt)
+            Si = np.linalg.inv(S)
+            H = F @ (X @ problem.blocks @ Si).reshape(k, d * d).T
+            schur = scipy.linalg.cho_factor(0.5 * (H + H.T))
+
+            def direction(R):
+                # R holds the S^-1 terms of the complementarity target
+                dy = scipy.linalg.cho_solve(
+                    schur, F @ (R - X @ Rp @ Si).ravel() - c)
+                dS = (dy @ F).reshape(d, d) + Rp
+                dX = R - X - X @ dS @ Si
+                return dy, dS, 0.5 * (dX + dX.T)
+
+            dy, dS, dX = direction(np.zeros((d, d)))
+            a_p = min(1.0, _max_step(S, dS))
+            a_d = min(1.0, _max_step(X, dX))
+            mu = float(np.sum(X * S)) / d
+            mu_aff = float(np.sum((X + a_d * dX) * (S + a_p * dS))) / d
+            sigma = min(1.0, max(0.0, mu_aff / mu)
+                        ** max(1.0, 3.0 * min(a_p, a_d) ** 2))
+            gamma = 0.9 + 0.09 * min(a_p, a_d)
+            dy, dS, dX = direction(sigma * mu * Si - dX @ dS @ Si)
+            a_p = min(1.0, gamma * _max_step(S, dS))
+            a_d = min(1.0, gamma * _max_step(X, dX))
         except np.linalg.LinAlgError:
-            pass
-        candidates.append(max(1.0, float(np.linalg.norm(A, 2)))
-                          / self.p_scale * np.eye(n))
-        return candidates
+            break
+        y = y + a_p * dy
+        S = S + a_p * dS
+        S = 0.5 * (S + S.T)
+        X = X + a_d * dX
+        X = 0.5 * (X + X.T)
+    return SolveReport(
+        x_star=f0_norm * y, f_star=f0_norm * c_norm * pobj,
+        eq_residual_inf=f0_norm * float(np.max(np.abs(Rp))),
+        in_violation_inf=0.0,
+        stationarity_inf=c_norm * float(np.max(np.abs(c - FX))),
+        iterations=it, outer_iterations=it, status=status)
 
-    def _reduced_descent(self, P0: np.ndarray):
-        """Interior descent of the trace objective in the P matrix alone.
 
-        Newton steps on ``tr(VP) - tau (logdet E(P) + logdet P)`` with a
-        decreasing barrier weight; the problem is linear in P, so gradient
-        and Hessian are closed-form through the basis map used for the
-        equality Jacobian.  The result seeds the equality-constrained solve
-        close to the optimum, which then only has to polish and certify.
-        """
-        n = self.n
-        k = self.k_p
-        basis, md_basis = self._basis, self._md_basis
-        vvec = np.array([float(np.sum(self.q.weight * B)) for B in basis])
+def _svec_basis(n: int) -> np.ndarray:
+    """Orthonormal basis ``(k, n, n)`` of the symmetric matrices: ``P`` is
+    ``sum_i y_i E_i`` for ``y = svec(P)``."""
+    rows, cols = np.tril_indices(n)
+    k = rows.size
+    E = np.zeros((k, n, n))
+    w = np.where(rows == cols, 1.0, np.sqrt(0.5))
+    E[np.arange(k), rows, cols] = w
+    E[np.arange(k), cols, rows] = w
+    return E
 
-        def blocks(P):
-            E = matrix_char_fn(self.q.region, self.q.a_mat, P) - self.shift
-            return 0.5 * (E + E.T)
 
-        def definite(M):
-            try:
-                np.linalg.cholesky(M)
-                return True
-            except np.linalg.LinAlgError:
-                return False
+def _blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block diagonal of two (stacks of) square matrices."""
+    da, db = a.shape[-1], b.shape[-1]
+    out = np.zeros(a.shape[:-2] + (da + db, da + db))
+    out[..., :da, :da] = a
+    out[..., da:, da:] = b
+    return out
 
-        P = P0.copy()
-        floor = self.h0 + self.eps ** 2
 
-        def newton_phase(P, tau, max_steps=12):
-            for _ in range(max_steps):
-                E = blocks(P)
-                Pf = P - floor * np.eye(n)
-                if not (definite(E) and definite(Pf)):
-                    return P, False
-                Ei = np.linalg.inv(E)
-                Pi = np.linalg.inv(Pf)
-                g = vvec - tau * np.array(
-                    [float(np.sum(Ei * Mb)) + float(np.sum(Pi * B))
-                     for Mb, B in zip(md_basis, basis)])
-                H = np.empty((k, k))
-                EiM = [Ei @ Mb for Mb in md_basis]
-                PiB = [Pi @ B for B in basis]
-                for a in range(k):
-                    for b in range(a, k):
-                        H[a, b] = H[b, a] = tau * (
-                            float(np.sum(EiM[a] * EiM[b].T))
-                            + float(np.sum(PiB[a] * PiB[b].T)))
-                try:
-                    step = np.linalg.solve(H + 1e-12 * np.eye(k), -g)
-                except np.linalg.LinAlgError:
-                    return P, False
-                newton_dec = float(-g @ step)
-                if newton_dec < 0.05 * max(tau, 1e-6):
-                    return P, True
-                dP = sum(s * B for s, B in zip(step, basis))
-                t = 1.0
-                improved = False
-                for _ in range(40):
-                    Pt = P + t * dP
-                    if definite(blocks(Pt)) \
-                            and definite(Pt - floor * np.eye(n)):
-                        P = Pt
-                        improved = True
-                        break
-                    t *= 0.5
-                if not improved:
-                    return P, False
-            return P, True
+def _definite(S: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(S)
+        return True
+    except np.linalg.LinAlgError:
+        return False
 
-        tau = max(1e-2, float(np.trace(self.q.weight @ P)) / (10.0 * n))
-        while True:
-            P, ok = newton_phase(P, tau)
-            if not ok or tau <= 1e-4:
-                break
-            tau = max(1e-4, 0.1 * tau)
-        return P
 
-    def _pack_from_p(self, P: np.ndarray) -> np.ndarray | None:
-        n = self.n
-        core = P - self.h0 * np.eye(n)
-        lam_c = np.linalg.eigvalsh(0.5 * (core + core.T))
-        if float(np.min(lam_c)) < self.eps ** 2:
-            core = core + (self.eps + abs(float(np.min(lam_c)))) * np.eye(n)
-        Lp = np.linalg.cholesky(0.5 * (core + core.T))
-        P = core + self.h0 * np.eye(n)
-        E = matrix_char_fn(self.q.region, self.q.a_mat, P) - self.shift
-        lam, U = np.linalg.eigh(0.5 * (E + E.T))
-        floor = max(self.eps ** 2, 1e-9 * max(1.0, float(np.max(np.abs(lam)))))
-        Ec = (U * np.maximum(lam, floor)) @ U.T
-        La = np.linalg.cholesky(0.5 * (Ec + Ec.T))
-        x = np.empty(self.dim)
-        x[:self.k_p] = Lp[self.pat_p._rows0, self.pat_p._cols0]
-        x[self.k_p:] = La[self.pat_a._rows0, self.pat_a._cols0]
-        if np.all(x[self.lower_bounds() > -np.inf] >= self.eps):
-            return x
-        return None
+def _coordinates(query: BarrierQuery) -> np.ndarray:
+    """Congruence ``T`` of the solve: it works on ``P'`` with ``P = T P' T^T``.
 
-    def initial_point(self):
-        last = None
-        for i, P0 in enumerate(self._candidate_p()):
-            if i == 0:  # only the modal candidate is known feasible
-                P0 = self._reduced_descent(P0)
-            x = self._pack_from_p(P0)
-            if x is not None:
-                return x
-            last = P0
-        x = self._pack_from_p(last + 2.0 * self.eps * np.eye(self.n))
-        if x is None:
-            raise RuntimeError("could not construct a valid starting point")
-        return x
-
-    def lower_bounds(self):
-        lb = np.full(self.dim, -np.inf)
-        lb[np.concatenate([self.pat_p.diag_mask, self.pat_a.diag_mask])] = \
-            self.eps
-        return lb
-
-    def restore(self, x: np.ndarray) -> np.ndarray | None:
-        """Snap an iterate back onto the equality manifold when possible.
-
-        Keeps the P factor and recomputes the coupled-block factor from the
-        characteristic residual; succeeds when that residual is (nearly)
-        semidefinite, which leaves the objective value unchanged.
-        """
-        E = matrix_char_fn(self.q.region, self.q.a_mat, self.p_of(x)) \
-            - self.shift
-        La = restore_factor(E, self.eps ** 2)
-        if La is None:
-            return None
-        out = x.copy()
-        out[self.k_p:] = La[self.pat_a._rows0, self.pat_a._cols0]
-        return out
-
-    def problem(self) -> NlpProblem:
-        return NlpProblem(
-            dim=self.dim,
-            objective=self.objective,
-            equality=self.equality,
-            n_eq=self.k_a,
-            lower_bounds=self.lower_bounds(),
-            gradient=self.gradient,
-            equality_jacobian=self.equality_jacobian,
-        )
-
-    def system(self) -> ConstraintSystem:
-        """The same problem stated as a generic constraint system."""
-        h0 = self.h0
-
-        def shift_fn(beta):
-            return h0 * np.eye(self.n)
-
-        shift = self.shift
-
-        def psd_fn(beta, Sigma):
-            return matrix_char_fn(self.q.region, self.q.a_mat, Sigma) - shift
-
-        return ConstraintSystem(
-            n_beta=0, pattern_sigma=self.pat_p, pattern_a=self.pat_a,
-            shift_fn=shift_fn, psd_fn=psd_fn)
+    With eigenvectors ``u_i`` of ``A``, ``P = sum_i w_i u_i u_i^H`` makes
+    ``M_D(A, P)`` congruent to the block diagonal of the ``w_i f(lambda_i)``,
+    so the modal Gram matrix with ``w_i = 1 / |lambda_min(f(lambda_i))|``
+    is close to the optimum in shape, and under its Cholesky factor ``T``
+    the solve sees a ``P'`` near the identity, however widely the optimum's
+    eigenvalues are spread.  The factor serves when
+    ``cond(T T^T) * eps <= GAP_TOL``.  A nearly defective ``A``, or an
+    eigenvalue on the region's boundary, fails that, and the diagonal
+    balancing of ``A`` is ``T`` instead.
+    """
+    A = query.a_mat
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam, U = np.linalg.eig(A)
+            f_min = np.array([np.linalg.eigvalsh(char_fn(query.region, z))[0]
+                              for z in lam])
+            G = np.real((U / np.abs(f_min)) @ U.conj().T)
+            G = 0.5 * (G + G.T)
+            if np.linalg.cond(G) * np.finfo(float).eps <= GAP_TOL:
+                return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        pass
+    _, (scale, _) = scipy.linalg.matrix_balance(A, permute=False,
+                                                separate=True)
+    return np.diag(scale)
 
 
 def barrier_solve(query: BarrierQuery) -> BarrierResult:
-    """Solve one query, escalating the penalty before declaring infeasibility.
+    """Solve one query as one semidefinite program in ``P``.
 
-    The returned value is ``tr(V P*)`` when a feasible ``P`` is found and
-    ``+inf`` when the residual stays above the infeasibility threshold after
-    the penalty has been escalated to its cap.
+    The program is posed under the congruence of :func:`_coordinates`:
+    ``tr(V' P')`` subject to ``M_D(T^-1 A T, P') >= M'`` and
+    ``P' >= h0 T^-1 T^-T``, with ``V' = T^T V T`` and
+    ``M' = (I x T)^-1 M (I x T)^-T``.  Every iterate is certified in the
+    query's own coordinates: the returned value is ``tr(V P)`` of the best
+    ``P`` whose ``M_D(A, P) - M`` and ``P - h0 I`` pass Cholesky, or
+    ``inf``.  Every dual iterate ``X = blkdiag(Z, W)`` gives a lower bound:
+    for ``Z >= 0`` and ``0 <= t <= 1 / lambda_max(V'^-1/2 M_D*(Z) V'^-1/2)``,
+    ``(t Z, V' - t M_D*(Z))`` is a dual feasible point, whose objective
+    ``t tr(M' Z) + tr((V' - t M_D*(Z)) h0 T^-1 T^-T)`` is at most
+    ``phi(A)``.  It is linear in ``t``, so the better end is taken, and the
+    largest bound over the iterates is returned.
     """
-    nlp = _BarrierNlp(query)
-    problem = nlp.problem()
-    x0 = nlp.initial_point()
-    nlp.obj_scale = max(1.0, abs(nlp.objective(x0)))
-    best: tuple[float, np.ndarray, float] | None = None
+    region, A, M, V = query.region, query.a_mat, query.shift, query.weight
+    n, nm = query.n, query.n * region.m
+    h0 = 0.0 if np.any(M) else RELAXED_P_FLOOR
+    T = _coordinates(query)
+    Ti = np.linalg.inv(T)
+    Ki = np.kron(np.eye(region.m), Ti)
+    basis = _svec_basis(n)
+    Mt = Ki @ M @ Ki.T
+    Mt = 0.5 * (Mt + Mt.T)
+    floor = h0 * (Ti @ Ti.T)
+    floor = 0.5 * (floor + floor.T)
+    Vt = T.T @ V @ T
+    problem = SdpProblem(
+        blocks=_blkdiag(matrix_char_fn(region, Ti @ A @ T, basis), basis),
+        f0=_blkdiag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
+    adjoint_z = problem.blocks[:, :nm, :nm].reshape(len(basis), nm * nm)
+    # V' = (R^T R)^-1: lambda_max(V'^-1/2 G V'^-1/2) = lambda_max(R G R^T)
+    R = np.linalg.inv(np.linalg.cholesky(V)) @ Ti.T
+    value, p_matrix, lower = np.inf, None, -np.inf
 
-    def consider(x: np.ndarray):
-        nonlocal best
-        if x is None:
-            return
-        res = float(np.max(np.abs(problem.equality(x))))
-        if res <= TOL_EQ:
-            f = float(problem.objective(x))
-            if best is None or f < best[0]:
-                best = (f, x.copy(), res)
+    def observe(y, X):
+        nonlocal value, p_matrix, lower
+        P = T @ np.tensordot(y, basis, 1) @ T.T
+        P = 0.5 * (P + P.T)
+        trace = float(np.sum(V * P))
+        if trace < value and _definite(P - h0 * np.eye(n)) \
+                and _definite(matrix_char_fn(region, A, P) - M):
+            value, p_matrix = trace, P
+        lam, U = np.linalg.eigh(X[:nm, :nm])
+        Z = (U * np.maximum(lam, 0.0)) @ U.T
+        G = np.tensordot(adjoint_z @ Z.ravel(), basis, 1)
+        g_max = float(np.linalg.eigvalsh(R @ G @ R.T)[-1])
+        gain = float(np.sum(Mt * Z)) - float(np.sum(floor * G))
+        bound = float(np.sum(floor * Vt))
+        if gain > 0:
+            # with g_max <= 0 every t >= 0 is allowed: a Farkas ray
+            bound = bound + gain / g_max if g_max > 0 else np.inf
+        lower = max(lower, bound)
 
-    def certified(report: SolveReport) -> BarrierResult:
-        value = nlp.scale * nlp.p_scale * nlp.obj_scale * float(report.f_star)
-        return BarrierResult(value,
-                             nlp.scale * nlp.p_scale * nlp.p_of(report.x_star),
-                             report, True)
-
-    def best_of(report: SolveReport) -> BarrierResult:
-        f, x, res = best
-        return certified(replace(report, x_star=x, f_star=f,
-                                 eq_residual_inf=res, in_violation_inf=0.0))
-
-    consider(x0)
-    # a start on the manifold sits near the optimum and only needs a short
-    # polish (3 outer, 80 inner); without one the query is infeasible or a
-    # hard boundary case, the escalation below carries the decision, and
-    # the exploratory budget is capped (8 outer, 120 inner)
-    report = solve(problem, x0, _options(PENALTY0, 10.0, *(
-        (3, 80) if best is not None else (8, 120))))
-    if report.converged:
-        return certified(report)
-    consider(report.x_star)
-    consider(nlp.restore(report.x_star))
-    if best is not None:
-        # one polish attempt from the best feasible point, which is returned
-        # when the polish does not converge
-        report = solve(problem, best[1], _options(
-            max(PENALTY0, report.penalty), 10.0, 3, 80))
-        if report.converged:
-            return certified(report)
-        consider(report.x_star)
-        consider(nlp.restore(report.x_star))
-        return best_of(report)
-    # no feasible point seen: escalate the penalty 100-fold per short solve
-    # up to its cap before declaring infeasibility, restoring onto the
-    # manifold whenever possible
-    penalty = max(PENALTY0, report.penalty)
-    while penalty < PENALTY_MAX:
-        penalty = min(PENALTY_MAX, penalty * 100.0)
-        report = solve(problem, report.x_star,
-                       _options(penalty, 100.0, 4, 60))
-        penalty = max(penalty, report.penalty)
-        if report.converged:
-            return certified(report)
-        consider(nlp.restore(report.x_star))
-        if best is not None:
-            return best_of(report)
-    if report.eq_residual_inf > INFEAS_TOL:
-        return BarrierResult(float("inf"), None, report, False)
-    return certified(report)
+    report = solve(problem, np.zeros(len(basis)), observe)
+    if value < np.inf and value - lower <= GAP_TOL * value:
+        status = "converged"
+    elif value == np.inf and report.status == "infeasible":
+        status = "infeasible"
+    else:
+        status = "max-iter"
+    return BarrierResult(value, p_matrix, replace(report, status=status),
+                         value < np.inf, lower)
 
 
 def barrier_value(query: BarrierQuery) -> float:

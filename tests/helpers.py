@@ -1,9 +1,13 @@
-"""Shared synthetic fixtures for the identification and acceptance tests."""
+"""Shared synthetic fixtures and reference implementations for the tests."""
 
 import numpy as np
 import scipy.signal
 
 from ssfit.identify import ProblemSpec
+from ssfit.indexsets import full_lower, vecs
+from ssfit.nlp import NlpProblem
+from ssfit.oracle import RELAXED_P_FLOOR
+from ssfit.regions import matrix_char_fn
 from ssfit.statespace import (
     Dataset,
     LadmSpec,
@@ -11,7 +15,7 @@ from ssfit.statespace import (
     assemble_ladm,
     simulate,
 )
-from ssfit.transform import ThetaPoint
+from ssfit.transform import ConstraintSystem, ThetaPoint, gram_jacobian
 
 
 def siso_ladm_spec():
@@ -289,3 +293,162 @@ def count_constraint_calls(problem):
         equality_jacobian=counted("eq_jac", problem.equality_jacobian),
         inequality_jacobian=counted("in_jac", problem.inequality_jacobian),
     ), calls
+
+
+class ReferenceBarrierNlp:
+    """A barrier query as a factor-substituted NLP, the test reference for
+    ``nlp.solve`` and ``transform``.
+
+    Decision vector: pattern entries of the factor ``Lp`` of
+    ``P / (scale * p_scale) - h0 I`` followed by those of the factor ``La``
+    of the coupled block ``M_D(A, P) - M`` (both scaled the same way).  Both
+    patterns are full lower triangles, so no completion is needed and every
+    map is polynomial, with analytic derivatives.  ``scale`` is the shift's
+    norm (one for the relaxed system), and the objective is ``tr(V P)`` in
+    those units divided by ``obj_scale``.
+    """
+
+    EPSILON_FLOOR = 1e-5
+
+    def __init__(self, query, p_scale=1.0):
+        self.q = query
+        n = query.n
+        nm = n * query.region.m
+        self.n, self.nm = n, nm
+        self.relaxed = not np.any(query.shift)
+        self.pat_p = full_lower(n)
+        self.pat_a = full_lower(nm)
+        self.k_p = len(self.pat_p)
+        self.k_a = len(self.pat_a)
+        self.dim = self.k_p + self.k_a
+        self.eps = self.EPSILON_FLOOR
+        self.obj_scale = 1.0
+        # columns of the linear map from the lower entries of P to the
+        # pattern entries of M_D(A, P)
+        basis = [np.zeros((n, n)) for _ in self.pat_p.entries]
+        for B, (i, j) in zip(basis, self.pat_p.entries):
+            B[i - 1, j - 1] = B[j - 1, i - 1] = 1.0
+        self.W = np.column_stack([
+            vecs(self.pat_a, matrix_char_fn(query.region, query.a_mat, B))
+            for B in basis])
+        self.scale = 1.0 if self.relaxed \
+            else float(np.linalg.norm(query.shift, 2))
+        self._set_p_scale(p_scale)
+        self._jac_p = gram_jacobian(self.pat_p)
+        self._jac_a = gram_jacobian(self.pat_a)
+        self._jac_cols_a = self.k_p + self._jac_a.cols
+
+    def _set_p_scale(self, p_scale):
+        self.p_scale = p_scale
+        self._cache_key = None
+        self.h0 = RELAXED_P_FLOOR / p_scale if self.relaxed else 0.0
+        shift = self.q.shift / (self.scale * p_scale)
+        self.shift = 0.5 * (shift + shift.T)
+        self.m_vec = vecs(self.pat_a, self.shift)
+
+    def _factors(self, x):
+        """Read-only ``(Lp, La, P)`` at ``x``, kept for the last point."""
+        key = x.tobytes()
+        if key != self._cache_key:
+            n, nm = self.n, self.nm
+            Lp = np.zeros((n, n))
+            Lp[self.pat_p._rows0, self.pat_p._cols0] = x[:self.k_p]
+            La = np.zeros((nm, nm))
+            La[self.pat_a._rows0, self.pat_a._cols0] = x[self.k_p:]
+            P = Lp @ Lp.T
+            P = 0.5 * (P + P.T) + self.h0 * np.eye(n)
+            for a in (Lp, La, P):
+                a.flags.writeable = False
+            self._cache_key, self._cache_val = key, (Lp, La, P)
+        return self._cache_val
+
+    def split(self, x):
+        return self._factors(x)[:2]
+
+    def p_of(self, x):
+        return self._factors(x)[2]
+
+    def value(self, x):
+        """``tr(V P)`` at ``x`` in the query's units."""
+        return self.scale * self.p_scale * self.obj_scale * self.objective(x)
+
+    def objective(self, x):
+        return float(np.trace(self.q.weight @ self.p_of(x))) / self.obj_scale
+
+    def gradient(self, x):
+        Lp, _ = self.split(x)
+        G = (2.0 / self.obj_scale) * self.q.weight @ Lp
+        out = np.zeros(self.dim)
+        out[:self.k_p] = G[self.pat_p._rows0, self.pat_p._cols0]
+        return out
+
+    def equality(self, x):
+        _, La, P = self._factors(x)
+        At = La @ La.T
+        return self.W @ P[self.pat_p._rows0, self.pat_p._cols0] - self.m_vec \
+            - At[self.pat_a._rows0, self.pat_a._cols0]
+
+    def equality_jacobian(self, x):
+        Lp, La = self.split(x)
+        # dP for factor entry (i, j) is e_i c^T + c e_i^T with c = L[:, j];
+        # its lower entries land at precomputed rows with the diagonal doubled
+        D = np.zeros((self.k_p, self.k_p))
+        D[self._jac_p.rows, self._jac_p.cols] += self._jac_p.values(Lp)
+        J = np.zeros((self.k_a, self.dim))
+        J[:, :self.k_p] = self.W @ D
+        J[self._jac_a.rows, self._jac_cols_a] -= self._jac_a.values(La)
+        return J
+
+    def lower_bounds(self):
+        lb = np.full(self.dim, -np.inf)
+        lb[np.concatenate([self.pat_p.diag_mask, self.pat_a.diag_mask])] = \
+            self.eps
+        return lb
+
+    def pack(self, P):
+        """The point whose ``P`` is ``P`` (in the query's units) and whose
+        coupled factor is that of ``M_D(A, P) - M`` with its spectrum
+        clipped below at ``eps^2``; a ``P - h0 I`` that is not definite is
+        first lifted by its most negative eigenvalue plus ``eps``."""
+        n = self.n
+        core = P / (self.scale * self.p_scale) - self.h0 * np.eye(n)
+        core = 0.5 * (core + core.T)
+        lam_c = float(np.min(np.linalg.eigvalsh(core)))
+        if lam_c < self.eps ** 2:
+            core = core + (self.eps + abs(lam_c)) * np.eye(n)
+        Lp = np.linalg.cholesky(core)
+        E = matrix_char_fn(self.q.region, self.q.a_mat,
+                           core + self.h0 * np.eye(n)) - self.shift
+        lam, U = np.linalg.eigh(0.5 * (E + E.T))
+        floor = max(self.eps ** 2, 1e-9 * max(1.0, float(np.max(np.abs(lam)))))
+        Ec = (U * np.maximum(lam, floor)) @ U.T
+        La = np.linalg.cholesky(0.5 * (Ec + Ec.T))
+        x = np.empty(self.dim)
+        x[:self.k_p] = Lp[self.pat_p._rows0, self.pat_p._cols0]
+        x[self.k_p:] = La[self.pat_a._rows0, self.pat_a._cols0]
+        return x
+
+    def problem(self):
+        return NlpProblem(
+            dim=self.dim,
+            objective=self.objective,
+            equality=self.equality,
+            n_eq=self.k_a,
+            lower_bounds=self.lower_bounds(),
+            gradient=self.gradient,
+            equality_jacobian=self.equality_jacobian,
+        )
+
+    def system(self):
+        """The same problem stated as a generic constraint system."""
+        h0, shift = self.h0, self.shift
+
+        def shift_fn(beta):
+            return h0 * np.eye(self.n)
+
+        def psd_fn(beta, Sigma):
+            return matrix_char_fn(self.q.region, self.q.a_mat, Sigma) - shift
+
+        return ConstraintSystem(
+            n_beta=0, pattern_sigma=self.pat_p, pattern_a=self.pat_a,
+            shift_fn=shift_fn, psd_fn=psd_fn)

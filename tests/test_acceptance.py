@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import perturbed, prbs, siso_dataset, siso_problem, siso_truth
+from helpers import (ReferenceBarrierNlp, perturbed, prbs, siso_dataset,
+                     siso_problem, siso_truth)
 from ssfit.identify import (
     EigConstraintSpec,
     _IdentificationNlp,
@@ -290,13 +291,13 @@ class TestCriterion8GradientPreflight:
         nlp = _IdentificationNlp(ext, data, phi0)
         worst = preflight_gradients(nlp.problem(), ext.system.pack(phi0),
                                     n_points=20, rtol=1e-5, seed=15)
-        # and the oracle problem carries analytic derivatives
-        from ssfit.oracle import _BarrierNlp
+        # and the oracle's reference NLP carries analytic derivatives
         q = BarrierQuery(disk(0.9, 0.0), np.diag([0.5, -0.2, 0.3]),
                          1e-3 * np.eye(6))
-        onlp = _BarrierNlp(q)
-        worst_o = preflight_gradients(onlp.problem(), onlp.initial_point(),
-                                      n_points=20, rtol=1e-5, seed=16)
+        onlp = ReferenceBarrierNlp(q)
+        worst_o = preflight_gradients(
+            onlp.problem(), onlp.pack(barrier_solve(q).p_matrix),
+            n_points=20, rtol=1e-5, seed=16)
         report("criterion 8: gradient preflight", time.perf_counter() - t0,
                30.0, f"worst relative error {max(worst, worst_o):.2e}")
 

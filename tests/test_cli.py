@@ -101,6 +101,13 @@ class TestEig:
         assert code == 0
         assert "direct membership: True" in out
         assert "oracle verdict" in out
+        # the dual lower bound is printed under the value it bounds
+        lines = out.splitlines()
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith("barrier value: "))
+        assert lines[i + 1].startswith("lower bound: ")
+        value, bound = (float(line.split(": ")[1]) for line in lines[i:i + 2])
+        assert bound <= value <= 1.0 / 0.03
 
     def test_region_parse_error(self, truth_model):
         path, _ = truth_model

@@ -207,7 +207,8 @@ def test_custom_shift_and_weight_reach_the_barrier_query(monkeypatch):
     assert np.array_equal(seen[0].shift, shift)
     assert np.array_equal(seen[0].weight, weight)
     # the trace row is read with the same weight
-    P = ext.lyapunov_block(theta_ext.Sigma, 0)
+    off, size = ext.sigma_blocks[1]
+    P = theta_ext.Sigma[off:off + size, off:off + size]
     assert float(np.trace(weight @ P)) <= 1.0 / 0.05
 
 

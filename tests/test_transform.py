@@ -24,7 +24,6 @@ from ssfit.transform import (
     gbmz_forward,
     gbmz_inverse,
     reconstruct_q,
-    restore_factor,
     sigma_factor_tangents,
     transformed_constraints,
 )
@@ -384,25 +383,3 @@ class TestSigmaFactorTangents:
     def test_shifted_system_rejected(self):
         with pytest.raises(ValueError, match="zero shift"):
             sigma_factor_tangents(toy_system(), np.eye(2))
-
-
-class TestRestoreFactor:
-    def test_indefinite_rejected(self):
-        assert restore_factor(np.diag([1.0, -0.5, 2.0]), 1e-10) is None
-
-    def test_factor_of_clipped_matrix(self):
-        rng = np.random.default_rng(12)
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        lam = np.array([3.0, 1.0, 1e-12, -1e-9])
-        E = (Q * lam) @ Q.T
-        floor = 1e-6
-        L = restore_factor(E, floor)
-        assert L is not None
-        assert np.array_equal(L, np.tril(L))
-        clipped = (Q * np.maximum(lam, floor)) @ Q.T
-        assert np.allclose(L @ L.T, clipped, rtol=0, atol=1e-12)
-
-    def test_definite_matrix_reproduced(self):
-        E = np.array([[2.0, 0.5], [0.5, 1.0]])
-        L = restore_factor(E, 1e-10)
-        assert np.allclose(L @ L.T, E, rtol=0, atol=1e-14)
