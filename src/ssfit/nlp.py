@@ -4,10 +4,11 @@ Solves problems of the form
 
     min f(x)  subject to  c_eq(x) = 0,  c_in(x) <= 0,  x >= lb
 
-with a method-of-multipliers outer loop and a projected quasi-Newton (BFGS)
-inner solve.  Derivatives come from user-supplied providers or central
-finite differences.  The solver is deterministic and has no dependencies
-beyond numpy.
+with a method-of-multipliers outer loop (a plain x10 penalty update) and a
+projected quasi-Newton (BFGS) inner solve.  Every derivative comes from a
+provider the problem supplies; central finite differences only check them
+(:func:`preflight_gradients`).  The solver is deterministic and has no
+dependencies beyond numpy.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ __all__ = [
 ]
 
 
-# Penalty cap, violation ratio that counts as progress, and the step of the
-# finite differences that stand in for a missing derivative provider.
+# Penalty cap, penalty growth per outer iteration without progress, and the
+# violation ratio that counts as progress.
 PENALTY_MAX = 1e8
+PENALTY_FACTOR = 10.0
 VIOLATION_SHRINK = 0.25
-FD_STEP = 1e-6
 
 
 class FdGradientError(ArithmeticError):
@@ -52,7 +53,9 @@ class NlpProblem:
 
     Every callable must be a pure function of ``x``: :func:`solve` evaluates
     each trial point once, reuses the constraint values of an accepted
-    point for the gradient there, and differentiates each point once.
+    point for the gradient there, and differentiates each point once.  The
+    objective gradient is required, and so is the Jacobian of each
+    constraint kind that is given.
 
     Parameters
     ----------
@@ -67,10 +70,11 @@ class NlpProblem:
     lower_bounds : ndarray or None
         Per-coordinate lower bounds, ``-inf`` allowed; ``None`` means
         unbounded.
-    gradient : callable or None
-        Optional objective gradient provider.
+    gradient : callable
+        ``x -> ndarray`` of length ``dim``, the objective gradient.
     equality_jacobian, inequality_jacobian : callable or None
-        Optional constraint Jacobian providers (rows are constraints).
+        Constraint Jacobians (rows are constraints), required with
+        ``equality`` and ``inequality`` respectively.
     """
 
     dim: int
@@ -98,11 +102,18 @@ class NlpProblem:
             raise ValueError("n_eq must be positive when equality is given")
         if self.inequality is not None and self.n_in <= 0:
             raise ValueError("n_in must be positive when inequality is given")
+        if self.gradient is None:
+            raise ValueError("the objective gradient provider is required")
+        if self.equality is not None and self.equality_jacobian is None:
+            raise ValueError("equality needs its equality_jacobian provider")
+        if self.inequality is not None and self.inequality_jacobian is None:
+            raise ValueError("inequality needs its inequality_jacobian provider")
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and iteration limits for :func:`solve`."""
+    """Tolerances and iteration limits for :func:`solve`; an out-of-range
+    value raises ``ValueError``."""
 
     tol_eq: float = 1e-7
     tol_in: float = 1e-7
@@ -110,17 +121,31 @@ class SolveOptions:
     max_outer: int = 50
     max_inner: int = 300
     penalty0: float = 10.0
-    penalty_factor: float = 10.0
     multistart: int = 0
     multistart_spread: float = 0.1
     init_multipliers: str = "zero"
     seed: int = 0
     verbose: int = 0
 
+    def __post_init__(self):
+        for name, low, strict in (
+                ("tol_eq", 0, True), ("tol_in", 0, True), ("tol_stat", 0, True),
+                ("max_outer", 1, False), ("max_inner", 1, False),
+                ("penalty0", 0, True), ("multistart", 0, False),
+                ("multistart_spread", 0, True)):
+            value = getattr(self, name)
+            if not (value > low if strict else value >= low):
+                raise ValueError(f"solver {name} must be "
+                                 f"{'>' if strict else '>='} {low}, got {value}")
+        if self.init_multipliers not in ("zero", "lsq"):
+            raise ValueError(f"solver init_multipliers must be 'zero' or "
+                             f"'lsq', got {self.init_multipliers!r}")
+
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one :func:`solve` call."""
+    """Outcome of one :func:`solve` call; ``n_evals`` counts the points
+    evaluated (objective and constraints at one x), not derivative calls."""
 
     x_star: np.ndarray
     f_star: float
@@ -214,12 +239,8 @@ def preflight_gradients(
     Samples interior points around ``x0`` and compares every supplied
     provider (objective gradient and constraint Jacobians) with its
     finite-difference counterpart.  Returns the worst relative error and
-    raises :class:`GradientMismatchError` beyond ``rtol``.  With no
-    providers present there is nothing to check and the result is 0.
+    raises :class:`GradientMismatchError` beyond ``rtol``.
     """
-    if problem.gradient is None and problem.equality_jacobian is None \
-            and problem.inequality_jacobian is None:
-        return 0.0
     rng = np.random.default_rng(seed)
     lb = problem.lower_bounds
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -234,9 +255,8 @@ def preflight_gradients(
     for _ in range(n_points):
         x = x0 + 0.05 * rng.standard_normal(x0.size) * np.maximum(1.0, np.abs(x0))
         x = np.maximum(x, floor)
-        if problem.gradient is not None:
-            fd = fd_gradient(problem.objective, x, h0, lb)
-            worst = max(worst, rel_err(np.asarray(problem.gradient(x)).ravel(), fd))
+        fd = fd_gradient(problem.objective, x, h0, lb)
+        worst = max(worst, rel_err(np.asarray(problem.gradient(x)).ravel(), fd))
         if problem.equality_jacobian is not None:
             fd = fd_jacobian(problem.equality, x, problem.n_eq, h0, lb)
             worst = max(worst, rel_err(np.asarray(problem.equality_jacobian(x)), fd))
@@ -283,28 +303,14 @@ def _al_value(f, c, s, lam, mu, rho) -> float:
     return val
 
 
-def _objective_gradient(problem, x, count):
-    if problem.gradient is not None:
-        return np.asarray(problem.gradient(x), dtype=float).ravel()
-    count.n += 2 * x.size
-    return fd_gradient(problem.objective, x, FD_STEP, problem.lower_bounds)
-
-
-def _jacobian(problem, fn, jac, n_out, x, count):
-    if jac is not None:
-        return np.asarray(jac(x), dtype=float)
-    count.n += 2 * x.size
-    return fd_jacobian(fn, x, n_out, FD_STEP, problem.lower_bounds)
-
-
-def _derivatives(problem, x, count):
+def _derivatives(problem, x):
     """Raw ``(g_f, J_c, J_s)`` at ``x``: the objective gradient and the
     equality and inequality Jacobians (``None`` without such constraints)."""
-    g = _objective_gradient(problem, x, count)
-    Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
-                   problem.n_eq, x, count) if problem.n_eq else None
-    Js = _jacobian(problem, problem.inequality, problem.inequality_jacobian,
-                   problem.n_in, x, count) if problem.n_in else None
+    g = np.asarray(problem.gradient(x), dtype=float).ravel()
+    Jc = np.asarray(problem.equality_jacobian(x), dtype=float) \
+        if problem.n_eq else None
+    Js = np.asarray(problem.inequality_jacobian(x), dtype=float) \
+        if problem.n_in else None
     return g, Jc, Js
 
 
@@ -381,7 +387,7 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
             status = "line-search-failure"
             break
         xt, ft, fcs_t = trial
-        ders_t = _derivatives(problem, xt, count)
+        ders_t = _derivatives(problem, xt)
         gt = _al_gradient(fcs_t, ders_t, lam, mu, rho)
         sv = xt - x
         yv = gt - g
@@ -417,7 +423,7 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
         return SolveReport(x, f, _inf_norm(c), _pos_inf_norm(s), np.inf,
                            0, 0, "domain-error", opts.penalty0, count.n)
 
-    ders = _derivatives(problem, x, count)
+    ders = _derivatives(problem, x)
     lam = np.zeros(problem.n_eq)
     mu = np.zeros(problem.n_in)
     if opts.init_multipliers == "lsq" and problem.n_eq:
@@ -432,48 +438,25 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
     total_inner = 0
     v_prev = np.inf
     status = "max-iter"
-    pg_norm = np.inf
-    outer = 0
     ls_failures = 0
-
-    stagnant = 0
     for outer in range(1, opts.max_outer + 1):
-        # once penalty escalation stops moving the violation the subproblem
-        # no longer needs polish; shrink the inner budget and head straight
-        # for the penalty cap to settle infeasibility quickly
-        inner_budget = opts.max_inner if stagnant < 1 \
-            else min(100, opts.max_inner)
         x, fx, pg_norm, inner_iters, inner_status, fcs, ders = \
             _inner_minimize(problem, x, fcs, ders, lam, mu, rho, omega,
-                            inner_budget, count)
+                            opts.max_inner, count)
         total_inner += inner_iters
         f, c, s = fcs
         ceq = _inf_norm(c)
         cin = _pos_inf_norm(s)
         v = max(ceq, cin)
-        if v > 0.98 * v_prev and v > max(0.05, 100.0 * max(opts.tol_eq,
-                                                           opts.tol_in)):
-            stagnant += 1
-        else:
-            stagnant = 0
         if opts.verbose:
             print(f"[outer {outer:2d}] f={f: .6e} viol={v:.3e} "
                   f"pg={pg_norm:.3e} rho={rho:.1e} inner={inner_iters}")
         feasible = ceq <= opts.tol_eq and cin <= opts.tol_in
         if feasible and pg_norm <= opts.tol_stat:
-            # first-order multiplier update keeps the report's multipliers
-            # consistent with the accepted point
-            lam = lam - rho * c
-            mu = np.maximum(0.0, mu + rho * s)
             status = "converged"
             break
         if inner_status == "line-search-failure":
             ls_failures += 1
-            if feasible and pg_norm <= 10 * opts.tol_stat:
-                # no direction improves the merit; the stationarity measure
-                # is within sight of the target, so accept
-                status = "converged"
-                break
             if ls_failures >= 3:
                 status = "line-search-failure"
                 break
@@ -485,11 +468,8 @@ def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> So
             omega = max(opts.tol_stat, 0.2 * omega)
         else:
             if rho >= PENALTY_MAX:
-                status = "max-iter"
                 break
-            factor = opts.penalty_factor if stagnant < 2 \
-                else PENALTY_MAX / rho
-            rho = min(PENALTY_MAX, rho * max(factor, opts.penalty_factor))
+            rho = min(PENALTY_MAX, rho * PENALTY_FACTOR)
             omega = max(opts.tol_stat, 1.0 / rho)
         v_prev = min(v_prev, v)
 

@@ -115,7 +115,8 @@ def band(s: float) -> LmiRegion:
     """Open horizontal band ``|Im(z)| < s``."""
     if s <= 0:
         raise ValueError(f"band half-width must be positive, got {s}")
-    m0 = -2.0 * s * np.eye(2)
+    # f(z) = [[2s, 2i Im z], [-2i Im z, 2s]], eigenvalues 2s +- 2|Im z|
+    m0 = 2.0 * s * np.eye(2)
     m1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return LmiRegion(m0, m1, kind="band", label=f"band({s})", params=(s,))
 

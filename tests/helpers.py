@@ -153,19 +153,17 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
     ``nlp._inner_minimize`` must return its bytes; ``redundant`` (a list)
     gets one entry per such repeated retry, which costs 40 merit
     evaluations and changes nothing else."""
-    from ssfit.nlp import _al_value, _evaluate, _jacobian, _objective_gradient
+    from ssfit.nlp import _al_value, _evaluate
 
-    def _al_gradient(problem, x, lam, mu, rho, count):
-        g = _objective_gradient(problem, x, count)
+    def _al_gradient(problem, x, lam, mu, rho):
+        g = np.asarray(problem.gradient(x), dtype=float).ravel()
         if problem.n_eq:
             c = np.asarray(problem.equality(x), dtype=float).ravel()
-            Jc = _jacobian(problem, problem.equality, problem.equality_jacobian,
-                           problem.n_eq, x, count)
+            Jc = np.asarray(problem.equality_jacobian(x), dtype=float)
             g = g + Jc.T @ (rho * c - lam)
         if problem.n_in:
             s = np.asarray(problem.inequality(x), dtype=float).ravel()
-            Js = _jacobian(problem, problem.inequality,
-                           problem.inequality_jacobian, problem.n_in, x, count)
+            Js = np.asarray(problem.inequality_jacobian(x), dtype=float)
             g = g + Js.T @ np.maximum(0.0, mu + rho * s)
         return g
 
@@ -192,7 +190,7 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
         return _al_value(f, c, s, lam, mu, rho)
 
     fx = merit(x)
-    g = _al_gradient(problem, x, lam, mu, rho, count)
+    g = _al_gradient(problem, x, lam, mu, rho)
     status = "ok"
     it = 0
     for it in range(1, max_iter + 1):
@@ -230,7 +228,7 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
         if xt is None:
             status = "line-search-failure"
             break
-        gt = _al_gradient(problem, xt, lam, mu, rho, count)
+        gt = _al_gradient(problem, xt, lam, mu, rho)
         sv = xt - x
         yv = gt - g
         sy = float(sv @ yv)
@@ -264,7 +262,7 @@ def inner_minimize_reference_adapter(problem, x, fcs, ders, lam, mu, rho, tol,
     out = inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter,
                                    count, redundant)
     return (*out, _evaluate(problem, out[0], count),
-            _derivatives(problem, out[0], count))
+            _derivatives(problem, out[0]))
 
 
 def count_constraint_calls(problem):

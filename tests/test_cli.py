@@ -251,7 +251,11 @@ SOLVER_FAULTS = [(key, True) for key in (
     "multistart", "verbose")] + [
     ("max_inner", 2.9), ("max_outer", 1.5), ("multistart", 0.5),
     ("verbose", -0.5), ("max_inner", INF), ("tol_eq", NAN),
-    ("penalty0", INF), ("tol_stat", "1e-6")]
+    ("penalty0", INF), ("tol_stat", "1e-6"),
+    # well-typed but out of range
+    ("penalty0", 0), ("penalty0", -10), ("max_outer", 0), ("max_outer", -3),
+    ("max_inner", 0), ("tol_eq", 0), ("tol_in", -1e-7), ("tol_stat", 0.0),
+    ("multistart", -1)]
 # the other numbers of a config follow the same rule: counts are integral,
 # every number finite, and no value a boolean
 CONFIG_FAULTS = [

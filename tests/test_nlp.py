@@ -138,75 +138,114 @@ class TestFdGradient:
                 lambda z: float(fn(z)), x, **kwargs)) == expected
 
 
+def _solve_cases():
+    """The problems of the solve tests below, a supplied gradient of the
+    wrong sign (every line search fails), and both constraint kinds at
+    once, each with closed-form derivative providers: name -> (problem,
+    start, options)."""
+    def rosenbrock(x):
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+    def rosenbrock_gradient(x):
+        return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2)
+                         - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)])
+
+    return {
+        "unconstrained": (NlpProblem(
+            dim=1, objective=lambda x: float((x[0] - 1.0) ** 2),
+            gradient=lambda x: 2.0 * (x - 1.0)), [5.0], None),
+        "circle": (NlpProblem(
+            dim=2, objective=lambda x: float(x[0] + x[1]),
+            gradient=lambda x: np.ones(2),
+            equality=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+            n_eq=1, equality_jacobian=lambda x: 2.0 * x[None, :]),
+            [1.0, 0.0], None),
+        "active-bound": (NlpProblem(
+            dim=1, objective=lambda x: float(x[0]),
+            gradient=lambda x: np.ones(1),
+            lower_bounds=np.array([0.5])), [2.0], None),
+        "inequality": (NlpProblem(
+            dim=1, objective=lambda x: float((x[0] - 2.0) ** 2),
+            gradient=lambda x: 2.0 * (x - 2.0),
+            inequality=lambda x: np.array([x[0] - 1.0]), n_in=1,
+            inequality_jacobian=lambda x: np.ones((1, 1))), [-1.0], None),
+        "rosenbrock": (NlpProblem(
+            dim=2, objective=rosenbrock, gradient=rosenbrock_gradient),
+            [-1.2, 1.0], SolveOptions(max_inner=500)),
+        "mixed": (NlpProblem(
+            dim=2, objective=lambda x: float(x @ x),
+            gradient=lambda x: 2.0 * x,
+            equality=lambda x: np.array([x[0] + x[1] - 1.0]), n_eq=1,
+            equality_jacobian=lambda x: np.ones((1, 2)),
+            lower_bounds=np.array([0.8, -np.inf])), [0.9, 0.5], None),
+        "cliff": (NlpProblem(
+            dim=1, objective=lambda x: float(x[0] ** 2) if x[0] >= 0.5
+            else float("inf"), gradient=lambda x: 2.0 * x,
+            lower_bounds=np.array([0.5])), [3.0], None),
+        "double-well": (NlpProblem(
+            dim=1, objective=lambda x: float((x[0] ** 2 - 1.0) ** 2
+                                             + 0.2 * x[0]),
+            gradient=lambda x: 4.0 * x * (x * x - 1.0) + 0.2),
+            [0.9], SolveOptions(multistart=8, multistart_spread=1.5,
+                                seed=3)),
+        "wrong-sign-gradient": (NlpProblem(
+            dim=1, objective=lambda x: float(x @ x),
+            gradient=lambda x: -2.0 * x), [1.0], None),
+        "providers": (NlpProblem(
+            dim=3, objective=lambda x: float(x @ x - x[2]),
+            gradient=lambda x: 2.0 * x - np.array([0.0, 0.0, 1.0]),
+            equality=lambda x: np.array([x[0] * x[1] - 0.5]), n_eq=1,
+            equality_jacobian=lambda x: np.array([[x[1], x[0], 0.0]]),
+            inequality=lambda x: np.array([x[2] - x[0], x[1] - 2.0]),
+            n_in=2,
+            inequality_jacobian=lambda x: np.array([[-1.0, 0.0, 1.0],
+                                                    [0.0, 1.0, 0.0]]),
+            lower_bounds=np.array([0.1, -np.inf, 0.0])),
+            [1.0, 1.0, 0.5], None),
+    }
+
+
+SOLVE_CASES = _solve_cases()
+
+
+def _solve_case(case):
+    problem, x0, opts = SOLVE_CASES[case]
+    return solve(problem, np.array(x0, dtype=float), opts)
+
+
 class TestSolveAnalytic:
     def test_unconstrained_quadratic(self):
-        problem = NlpProblem(dim=1, objective=lambda x: float((x[0] - 1.0) ** 2))
-        rep = solve(problem, np.array([5.0]))
+        rep = _solve_case("unconstrained")
         assert rep.converged
         assert rep.x_star[0] == pytest.approx(1.0, abs=1e-6)
         assert rep.f_star == pytest.approx(0.0, abs=1e-10)
 
     def test_equality_on_circle(self):
-        problem = NlpProblem(
-            dim=2,
-            objective=lambda x: float(x[0] + x[1]),
-            equality=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-            n_eq=1,
-        )
-        rep = solve(problem, np.array([1.0, 0.0]))
+        rep = _solve_case("circle")
         assert rep.converged
         assert np.allclose(rep.x_star, [-np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-5)
         assert rep.eq_residual_inf <= 1e-7
 
     def test_active_lower_bound(self):
-        problem = NlpProblem(
-            dim=1,
-            objective=lambda x: float(x[0]),
-            lower_bounds=np.array([0.5]),
-        )
-        rep = solve(problem, np.array([2.0]))
+        rep = _solve_case("active-bound")
         assert rep.converged
         assert rep.x_star[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_inequality(self):
         # min (x-2)^2 s.t. x <= 1
-        problem = NlpProblem(
-            dim=1,
-            objective=lambda x: float((x[0] - 2.0) ** 2),
-            inequality=lambda x: np.array([x[0] - 1.0]),
-            n_in=1,
-        )
-        rep = solve(problem, np.array([-1.0]))
+        rep = _solve_case("inequality")
         assert rep.converged
         assert rep.x_star[0] == pytest.approx(1.0, abs=1e-5)
         assert rep.in_violation_inf <= 1e-7
 
     def test_rosenbrock_with_gradient(self):
-        def f(x):
-            return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
-        def g(x):
-            return np.array([
-                -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
-                200.0 * (x[1] - x[0] ** 2),
-            ])
-
-        problem = NlpProblem(dim=2, objective=f, gradient=g)
-        rep = solve(problem, np.array([-1.2, 1.0]),
-                    SolveOptions(max_inner=500))
+        rep = _solve_case("rosenbrock")
         assert rep.converged
         assert np.allclose(rep.x_star, [1.0, 1.0], atol=1e-4)
 
     def test_mixed_constraints_and_bounds(self):
         # min x0^2 + x1^2  s.t. x0 + x1 = 1, x0 >= 0.8  ->  x = (0.8, 0.2)
-        problem = NlpProblem(
-            dim=2,
-            objective=lambda x: float(x @ x),
-            equality=lambda x: np.array([x[0] + x[1] - 1.0]),
-            n_eq=1,
-            lower_bounds=np.array([0.8, -np.inf]),
-        )
-        rep = solve(problem, np.array([0.9, 0.5]))
+        rep = _solve_case("mixed")
         assert rep.converged
         assert np.allclose(rep.x_star, [0.8, 0.2], atol=1e-5)
 
@@ -216,8 +255,10 @@ class TestReportContract:
         problem = NlpProblem(
             dim=2,
             objective=lambda x: float((x[0] - 1.0) ** 2 + (x[1] + 2.0) ** 2),
+            gradient=lambda x: 2.0 * (x - np.array([1.0, -2.0])),
             equality=lambda x: np.array([x[0] - x[1] - 4.0]),
             n_eq=1,
+            equality_jacobian=lambda x: np.array([[1.0, -1.0]]),
         )
         opts = SolveOptions()
         rep = solve(problem, np.array([0.0, 0.0]), opts)
@@ -228,37 +269,55 @@ class TestReportContract:
         assert rep.stationarity_inf <= 10 * opts.tol_stat
 
     def test_domain_error_at_start(self):
-        problem = NlpProblem(dim=1, objective=lambda x: float("nan"))
+        problem = NlpProblem(dim=1, objective=lambda x: float("nan"),
+                             gradient=lambda x: np.zeros(1))
         rep = solve(problem, np.array([0.0]))
         assert rep.status == "domain-error"
 
     def test_x0_projected_with_warning(self):
         problem = NlpProblem(
             dim=1, objective=lambda x: float(x[0] ** 2),
-            lower_bounds=np.array([1.0]))
+            gradient=lambda x: 2.0 * x, lower_bounds=np.array([1.0]))
         with pytest.warns(UserWarning):
             rep = solve(problem, np.array([-5.0]))
         assert rep.x_star[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_nonfinite_rejected_in_line_search(self):
         # objective is +inf left of 0.5 but the minimum sits at the cliff
-        def f(x):
-            return float(x[0] ** 2) if x[0] >= 0.5 else float("inf")
-
-        problem = NlpProblem(dim=1, objective=f,
-                             lower_bounds=np.array([0.5]))
-        rep = solve(problem, np.array([3.0]))
+        rep = _solve_case("cliff")
         assert rep.x_star[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_multistart_finds_better_basin(self):
         # double well with a poor start; multistart should reach the deeper well
-        def f(x):
-            return float((x[0] ** 2 - 1.0) ** 2 + 0.2 * x[0])
-
-        problem = NlpProblem(dim=1, objective=f)
-        opts = SolveOptions(multistart=8, multistart_spread=1.5, seed=3)
-        rep = solve(problem, np.array([0.9]), opts)
+        rep = _solve_case("double-well")
         assert rep.x_star[0] == pytest.approx(-1.025, abs=0.05)
+
+    @pytest.mark.parametrize("penalty0, outer", [(10.0, 9), (100.0, 8)])
+    def test_infeasible_equality_ends_at_the_penalty_cap(self, penalty0,
+                                                         outer):
+        # x^2 + 1 = 0 has no solution: the first outer iteration updates the
+        # multiplier, each later one multiplies the penalty by 10 up to the
+        # cap, and the one that finds it at the cap ends the solve
+        problem = NlpProblem(
+            dim=1, objective=lambda x: float((x[0] - 1.0) ** 2),
+            gradient=lambda x: 2.0 * (x - 1.0),
+            equality=lambda x: np.array([x[0] ** 2 + 1.0]), n_eq=1,
+            equality_jacobian=lambda x: 2.0 * x[None, :])
+        rep = solve(problem, np.array([1.0]), SolveOptions(penalty0=penalty0))
+        assert rep.status == "max-iter"
+        assert rep.penalty == nlp.PENALTY_MAX
+        assert rep.outer_iterations == outer
+        assert rep.eq_residual_inf >= 1.0
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol_eq", 0.0), ("tol_in", -1e-7), ("tol_stat", float("nan")),
+        ("max_outer", 0), ("max_inner", -3), ("penalty0", 0.0),
+        ("penalty0", -10.0), ("multistart", -1), ("multistart_spread", 0.0),
+        ("init_multipliers", "least-squares")])
+    def test_options_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"solver {field} must be"):
+            SolveOptions(**{field: value})
 
 
 class TestPreflight:
@@ -284,139 +343,99 @@ class TestPreflight:
         problem = NlpProblem(
             dim=2,
             objective=lambda x: float(x @ x),
+            gradient=lambda x: 2.0 * x,
             equality=lambda x: np.array([x[0] * x[1]]),
             n_eq=1,
             equality_jacobian=lambda x: np.array([[x[1], x[0]]]),
         )
         assert preflight_gradients(problem, np.array([0.7, 0.4])) <= 1e-5
 
-    def test_no_providers_trivially_passes(self):
-        problem = NlpProblem(dim=1, objective=lambda x: float(x[0] ** 2))
-        assert preflight_gradients(problem, np.array([1.0])) == 0.0
+    def test_problem_without_providers_rejected(self):
+        # there is no finite-difference stand-in for a missing provider, so
+        # a problem without one cannot be built
+        def objective(x):
+            return float(x @ x)
+
+        def gradient(x):
+            return 2.0 * x
+
+        def constraint(x):
+            return x[:1]
+
+        def jacobian(x):
+            return np.eye(1)
+
+        for kwargs, match in [
+                ({}, "gradient"),
+                ({"gradient": gradient, "equality": constraint, "n_eq": 1},
+                 "equality_jacobian"),
+                ({"gradient": gradient, "equality": constraint, "n_eq": 1,
+                  "equality_jacobian": jacobian, "inequality": constraint,
+                  "n_in": 1}, "inequality_jacobian")]:
+            with pytest.raises(ValueError, match=match):
+                NlpProblem(dim=1, objective=objective, **kwargs)
 
 
-def _solve_cases():
-    """The problems of the solve tests above, a supplied gradient of the
-    wrong sign (every line search fails), and both constraint kinds with
-    Jacobian providers: name -> (problem, start, options)."""
-    def rosenbrock(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
-    def rosenbrock_gradient(x):
-        return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2)
-                         - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)])
-
-    return {
-        "unconstrained": (NlpProblem(
-            dim=1, objective=lambda x: float((x[0] - 1.0) ** 2)),
-            [5.0], None),
-        "circle": (NlpProblem(
-            dim=2, objective=lambda x: float(x[0] + x[1]),
-            equality=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-            n_eq=1), [1.0, 0.0], None),
-        "active-bound": (NlpProblem(
-            dim=1, objective=lambda x: float(x[0]),
-            lower_bounds=np.array([0.5])), [2.0], None),
-        "inequality": (NlpProblem(
-            dim=1, objective=lambda x: float((x[0] - 2.0) ** 2),
-            inequality=lambda x: np.array([x[0] - 1.0]), n_in=1),
-            [-1.0], None),
-        "rosenbrock": (NlpProblem(
-            dim=2, objective=rosenbrock, gradient=rosenbrock_gradient),
-            [-1.2, 1.0], SolveOptions(max_inner=500)),
-        "mixed": (NlpProblem(
-            dim=2, objective=lambda x: float(x @ x),
-            equality=lambda x: np.array([x[0] + x[1] - 1.0]), n_eq=1,
-            lower_bounds=np.array([0.8, -np.inf])), [0.9, 0.5], None),
-        "cliff": (NlpProblem(
-            dim=1, objective=lambda x: float(x[0] ** 2) if x[0] >= 0.5
-            else float("inf"), lower_bounds=np.array([0.5])), [3.0], None),
-        "double-well": (NlpProblem(
-            dim=1, objective=lambda x: float((x[0] ** 2 - 1.0) ** 2
-                                             + 0.2 * x[0])),
-            [0.9], SolveOptions(multistart=8, multistart_spread=1.5,
-                                seed=3)),
-        "wrong-sign-gradient": (NlpProblem(
-            dim=1, objective=lambda x: float(x @ x),
-            gradient=lambda x: -2.0 * x), [1.0], None),
-        "providers": (NlpProblem(
-            dim=3, objective=lambda x: float(x @ x - x[2]),
-            gradient=lambda x: 2.0 * x - np.array([0.0, 0.0, 1.0]),
-            equality=lambda x: np.array([x[0] * x[1] - 0.5]), n_eq=1,
-            equality_jacobian=lambda x: np.array([[x[1], x[0], 0.0]]),
-            inequality=lambda x: np.array([x[2] - x[0], x[1] - 2.0]),
-            n_in=2,
-            inequality_jacobian=lambda x: np.array([[-1.0, 0.0, 1.0],
-                                                    [0.0, 1.0, 0.0]]),
-            lower_bounds=np.array([0.1, -np.inf, 0.0])),
-            [1.0, 1.0, 0.5], None),
-    }
-
-
-SOLVE_CASES = _solve_cases()
+def _constraint_calls(problem, calls):
+    """The set of call totals of the problem's constraints: one number when
+    its equality and inequality were called equally often, none without
+    constraints."""
+    kinds = [kind for kind, n in (("eq", problem.n_eq), ("in", problem.n_in))
+             if n]
+    return {sum(n for (k, _), n in calls.items() if k == kind)
+            for kind in kinds}
 
 
 class TestOneEvaluationPerPoint:
-    # interior finite-difference stencils and Jacobian providers; a
-    # one-sided stencil at a bound maps x itself by the rule of fd_jacobian
+    # Constraint calls are counted in total, not per point: with exact
+    # derivatives two line searches can propose the same x (the inequality
+    # case tries x = 2.0 twice in its first inner solve), and each such
+    # trial is its own evaluation.
     @pytest.mark.parametrize("case", ["circle", "inequality", "providers"])
     def test_constraints_evaluated_once_per_point(self, case):
         problem, x0, _ = SOLVE_CASES[case]
         x0 = np.asarray(x0, dtype=float)
         lam, mu = np.full(problem.n_eq, 0.3), np.full(problem.n_in, 0.2)
         counted, calls = count_constraint_calls(problem)
-        fcs = nlp._evaluate(counted, x0, nlp._Counter())
-        ders = nlp._derivatives(counted, x0, nlp._Counter())
+        count = nlp._Counter()
+        fcs = nlp._evaluate(counted, x0, count)
+        ders = nlp._derivatives(counted, x0)
         out = nlp._inner_minimize(counted, x0, fcs, ders, lam, mu, 10.0, 1e-8,
-                                  50, nlp._Counter())
+                                  50, count)
         assert out[3] > 1
-        assert max(calls.values()) == 1
-        # the loop before the change called them twice at accepted points
+        assert _constraint_calls(problem, calls) == {count.n}
+        # the loop before the change called them again at each point it
+        # differentiated
         counted, calls = count_constraint_calls(problem)
-        inner_minimize_reference(counted, x0, lam, mu, 10.0, 1e-8, 50,
-                                 nlp._Counter())
-        assert max(calls.values()) == 2
+        count = nlp._Counter()
+        inner_minimize_reference(counted, x0, lam, mu, 10.0, 1e-8, 50, count)
+        gradients = sum(n for (kind, _), n in calls.items() if kind == "grad")
+        assert gradients > 1
+        assert _constraint_calls(problem, calls) == {count.n + gradients}
 
     @pytest.mark.parametrize("case", list(SOLVE_CASES))
-    def test_solve_evaluates_constraints_once_per_point(self, case,
-                                                        monkeypatch):
-        # over a whole solve: the start and every trial point once, the end
-        # point of each inner solve included.  Finite-difference stencils
-        # call the uncounted constraints: a one-sided stencil at a bound
-        # maps x itself (fd_jacobian).
+    def test_solve_evaluates_constraints_once_per_point(self, case):
+        # over a whole solve each evaluation calls each constraint once and
+        # nothing else calls them; that the outer loop evaluates no inner
+        # end point again is pinned by the evaluation count of
+        # test_solve_matches_reference_inner_loop
         problem, x0, opts = SOLVE_CASES[case]
         counted, calls = count_constraint_calls(problem)
-        plain = {counted.equality: problem.equality,
-                 counted.inequality: problem.inequality}
-        monkeypatch.setattr(nlp, "fd_jacobian", lambda fn, *args: fd_jacobian(
-            plain.get(fn, fn), *args))
         report = solve(counted, np.array(x0, dtype=float), opts)
         assert report.outer_iterations >= 1
-        assert max(calls.values(), default=1) == 1
+        assert _constraint_calls(problem, calls) <= {report.n_evals}
+        assert max(n for (kind, _), n in calls.items()
+                   if kind in ("grad", "eq_jac", "in_jac")) == 1
 
     @pytest.mark.parametrize("init", ["zero", "lsq"])
     @pytest.mark.parametrize("case", ["circle", "mixed", "providers"])
-    def test_solve_differentiates_once_per_point(self, case, init,
-                                                 monkeypatch):
-        # the objective gradient and each constraint Jacobian, from a
-        # provider or by finite differences, once per point over a whole
-        # solve: the start (the lsq multipliers share it) and each accepted
-        # point, the end of one inner solve being the start of the next
+    def test_solve_differentiates_once_per_point(self, case, init):
+        # the objective gradient and each constraint Jacobian once per point
+        # over a whole solve: the start (the lsq multipliers share it) and
+        # each accepted point, the end of one inner solve being the start of
+        # the next
         problem, x0, _ = SOLVE_CASES[case]
         counted, calls = count_constraint_calls(problem)
-        kinds = {counted.equality: "eq_jac", counted.inequality: "in_jac"}
-
-        def counted_fd_gradient(f, x, *args):
-            calls["grad", x.tobytes()] += 1
-            return fd_gradient(f, x, *args)
-
-        def counted_fd_jacobian(fn, x, *args):
-            if fn in kinds:  # not the objective inside fd_gradient
-                calls[kinds[fn], x.tobytes()] += 1
-            return fd_jacobian(fn, x, *args)
-
-        monkeypatch.setattr(nlp, "fd_gradient", counted_fd_gradient)
-        monkeypatch.setattr(nlp, "fd_jacobian", counted_fd_jacobian)
         report = solve(counted, np.array(x0, dtype=float),
                        SolveOptions(init_multipliers=init))
         assert report.outer_iterations > 1
@@ -433,7 +452,7 @@ class TestOneEvaluationPerPoint:
         args = (np.zeros(0), np.zeros(0), 10.0, 1e-8, 10)
         count = nlp._Counter()
         fcs = nlp._evaluate(problem, x0, count)
-        ders = nlp._derivatives(problem, x0, count)
+        ders = nlp._derivatives(problem, x0)
         x, fx, _, it, status, _, _ = nlp._inner_minimize(problem, x0, fcs,
                                                          ders, *args, count)
         assert (it, status, count.n) == (1, "line-search-failure", 41)
@@ -461,14 +480,8 @@ class TestOneEvaluationPerPoint:
             == (ref.eq_residual_inf, ref.in_violation_inf,
                 ref.stationarity_inf, ref.penalty)
         # only the repeated steepest-descent retries (40 each) and the two
-        # evaluations and two differentiations per outer iteration at the
-        # inner end point are gone; a differentiation costs 2 evaluations
-        # per coordinate for each derivative without a provider
-        fd_pieces = (problem.gradient is None) \
-            + (problem.n_eq > 0 and problem.equality_jacobian is None) \
-            + (problem.n_in > 0 and problem.inequality_jacobian is None)
+        # evaluations per outer iteration at the inner end point are gone
         assert ref.n_evals - new.n_evals \
-            == 40 * len(redundant) \
-            + 2 * new.outer_iterations * (1 + 2 * problem.dim * fd_pieces)
+            == 40 * len(redundant) + 2 * new.outer_iterations
         if case == "wrong-sign-gradient":
             assert redundant

@@ -219,7 +219,7 @@ class TestOneEvaluationPerPoint:
         nlp, x0, _ = _reference(_reference_query("cone"))
         problem, calls = count_constraint_calls(nlp.problem())
         fcs = nlp_module._evaluate(problem, x0, nlp_module._Counter())
-        ders = nlp_module._derivatives(problem, x0, nlp_module._Counter())
+        ders = nlp_module._derivatives(problem, x0)
         out = nlp_module._inner_minimize(
             problem, x0, fcs, ders, np.zeros(nlp.k_a), np.zeros(0), 1e2, 1e-8,
             40, nlp_module._Counter())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ssfit.regions import (
     LmiRegion,
@@ -17,6 +18,7 @@ from ssfit.regions import (
     membership_margin,
     tightened_residuals,
 )
+from test_oracle import spectrum_matrix
 
 
 class TestCharFn:
@@ -54,7 +56,8 @@ class TestPresets:
         assert np.allclose(r.m1, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_band_generators(self):
-        assert np.allclose(band(2.0).m0, -4.0 * np.eye(2))
+        assert np.allclose(band(2.0).m0, 4.0 * np.eye(2))
+        assert contains(band(2.0), 1.5j) and not contains(band(2.0), 2.5j)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -311,3 +314,81 @@ class TestTightened:
         corner = np.zeros((2, 2))
         corner[0, 0] = 1.0
         TightenedRegionConstraint(disk(1.0, 0.0), corner, np.eye(1), 1.0)
+
+
+# region builders over three parameters in [0, 1], each with its signed
+# distance of a point z from the boundary: positive inside, and for a point
+# outside a lower bound on its distance from the region (exact for all but
+# the cone, whose outside value is the distance to its boundary lines)
+def _cone_distance(s, x0, z):
+    return (s * (z.real - x0) - abs(z.imag)) / np.hypot(1.0, s)
+
+
+REGION_DISTANCES = {
+    "half_plane": lambda a, b, c: (half_plane(a - 0.5),
+                                   lambda z: z.real - (a - 0.5)),
+    "left_half_plane": lambda a, b, c: (left_half_plane(a - 0.5),
+                                        lambda z: (a - 0.5) - z.real),
+    "disk": lambda a, b, c: (disk(0.3 + a, b - 0.5),
+                             lambda z: 0.3 + a - abs(z - (b - 0.5))),
+    "cone": lambda a, b, c: (cone(0.3 + 2.0 * a, b - 0.5),
+                             lambda z: _cone_distance(0.3 + 2.0 * a, b - 0.5,
+                                                      z)),
+    "band": lambda a, b, c: (band(0.2 + a), lambda z: 0.2 + a - abs(z.imag)),
+    "intersect": lambda a, b, c: (
+        intersect(half_plane(a - 0.5), disk(0.5 + b, 0.0), band(0.3 + c)),
+        lambda z: min(z.real - (a - 0.5), 0.5 + b - abs(z), 0.3 + c
+                      - abs(z.imag))),
+}
+
+
+def regions_with_distance(kind):
+    unit = st.floats(0.0, 1.0)
+    return st.builds(REGION_DISTANCES[kind], unit, unit, unit)
+
+
+@pytest.mark.parametrize("kind", sorted(REGION_DISTANCES))
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 3),
+       seed=st.integers(0, 2**16), a=st.floats(-3.0, 3.0),
+       b=st.floats(-3.0, 3.0))
+def test_matrix_char_fn_is_linear_and_stacks(kind, data, n, k, seed, a, b):
+    region, _ = data.draw(regions_with_distance(kind))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k, n, n))
+    X = rng.standard_normal((2, k, n, n))
+    P1, P2 = X + X.swapaxes(-1, -2)
+    M1, M2 = matrix_char_fn(region, A, P1), matrix_char_fn(region, A, P2)
+    M = matrix_char_fn(region, A, a * P1 + b * P2)
+    scale = max(1.0, float(np.max(np.abs(a * M1))),
+                float(np.max(np.abs(b * M2))))
+    assert np.allclose(M, a * M1 + b * M2, rtol=0.0, atol=1e-12 * scale)
+    for i in range(k):
+        assert np.array_equal(M1[i], matrix_char_fn(region, A[i], P1[i]))
+        # one A against a stack of P broadcasts to the same values
+        assert np.array_equal(matrix_char_fn(region, A[0], P1)[i],
+                              matrix_char_fn(region, A[0], P1[i]))
+
+
+MARGIN = 0.05
+
+
+@pytest.mark.parametrize("kind", sorted(REGION_DISTANCES))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16),
+       points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 1.5)),
+                       min_size=1, max_size=3))
+def test_positive_margin_iff_membership_off_the_boundary(kind, data, seed,
+                                                         points):
+    # a real matrix with the drawn spectrum (an imaginary part below 0.05
+    # reads as a real eigenvalue), each eigenvalue at least MARGIN from
+    # the boundary
+    region, distance = data.draw(regions_with_distance(kind))
+    eigs = [complex(re, im if im >= 0.05 else 0.0) for re, im in points]
+    assume(all(abs(distance(z)) >= MARGIN for z in eigs))
+    A = spectrum_matrix(np.random.default_rng(seed),
+                        [z.real for z in eigs if not z.imag],
+                        [z for z in eigs if z.imag])
+    inside = all(distance(z) > 0 for z in eigs)
+    assert (membership_margin(region, A) > 0) == inside
+    assert eig_membership(region, A) == inside

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ssfit.indexsets import (
     PatternError,
@@ -20,6 +21,7 @@ from ssfit.transform import (
     bmz_forward,
     bmz_inverse,
     complete_factor,
+    completion_is_trivial,
     epsilon_box,
     gbmz_forward,
     gbmz_inverse,
@@ -383,3 +385,37 @@ class TestSigmaFactorTangents:
     def test_shifted_system_rejected(self):
         with pytest.raises(ValueError, match="zero shift"):
             sigma_factor_tangents(toy_system(), np.eye(2))
+
+
+@st.composite
+def factor_points_with_completion(draw):
+    """A Sigma-only system whose completion is non-trivial (a pattern that
+    makes it so, or a nonzero constant shift) and a factor point on it."""
+    n = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pattern = random_pattern(rng, n)
+    shifted = draw(st.booleans())
+    assume(shifted or not completion_is_trivial(pattern))
+    H = None
+    if shifted:
+        X = rng.standard_normal((n, n))
+        H = 0.5 * (X + X.T) / max(1.0, float(np.linalg.norm(X, 2)))
+    L = np.zeros((n, n))
+    L[pattern._rows0, pattern._cols0] = rng.uniform(-1.0, 1.0, len(pattern))
+    L[np.arange(n), np.arange(n)] = rng.uniform(0.5, 2.0, n)
+    system = ConstraintSystem(
+        n_beta=0, pattern_sigma=pattern, pattern_a=empty_set(0),
+        shift_fn=None if H is None else (lambda beta: H))
+    return system, FactorPoint(np.zeros(0), L, np.zeros((0, 0)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(factor_points_with_completion())
+def test_inverse_undoes_forward_under_a_nontrivial_completion(case):
+    system, phi = case
+    theta, _ = gbmz_forward(phi, system)
+    Sigma_off = theta.Sigma[~(system.pattern_sigma.mask()
+                              | system.pattern_sigma.mask().T)]
+    assert np.all(np.abs(Sigma_off) <= 1e-12 * np.max(np.abs(theta.Sigma)))
+    back = gbmz_inverse(theta, system)
+    assert np.allclose(back.L_sigma, phi.L_sigma, rtol=1e-8, atol=1e-10)
