@@ -87,6 +87,8 @@ def _generator_input(args) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     model, _, _ = ssio.load_model(args.model)
     if args.data is not None:
         u = ssio.load_dataset(args.data).u

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .nlp import SolveReport
 from .regions import (LmiRegion, char_fn, matrix_char_fn, require_pd_weight,
@@ -152,8 +151,8 @@ def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
 
     ``F_0`` and ``c`` are scaled to unit norm, and the path starts from
     ``(y0, S = eta I, X = xi I)`` with SDPT3's scale factors.  Each
-    iteration takes a predictor and a corrector HKM direction from one
-    Cholesky factorization of the ``k x k`` Schur complement
+    iteration solves a predictor and a corrector HKM direction through one
+    Cholesky factor of the ``k x k`` Schur complement
     ``H_ij = tr(F_i X F_j S^-1)``, and steps ``y, S`` and ``X`` separately
     to a fraction of the distance to the boundary.  ``observe(y, X)`` sees
     every iterate in the problem's own units.  The status is ``converged``
@@ -196,12 +195,12 @@ def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
         try:
             Si = np.linalg.inv(S)
             H = F @ (X @ problem.blocks @ Si).reshape(k, d * d).T
-            schur = scipy.linalg.cho_factor(0.5 * (H + H.T))
+            L = np.linalg.cholesky(0.5 * (H + H.T))
 
             def direction(R):
                 # R holds the S^-1 terms of the complementarity target
-                dy = scipy.linalg.cho_solve(
-                    schur, F @ (R - X @ Rp @ Si).ravel() - c)
+                r = F @ (R - X @ Rp @ Si).ravel() - c
+                dy = np.linalg.solve(L.T, np.linalg.solve(L, r))
                 dS = (dy @ F).reshape(d, d) + Rp
                 dX = R - X - X @ dS @ Si
                 return dy, dS, 0.5 * (dX + dX.T)
@@ -261,6 +260,39 @@ def _definite(S: np.ndarray) -> bool:
         return False
 
 
+def _balance(A: np.ndarray) -> np.ndarray:
+    """Scale vector ``d`` of LAPACK ``dgebal``'s scaling pass (job ``'S'``):
+    ``diag(d)^-1 A diag(d)`` has rows and columns of comparable 2-norm, each
+    ``d_i`` is a power of 2, and a zero row or column is left unscaled."""
+    if not np.all(np.isfinite(A)):
+        raise ValueError("array must not contain infs or NaNs")
+    A = np.array(A, dtype=float)
+    sfmin1 = np.finfo(float).tiny / np.finfo(float).eps
+    sfmin2, sfmax1, sfmax2 = 2 * sfmin1, 1 / sfmin1, 0.5 / sfmin1
+    d, converged = np.ones(A.shape[0]), False
+    while not converged:
+        converged = True
+        for i in range(d.size):
+            c, r = np.hypot.reduce(A[:, i]), np.hypot.reduce(A[i])
+            ca, ra = np.max(np.abs(A[:, i])), np.max(np.abs(A[i]))
+            if c == 0.0 or r == 0.0:
+                continue
+            f, g, s = 1.0, r / 2, c + r
+            while c < g and max(f, c, ca) < sfmax2 and min(r, g, ra) > sfmin2:
+                f, c, ca, r, g, ra = 2 * f, 2 * c, 2 * ca, r / 2, g / 2, ra / 2
+            g = c / 2
+            while g >= r and max(r, ra) < sfmax2 and min(f, c, g, ca) > sfmin2:
+                f, c, g, ca, r, ra = f / 2, c / 2, g / 2, ca / 2, 2 * r, 2 * ra
+            if (c + r >= 0.95 * s or (f < 1 and d[i] < 1 and f * d[i] <= sfmin1)
+                    or (f > 1 and d[i] > 1 and d[i] >= sfmax1 / f)):
+                continue
+            d[i] *= f
+            converged = False
+            A[i] *= 1.0 / f
+            A[:, i] *= f
+    return d
+
+
 def _coordinates(query: BarrierQuery) -> np.ndarray:
     """Congruence ``T`` of the solve: it works on ``P'`` with ``P = T P' T^T``.
 
@@ -272,7 +304,7 @@ def _coordinates(query: BarrierQuery) -> np.ndarray:
     eigenvalues are spread.  The factor serves when
     ``cond(T T^T) * eps <= GAP_TOL``.  A nearly defective ``A``, or an
     eigenvalue on the region's boundary, fails that, and the diagonal
-    balancing of ``A`` is ``T`` instead.
+    balancing of ``A`` (:func:`_balance`) is ``T`` instead.
     """
     A = query.a_mat
     try:
@@ -286,9 +318,7 @@ def _coordinates(query: BarrierQuery) -> np.ndarray:
                 return np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         pass
-    _, (scale, _) = scipy.linalg.matrix_balance(A, permute=False,
-                                                separate=True)
-    return np.diag(scale)
+    return np.diag(_balance(A))
 
 
 def barrier_solve(query: BarrierQuery) -> BarrierResult:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .indexsets import IndexSet
 from .transform import ConstraintSystem, FactorPoint, complete_factor
@@ -51,24 +50,24 @@ class FilterDivergedError(FloatingPointError):
         self.k = k
 
 
-def _require_symmetric(Re: np.ndarray) -> None:
-    """Reject ``Re`` unless ``np.allclose(Re, Re.T, atol)`` holds.
-
-    ``atol = 1e-10 * max(1, max |Re|)`` with allclose's ``rtol = 1e-5``,
-    spelled out elementwise as allclose does it: close within tolerance
-    where ``Re^T`` is finite, or exactly equal.  An empty ``Re`` fails in
-    the ``max`` as it always has.
-    """
+def _symmetrized(Re: np.ndarray) -> np.ndarray:
+    """The symmetric part of ``Re`` as a new array, summed from halves so
+    that no finite entry overflows; ``ValueError`` unless ``np.allclose(Re,
+    Re.T, atol)``: ``atol = 1e-10 * max(1, max |Re|)`` with allclose's
+    ``rtol = 1e-5``, spelled out elementwise as allclose does it: close
+    within tolerance where ``Re^T`` is finite, or exactly equal.  An empty
+    ``Re`` fails in the ``max`` as it always has."""
     ReT = Re.T
     same = Re == ReT
     if same.size and same.all():
-        return
+        return Re.copy()
     atol = 1e-10 * max(1.0, float(np.max(np.abs(Re))))
     with np.errstate(invalid="ignore"):
         close = (np.abs(Re - ReT) <= atol + 1e-5 * np.abs(ReT)) \
             & np.isfinite(ReT) | same
     if not close.all():
         raise ValueError("Re must be symmetric")
+    return 0.5 * Re + 0.5 * ReT
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,9 @@ class InnovationModel:
                 raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
         if x0.size != n:
             raise ValueError(f"x0hat has length {x0.size}, expected {n}")
-        _require_symmetric(Re)
         for name, (M, _) in checks.items():
             object.__setattr__(self, name, M)
-        object.__setattr__(self, "Re", 0.5 * (Re + Re.T))
+        object.__setattr__(self, "Re", _symmetrized(Re))
         object.__setattr__(self, "x0hat", x0)
 
     @classmethod
@@ -114,10 +112,9 @@ class InnovationModel:
         Only ``Re`` is checked for symmetry, then symmetrized as in
         ``__init__``; the caller guarantees every shape.
         """
-        _require_symmetric(Re)
         model = object.__new__(cls)
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D),
-                        ("x0hat", x0hat), ("K", K), ("Re", 0.5 * (Re + Re.T))):
+                        ("x0hat", x0hat), ("K", K), ("Re", _symmetrized(Re))):
             object.__setattr__(model, name, M)
         return model
 
@@ -476,9 +473,9 @@ def neg_log_likelihood(
 ) -> float:
     """Negative log-likelihood ``(N/2) ln det Re + (1/2) sum |e_k|^2_{Re^-1}``.
 
-    Computed through the Cholesky factor of ``Re`` (log-determinant from the
-    factor diagonal, quadratic forms by triangular solves).  Diverging state
-    recursions yield ``+inf`` so that a line search can reject the point.
+    Computed from the Cholesky factor ``Lc`` of ``Re``: ln det from its
+    diagonal, quadratic forms from the innovations whitened by ``W = Lc^-1``.
+    Diverging state recursions yield ``+inf`` so a line search can reject it.
     ``innovations`` is ``filter_innovations(model, data)`` when the caller
     already has it; the filter is then not run again.
     """
@@ -489,7 +486,7 @@ def neg_log_likelihood(
         except FilterDivergedError:
             return float("inf")
     e, _ = innovations
-    z = scipy.linalg.solve_triangular(Lc, e.T, lower=True)
+    z = np.linalg.inv(Lc) @ e.T
     logdet = 2.0 * float(np.sum(np.log(np.diag(Lc))))
     value = 0.5 * data.N * logdet + 0.5 * float(np.sum(z * z))
     return value if np.isfinite(value) else float("inf")
@@ -512,8 +509,8 @@ def likelihood_gradients(
     if innovations is None:
         innovations = filter_innovations(model, data)
     e, xhat = innovations
-    Lc = _innovation_chol(model.Re)
-    w = scipy.linalg.cho_solve((Lc, True), e.T).T
+    W = np.linalg.inv(_innovation_chol(model.Re))  # Re^-1 = W^T W
+    w = (e @ W.T) @ W
     N = data.N
     F = model.filter_matrix()
     # adjoint recursion lam_k = F^T lam_{k+1} - C^T w_k, lam_N = 0, run as a
@@ -531,9 +528,9 @@ def likelihood_gradients(
     dD = -mix.T @ data.u
     dx0 = lam[0].copy()
     S = e.T @ e
-    Re_inv_S = scipy.linalg.cho_solve((Lc, True), S)
+    Re_inv_S = W.T @ (W @ S)
     dRe = 0.5 * (N * np.eye(model.p) - Re_inv_S)
-    dRe = scipy.linalg.cho_solve((Lc, True), dRe.T).T
+    dRe = (dRe @ W.T) @ W
     dRe = 0.5 * (dRe + dRe.T)
     return {"A": dA, "B": dB, "C": dC, "D": dD, "K": dK,
             "x0hat": dx0, "Re": dRe}
@@ -578,7 +575,7 @@ def identification_index(
     """
     e = np.atleast_2d(np.asarray(e, dtype=float))
     Lc = _innovation_chol(np.atleast_2d(np.asarray(Re, dtype=float)))
-    z = scipy.linalg.solve_triangular(Lc, e.T, lower=True)
+    z = np.linalg.inv(Lc) @ e.T
     q = np.sum(z * z, axis=0)
     N = q.size
     averages: dict[int, np.ndarray] = {}

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +70,29 @@ class TestSimulate:
         code = main(["simulate", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_negative_seed_names_the_flag(self, tmp_path, truth_model, capsys):
+        path, _ = truth_model
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--model", path, "--out", str(out),
+                     "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err \
+            == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("module", ["ssfit", "ssfit.cli"])
+def test_import_loads_no_scipy(module):
+    # the runtime needs numpy only; a fresh interpreter shows what an
+    # import pulls in
+    code = ("import sys, " + module + "; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 class TestEval:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import siso_ladm_spec, siso_truth
 from ssfit.identify import EigConstraintSpec, ProblemSpec
@@ -133,6 +134,46 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="dims"):
             load_model(path)
+
+
+@st.composite
+def model_files(draw):
+    """A finite model of random dimensions, entries over the whole finite
+    float range (signed zeros and subnormals included), and maybe a
+    ``ladm`` block and a seed."""
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    entries = st.floats(allow_nan=False, allow_infinity=False)
+
+    def matrix(rows, cols):
+        values = draw(st.lists(entries, min_size=rows * cols,
+                               max_size=rows * cols))
+        return np.array(values, dtype=float).reshape(rows, cols)
+
+    R = matrix(p, p)
+    Re = np.where(np.triu(np.ones((p, p), dtype=bool)), R, R.T)
+    model = InnovationModel(matrix(n, n), matrix(n, m), matrix(p, n),
+                            matrix(p, m), matrix(n, 1).ravel(),
+                            matrix(n, p), Re)
+    ladm = None
+    if draw(st.booleans()):
+        n_s, n_d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        ladm = LadmSpec(n_s, n_d, m, p, Bd=matrix(n_s, n_d),
+                        Cd=matrix(p, n_d))
+    meta = draw(st.none() | st.fixed_dictionaries(
+        {"seed": st.integers(0, 2**64)}))
+    return model, ladm, meta
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(model_files())
+def test_model_file_rewrite_is_byte_identical(tmp_path_factory, case):
+    model, ladm, meta = case
+    first = tmp_path_factory.mktemp("model") / "first.json"
+    second = first.with_name("second.json")
+    save_model(first, model, ladm=ladm, meta=meta)
+    back, back_ladm, back_meta = load_model(first)
+    save_model(second, back, ladm=back_ladm, meta=back_meta)
+    assert second.read_bytes() == first.read_bytes()
 
 
 class TestRegionSyntax:

@@ -6,8 +6,8 @@ import pytest
 from helpers import (ReferenceBarrierNlp, count_constraint_calls,
                      inner_minimize_reference_adapter)
 from ssfit import nlp as nlp_module
-from ssfit.oracle import (BarrierQuery, barrier_solve, barrier_value,
-                          region_feasible)
+from ssfit.oracle import (BarrierQuery, _balance, barrier_solve,
+                          barrier_value, region_feasible)
 from ssfit.regions import (cone, disk, eig_membership, half_plane, intersect,
                            left_half_plane)
 from ssfit.transform import transformed_constraints
@@ -64,6 +64,35 @@ class TestBarrierAnalytic:
         assert res.feasible
         assert res.value == pytest.approx(4.488981, rel=1e-6)
         assert np.min(np.linalg.eigvalsh(res.p_matrix)) > 0
+
+
+class TestBalancing:
+    # scipy casts its unused permutation output from NaN
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_scale_vector_equals_lapack_gebal(self):
+        # the fallback coordinates are LAPACK dgebal's scaling pass, bit for
+        # bit, on badly scaled matrices with and without a zero row or column
+        import scipy.linalg
+
+        rng = np.random.default_rng(36)
+        for trial in range(400):
+            n = int(rng.integers(2, 7))
+            exponents = rng.uniform(-8.0, 8.0, (n, n)) \
+                + rng.uniform(-6.0, 6.0, (n, 1)) + rng.uniform(-6.0, 6.0, (1, n))
+            if trial % 4 == 3:
+                exponents = 25.0 * rng.uniform(-6.0, 6.0, (n, n))
+            A = rng.standard_normal((n, n)) * 10.0 ** exponents
+            if trial % 3 == 1:
+                A[int(rng.integers(n))] = 0.0
+            if trial % 5 == 2:
+                A[:, int(rng.integers(n))] = 0.0
+            _, (scale, _) = scipy.linalg.matrix_balance(A, permute=False,
+                                                        separate=True)
+            assert np.array_equal(_balance(A), scale), A
+
+    def test_nonfinite_matrix_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _balance(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestRegionFeasible:

@@ -21,6 +21,7 @@ from ssfit.statespace import (
     eigen_report,
     filter_innovations,
     identification_index,
+    likelihood_gradients,
     neg_log_likelihood,
     regularizer,
     simulate,
@@ -377,6 +378,63 @@ class TestLikelihood:
             neg_log_likelihood(bad, Dataset(np.zeros((2, 1)), np.zeros((2, 1))))
 
 
+def triangular_solve_reference(model, data):
+    """NLL, gradient and per-sample index through scipy's triangular and
+    Cholesky solves on the ``(p, N)`` innovations."""
+    import scipy.linalg
+
+    e, xhat = filter_innovations(model, data)
+    Lc = np.linalg.cholesky(model.Re)
+    z = scipy.linalg.solve_triangular(Lc, e.T, lower=True)
+    nll = data.N * float(np.sum(np.log(np.diag(Lc)))) + 0.5 * float(np.sum(z * z))
+    w = scipy.linalg.cho_solve((Lc, True), e.T).T
+    F = model.filter_matrix()
+    lam = _states_scan(F.T, -(w @ model.C)[::-1], np.zeros(model.n))[::-1]
+    mix = w + lam[1:] @ model.K
+    Re_inv_S = scipy.linalg.cho_solve((Lc, True), e.T @ e)
+    dRe = 0.5 * (data.N * np.eye(model.p) - Re_inv_S)
+    dRe = scipy.linalg.cho_solve((Lc, True), dRe.T).T
+    grad = {"A": lam[1:].T @ xhat[:-1], "B": lam[1:].T @ data.u,
+            "K": lam[1:].T @ e, "C": -mix.T @ xhat[:-1], "D": -mix.T @ data.u,
+            "x0hat": lam[0], "Re": 0.5 * (dRe + dRe.T)}
+    return nll, grad, np.sum(z * z, axis=0)
+
+
+class TestWhitening:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    def test_matches_triangular_solves(self, p, cond):
+        # W = Lc^-1 applied by matmul gives the NLL, its gradient and the
+        # identification index of triangular solves to 1e-10 relative
+        rng = np.random.default_rng(int(40 + 10 * p + np.log10(cond)))
+        base = random_model(rng, n=3, m=2, p=p)
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        Re = 0.7 * (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
+        model = InnovationModel(base.A, base.B, base.C, base.D, base.x0hat,
+                                base.K, 0.5 * (Re + Re.T))
+        u = rng.standard_normal((400, 2))
+        data = Dataset(u, simulate(model, u, seed=p))
+        nll, grad, q = triangular_solve_reference(model, data)
+        e, _ = filter_innovations(model, data)
+        assert abs(neg_log_likelihood(model, data) - nll) <= 1e-10 * abs(nll)
+        index, _ = identification_index(e, model.Re)
+        assert np.linalg.norm(index - q) <= 1e-10 * np.linalg.norm(q)
+        got = likelihood_gradients(model, data)
+        for name in ("A", "B", "C", "D", "K", "x0hat"):
+            err = np.linalg.norm(got[name] - grad[name])
+            assert err <= 1e-10 * np.linalg.norm(grad[name]), name
+        # the Re gradient (N Re^-1 - Re^-1 S Re^-1) / 2 cancels near the
+        # data's covariance: at cond 1e8 both evaluations are up to 3e-6
+        # (relative) off a 50-digit one, so their difference is held to
+        # cond(Re) * eps times the size of the two terms
+        Re_inv = np.linalg.inv(model.Re)
+        terms = np.linalg.norm(data.N * Re_inv) \
+            + np.linalg.norm(Re_inv @ (e.T @ e) @ Re_inv)
+        bound = max(1e-10 * np.linalg.norm(grad["Re"]),
+                    np.linalg.cond(model.Re) * np.finfo(float).eps * terms)
+        assert np.linalg.norm(got["Re"] - grad["Re"]) <= bound
+
+
 class TestLadm:
     def test_scalar_assembly(self):
         spec = LadmSpec(n_s=1, n_d=1, m=1, p=1, Bd=np.zeros((1, 1)),
@@ -460,6 +518,18 @@ class TestLadm:
                             np.zeros((2, 1)), np.zeros(2), np.zeros((2, 2)),
                             Sigma)
         assert str(lean.value) == str(full.value) == "Re must be symmetric"
+
+    def test_huge_finite_re_is_symmetrized_without_overflow(self):
+        big = np.finfo(float).max
+        Re = np.array([[big, 0.5 * big], [0.5 * big, big]])
+        near = Re.copy()
+        near[0, 1] *= 1.0 - 1e-12
+        exact, mean = (InnovationModel(np.eye(2), np.ones((2, 1)), np.eye(2),
+                                       np.zeros((2, 1)), np.zeros(2),
+                                       np.zeros((2, 2)), given).Re
+                       for given in (Re, near))
+        assert np.array_equal(exact, Re)
+        assert np.isfinite(mean).all() and np.array_equal(mean, mean.T)
 
     def test_symmetry_check_is_allclose(self):
         # the elementwise check accepts and rejects exactly what allclose did
