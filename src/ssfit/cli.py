@@ -68,11 +68,18 @@ def _generator_input(args) -> np.ndarray:
     n = args.gen_samples
     if n is None or n < 1:
         raise ValueError("--gen-samples must be a positive integer")
+    for flag, value in (("--gen-inputs", args.gen_inputs),
+                        ("--gen-hold", args.gen_hold)):
+        if value < 1:
+            raise ValueError(f"{flag} must be a positive integer, got {value}")
+    if not np.isfinite(args.gen_amplitude):
+        raise ValueError(f"--gen-amplitude must be finite, "
+                         f"got {args.gen_amplitude}")
     if args.gen == "zero":
         return np.zeros((n, args.gen_inputs))
     if args.gen == "prbs":
         rng = np.random.default_rng(args.seed)
-        hold = max(1, args.gen_hold)
+        hold = args.gen_hold
         cols = []
         for _ in range(args.gen_inputs):
             levels = args.gen_amplitude * (

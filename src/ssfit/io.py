@@ -13,7 +13,9 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
+from io import StringIO
 
 import numpy as np
 
@@ -80,7 +82,13 @@ def _read_json(path: str):
 # -- time series -------------------------------------------------------------
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset CSV with columns ``t, u1..um, y1..yp``."""
+    """Read a dataset CSV with columns ``t, u1..um, y1..yp``.
+
+    The body is parsed in one ``np.loadtxt`` call.  When that fails, or
+    finds a row of the wrong width or a nonfinite value, the row-by-row
+    reader names the offending line (or reads what Python's ``float``
+    accepts and ``loadtxt`` does not, such as ``1_000``).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -97,27 +105,44 @@ def load_dataset(path: str) -> Dataset:
         if header != ["t"] + expected_u + expected_y or p == 0:
             raise SchemaError(
                 f"{path}: header must read t, u1..um, y1..yp; got {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, vals)):
-                raise SchemaError(f"{path}:{lineno}: nonfinite value")
-            rows.append(vals)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    arr = np.asarray(rows)
+        body = fh.read()
+    try:
+        with warnings.catch_warnings():  # an empty body is an error below
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(StringIO(body, newline=""), delimiter=",",
+                             quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[1] != len(header) or not arr.size \
+            or not np.isfinite(arr).all():
+        arr = _read_rows(path, body, len(header))
     t = arr[:, 0]
     dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
     return Dataset(arr[:, 1:1 + m], arr[:, 1 + m:], dt=dt)
+
+
+def _read_rows(path: str, body: str, width: int) -> np.ndarray:
+    """The dataset body read row by row with ``float``: a ``SchemaError``
+    names the first blank-skipped line with the wrong number of fields, a
+    field ``float`` rejects, or a nonfinite value."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(StringIO(body, newline="")),
+                                 start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise SchemaError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise SchemaError(f"{path}:{lineno}: nonfinite value")
+        rows.append(vals)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return np.asarray(rows)
 
 
 def save_dataset(path: str, data: Dataset) -> None:

@@ -69,32 +69,38 @@ def siso_problem(**kwargs) -> ProblemSpec:
     return ProblemSpec(ladm=siso_ladm_spec(), **kwargs)
 
 
-def states_loop_reference(F, c, x0):
-    """The sequential state recursion ``x[k+1] = F x[k] + c[k]``, one sample
-    at a time; returns ``x[0..N]``."""
-    N, n = c.shape[0], x0.size
-    x = np.empty((N + 1, n))
+def stacked(c, x0):
+    """The ``(N+1, n)`` array a state scan runs on: ``x0`` in row 0 and
+    ``c[0..N-1]`` below it."""
+    x = np.empty((c.shape[0] + 1, x0.size))
     x[0] = x0
-    cur = x0.copy()
-    for k in range(N):
-        cur = F @ cur + c[k]
-        x[k + 1] = cur
+    x[1:] = c
     return x
 
 
-def doubling_scan_reference(F, c, x0):
-    """The plain prefix-composition doubling tree over N copies of ``F``:
-    O(N log N) matrix products, one small product per item and level.  It is
-    the accuracy yardstick of ``statespace._states_scan``: both stay within
-    the same bound of an extended-precision loop.  Above 8e6 entries of
-    ``F`` copies this is the loop."""
-    N, n = c.shape[0], x0.size
+def states_loop_reference(F, x):
+    """The sequential state recursion ``x[k+1] = F x[k] + c[k]``, one sample
+    at a time, in place on ``x = stacked(c, x0)`` like
+    ``statespace._states_scan``; returns ``x[0..N]``."""
+    for k in range(x.shape[0] - 1):
+        x[k + 1] += F @ x[k]
+    return x
+
+
+def doubling_scan_reference(F, x):
+    """The plain prefix-composition doubling tree over N copies of ``F``, in
+    place on ``x = stacked(c, x0)``: O(N log N) matrix products, one small
+    product per item and level, every level run.  It is the accuracy
+    yardstick of ``statespace._states_scan``: both stay within the same
+    bound of an extended-precision loop.  Above 8e6 entries of ``F`` copies
+    this is the loop."""
+    N, n = x.shape[0] - 1, x.shape[1]
     if N == 0:
-        return x0[None, :].copy()
+        return x
     if N * n * n > 8_000_000:
-        return states_loop_reference(F, c, x0)
+        return states_loop_reference(F, x)
     P = np.broadcast_to(F, (N, n, n)).copy()
-    d = c.copy()
+    d = x[1:].copy()
     offset = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while offset < N:
@@ -104,9 +110,7 @@ def doubling_scan_reference(F, c, x0):
             P[offset:] = new_P
             d[offset:] = new_d
             offset *= 2
-        x = np.empty((N + 1, n))
-        x[0] = x0
-        x[1:] = np.matmul(P, x0) + d
+        x[1:] = np.matmul(P, x[0]) + d
     return x
 
 

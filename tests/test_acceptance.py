@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (ReferenceBarrierNlp, perturbed, prbs, siso_dataset,
-                     siso_problem, siso_truth)
+                     siso_problem, siso_truth, stacked)
 from ssfit.identify import (
     EigConstraintSpec,
     _IdentificationNlp,
@@ -318,7 +318,7 @@ class TestCriterion9Duality:
             gen = np.random.default_rng(5000 + trial)
             e_true = gen.standard_normal((N, p)) @ Lc.T
             c = u @ model.B.T + e_true @ model.K.T
-            x = _states_scan(model.A, c, model.x0hat)
+            x = _states_scan(model.A, stacked(c, model.x0hat))
             y = x[:-1] @ model.C.T + u @ model.D.T + e_true
             e_rec, _ = filter_innovations(model, Dataset(u, y))
             rel = np.max(np.abs(e_rec - e_true)) / max(1.0, np.max(np.abs(e_true)))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,27 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err \
             == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--gen-hold", "0", "a positive integer"),
+        ("--gen-hold", "-3", "a positive integer"),
+        ("--gen-inputs", "-1", "a positive integer"),
+        ("--gen-inputs", "0", "a positive integer"),
+        ("--gen-amplitude", "nan", "finite"),
+        ("--gen-amplitude", "inf", "finite"),
+    ])
+    def test_bad_generator_flag_names_it(self, tmp_path, truth_model, capsys,
+                                         flag, value, rule):
+        path, _ = truth_model
+        out = tmp_path / "sim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--model", path, "--out", str(out),
+                         flag, value])
+        assert code == 1
+        assert capsys.readouterr().err \
+            == f"error: {flag} must be {rule}, got {value}\n"
         assert not out.exists()
 
 

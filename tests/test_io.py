@@ -79,6 +79,52 @@ class TestDatasetsCsv:
         with pytest.raises(SchemaError, match="'t'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("body, want", [
+        ("0,1,2\n\n\n1,3,4\n\n", [[0, 1, 2], [1, 3, 4]]),
+        ("0,1,2\r\n\r\n1,3,4\r\n", [[0, 1, 2], [1, 3, 4]]),
+        ("0,1,2\r1,3,4", [[0, 1, 2], [1, 3, 4]]),
+        ('"0","1",2\n1,"3"," 4 "\n', [[0, 1, 2], [1, 3, 4]]),
+        (" 0 , 1 ,\t2\n1, -.5e1 ,+4.\n", [[0, 1, 2], [1, -5, 4]]),
+        ("0,1_0,2\n", [[0, 10, 2]]),
+        ("0,1,2\n  \n", ":3: expected 3 fields, got 1"),
+        ("0,1,2,\n", ":2: expected 3 fields, got 4"),
+        ("#0,1,2\n", ":2: could not convert string to float: '#0'"),
+        ('0,"1,5",2\n', ":2: could not convert string to float: '1,5'"),
+        ("0,1,2\r\n\r\n1,nan,2\r\n", ":4: nonfinite value"),
+        ('0,1,2\n\n1,"-inf",2\n', ":4: nonfinite value"),
+        ("0,,2\n", ":2: could not convert string to float: ''"),
+        ("\n\n", ": no data rows"),
+    ])
+    def test_body_forms_parse_as_the_row_reader(self, tmp_path, body, want):
+        # blank lines, CRLF and CR line ends, quoted fields and spaces
+        # around numbers give the arrays of a float() per field, and every
+        # error names the line the row reader names
+        path = tmp_path / "d.csv"
+        path.write_bytes(("t,u1,y1\r\n" + body).encode())
+        if isinstance(want, str):
+            with pytest.raises(SchemaError) as info:
+                load_dataset(path)
+            assert str(info.value) == f"{path}{want}"
+            return
+        data = load_dataset(path)
+        want = np.array(want, dtype=float)
+        assert np.array_equal(data.u, want[:, 1:2])
+        assert np.array_equal(data.y, want[:, 2:])
+        assert data.dt == 1.0
+
+    def test_long_record_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(62)
+        scale = 10.0 ** rng.integers(-300, 300, (20_000, 3))
+        data = Dataset(rng.standard_normal((20_000, 1)) * scale[:, :1],
+                       rng.standard_normal((20_000, 2)) * scale[:, 1:],
+                       dt=0.25)
+        path = tmp_path / "d.csv"
+        save_dataset(path, data)
+        back = load_dataset(path)
+        assert np.array_equal(back.u, data.u)
+        assert np.array_equal(back.y, data.y)
+        assert back.dt == 0.25
+
 
 class TestArtifactWriters:
     def test_table_format(self, tmp_path):

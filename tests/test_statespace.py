@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import doubling_scan_reference, states_loop_reference
+from helpers import (doubling_scan_reference, perturbed, siso_dataset,
+                     siso_truth, stacked, states_loop_reference)
 from ssfit import statespace
 from ssfit.indexsets import empty_set, full_lower
 from ssfit.statespace import (
@@ -82,12 +83,12 @@ class TestRecursionKernels:
             F *= 0.95 / max(rho, 0.1)
             c = rng.standard_normal((N, n))
             x0 = rng.standard_normal(n)
-            assert np.allclose(_states_scan(F, c, x0),
-                               states_loop_reference(F, c, x0),
+            assert np.allclose(_states_scan(F, stacked(c, x0)),
+                               states_loop_reference(F, stacked(c, x0)),
                                rtol=1e-10, atol=1e-12)
 
     def test_empty_horizon(self):
-        x = _states_scan(np.eye(2), np.zeros((0, 2)), np.ones(2))
+        x = _states_scan(np.eye(2), stacked(np.zeros((0, 2)), np.ones(2)))
         assert x.shape == (1, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -107,11 +108,11 @@ class TestRecursionKernels:
                 c = rng.standard_normal((N, n))
                 for x0 in (np.zeros(n), rng.standard_normal(n)):
                     for G in (F, F.T):
-                        got = _states_scan(G, c, x0)
-                        tree = doubling_scan_reference(G, c, x0)
+                        got = _states_scan(G, stacked(c, x0))
+                        tree = doubling_scan_reference(G, stacked(c, x0))
                         if rho > 1.0:
                             with np.errstate(over="ignore", invalid="ignore"):
-                                loop = states_loop_reference(G, c, x0)
+                                loop = states_loop_reference(G, stacked(c, x0))
                             assert first_bad_row(got) == first_bad_row(tree) \
                                 == first_bad_row(loop)
                             continue
@@ -122,21 +123,45 @@ class TestRecursionKernels:
                             assert float(np.max(np.abs(x - exact))) <= bound
                 if rho > 1.0 and N == 3000:
                     assert first_bad_row(got) is not None
+        # a long record stops once ||F^(2o)||_inf <= eps/2: spectral radius
+        # 0.7 and 0.95, and a non-normal F whose powers grow before they
+        # decay (spectral radius 0.6)
+        N = 20_000
+        nonnormal = 0.6 * np.eye(n) + 4.0 * np.eye(n, k=1)
+        for F in (0.7, 0.95, nonnormal):
+            if np.isscalar(F):
+                rho = F
+                F = rng.standard_normal((n, n))
+                F *= rho / max(float(np.max(np.abs(np.linalg.eigvals(F)))),
+                               1e-3)
+            elif n == 1:
+                continue
+            else:
+                F4 = np.linalg.matrix_power(F, 4)
+                assert float(np.abs(F4).sum(axis=1).max()) > 1.0
+            c = rng.standard_normal((N, n))
+            x0 = rng.standard_normal(n)
+            for G in (F, F.T):
+                got = _states_scan(G, stacked(c, x0))
+                exact = longdouble_loop(G, c, x0)
+                bound = 16 * eps * (1 + np.log2(N)) \
+                    * float(np.max(np.abs(exact)))
+                assert float(np.max(np.abs(got - exact))) <= bound
 
     def test_scan_peak_memory(self):
-        """One scan holds the output and one product at a time."""
+        """A scan runs in place: beyond its input it holds one product at a
+        time."""
         rng = np.random.default_rng(7)
         N, n = 200_000, 3
         F = 0.3 * rng.standard_normal((n, n))
-        c = rng.standard_normal((N, n))
-        x0 = rng.standard_normal(n)
+        x = stacked(rng.standard_normal((N, n)), rng.standard_normal(n))
         tracemalloc.start()
         try:
-            _states_scan(F, c, x0)
+            _states_scan(F, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * (N + 1) * n * 8
+        assert peak < 1.05 * (N + 1) * n * 8
 
     def test_check_states_names_first_offending_row(self):
         x = np.zeros((10, 3))
@@ -188,9 +213,9 @@ class TestRecursionKernels:
                 c = rng.standard_normal((N, n))
                 for x0 in (np.zeros(n), rng.standard_normal(n)):
                     for G in (F, F.T):
-                        assert np.allclose(_states_scan(G, c, x0),
-                                           states_loop_reference(G, c, x0),
-                                           rtol=1e-10, atol=1e-12)
+                        got = _states_scan(G, stacked(c, x0))
+                        want = states_loop_reference(G, stacked(c, x0))
+                        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_divergence_in_a_later_chunk_matches_loop(self, seed, monkeypatch):
@@ -229,8 +254,8 @@ class TestRecursionKernels:
             c[k, 1] = bad
             for G in (F, F.T):
                 with np.errstate(invalid="ignore", over="ignore"):
-                    got = _states_scan(G, c, x0)
-                    want = states_loop_reference(G, c, x0)
+                    got = _states_scan(G, stacked(c, x0))
+                    want = states_loop_reference(G, stacked(c, x0))
                 finite = np.isfinite(want)
                 assert np.array_equal(np.isfinite(got), finite)
                 if np.isnan(bad):
@@ -238,6 +263,54 @@ class TestRecursionKernels:
                 assert not finite[k + 1, 1] and not finite[k + 2:].any()
                 assert np.allclose(got[finite], want[finite],
                                    rtol=1e-10, atol=1e-12)
+
+
+class TestLongRecord:
+    """N = 20 000 with a stable filter: the scan stops once the powers of
+    ``F`` have decayed below round-off."""
+
+    N = 20_000
+
+    def test_nan_reaches_the_loops_first_bad_row(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        model = random_model(rng, n=3, m=1, p=1)
+        u = rng.standard_normal((self.N, 1))
+        data = Dataset(u, simulate(model, u, seed=1))
+        u[10_000, 0] = np.nan
+        data.u[10_000, 0] = np.nan
+
+        def diverged_at():
+            ks = []
+            for run in (lambda: simulate(model, u, seed=1),
+                        lambda: filter_innovations(model, data)):
+                with pytest.raises(FilterDivergedError) as info:
+                    run()
+                ks.append(info.value.k)
+            return ks
+
+        got = diverged_at()
+        monkeypatch.setattr(statespace, "_states_scan", states_loop_reference)
+        assert got == diverged_at() == [10_001, 10_001]
+        # the loop carries the NaN to the last state, the scan only as far
+        # as the levels it ran reach
+        x = stacked(np.where(np.isnan(u), np.nan, 0.0) @ model.B.T,
+                    model.x0hat)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(states_loop_reference(model.A, x.copy())[-1]).all()
+            assert np.isfinite(_states_scan(model.A, x)[-1]).all()
+
+    def test_adjoint_gradient_matches_full_depth(self, monkeypatch):
+        spec, layout, theta = siso_truth()
+        model = assemble_ladm(spec, perturbed(theta, layout), layout)
+        data = siso_dataset(theta, spec, layout, n=self.N, seed=21)
+        got = likelihood_gradients(model, data)
+        nll = neg_log_likelihood(model, data)
+        monkeypatch.setattr(statespace, "_states_scan", states_loop_reference)
+        want = likelihood_gradients(model, data)
+        assert abs(nll - neg_log_likelihood(model, data)) <= 1e-10 * abs(nll)
+        for name, g in want.items():
+            err = np.linalg.norm(got[name] - g)
+            assert err <= 1e-10 * np.linalg.norm(g), name
 
 
 class TestSimulate:
@@ -302,7 +375,7 @@ class TestFilter:
             gen = np.random.default_rng(1000 + trial)
             e_true = gen.standard_normal((N, p)) @ Lc.T
             c = u @ model.B.T + e_true @ model.K.T
-            x = _states_scan(model.A, c, model.x0hat)
+            x = _states_scan(model.A, stacked(c, model.x0hat))
             y = x[:-1] @ model.C.T + u @ model.D.T + e_true
             e_rec, _ = filter_innovations(model, Dataset(u, y))
             rel = np.max(np.abs(e_rec - e_true)) / max(1.0, np.max(np.abs(e_true)))
@@ -317,7 +390,7 @@ class TestFilter:
         u = rng.standard_normal((50, 1))
         y = rng.standard_normal((50, 1))
         e, xhat = filter_innovations(model0, Dataset(u, y))
-        x = _states_scan(model0.A, u @ model0.B.T, model0.x0hat)
+        x = _states_scan(model0.A, stacked(u @ model0.B.T, model0.x0hat))
         assert np.allclose(xhat, x)
         assert np.allclose(e, y - x[:-1] @ model0.C.T)
 
@@ -389,7 +462,8 @@ def triangular_solve_reference(model, data):
     nll = data.N * float(np.sum(np.log(np.diag(Lc)))) + 0.5 * float(np.sum(z * z))
     w = scipy.linalg.cho_solve((Lc, True), e.T).T
     F = model.filter_matrix()
-    lam = _states_scan(F.T, -(w @ model.C)[::-1], np.zeros(model.n))[::-1]
+    lam = _states_scan(
+        F.T, stacked(-(w @ model.C)[::-1], np.zeros(model.n)))[::-1]
     mix = w + lam[1:] @ model.K
     Re_inv_S = scipy.linalg.cho_solve((Lc, True), e.T @ e)
     dRe = 0.5 * (data.N * np.eye(model.p) - Re_inv_S)
