@@ -23,7 +23,6 @@ from .indexsets import (
 )
 from .regions import (
     LmiRegion,
-    TightenedRegionConstraint,
     band,
     char_fn,
     cone,
@@ -35,7 +34,6 @@ from .regions import (
     left_half_plane,
     matrix_char_fn,
     membership_margin,
-    tightened_residuals,
 )
 from .transform import (
     ConstraintSystem,
@@ -43,8 +41,6 @@ from .transform import (
     FactorPoint,
     SingularPivotError,
     ThetaPoint,
-    bmz_forward,
-    bmz_inverse,
     complete_factor,
     completion_is_trivial,
     epsilon_box,

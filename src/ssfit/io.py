@@ -35,12 +35,9 @@ __all__ = [
     "load_model",
     "save_model",
     "parse_region",
-    "region_to_text",
     "parse_index_set",
-    "index_set_to_config",
     "load_config",
     "parse_config",
-    "config_to_dict",
 ]
 
 SCHEMA_VERSION = 1
@@ -280,8 +277,8 @@ def parse_region(spec) -> LmiRegion:
     """Parse a region from text or raw generating matrices.
 
     Text syntax: ``half_plane 0.3``, ``disk 0.998 0``, ``cone 1 0``,
-    ``band 2`` and ``intersect(<region>, <region>, ...)``.  A mapping with
-    keys ``M0``/``M1`` builds a raw region.
+    ``band 2`` and ``intersect(<region>, <region>, ...)``, each parameter
+    a finite number.  A mapping with keys ``M0``/``M1`` builds a raw region.
     """
     if isinstance(spec, dict):
         _fields(spec, "raw region", {"M0", "M1"}, {"label"})
@@ -312,6 +309,10 @@ def parse_region(spec) -> LmiRegion:
         values = [float(a) for a in args]
     except ValueError as exc:
         raise SchemaError(f"bad region parameter in {text!r}: {exc}") from None
+    for arg, value in zip(args, values):
+        if not math.isfinite(value):
+            raise SchemaError(f"region {fields[0]}: parameter {arg} "
+                              f"must be a finite number")
     return ctor(*values)
 
 
@@ -330,21 +331,6 @@ def _split_top_level(text: str) -> list[str]:
     if cur:
         parts.append("".join(cur).strip())
     return [p for p in parts if p]
-
-
-def region_to_text(region: LmiRegion):
-    """Inverse of :func:`parse_region` for preset-built regions."""
-    if region.kind in _PRESETS:
-        return f"{region.kind} " + " ".join(_fmt_short(v) for v in region.params)
-    if region.kind == "intersect":
-        return "intersect(" + ", ".join(
-            region_to_text(r) for r in region.params) + ")"
-    return {"M0": region.m0.tolist(), "M1": region.m1.tolist(),
-            "label": region.label or "raw"}
-
-
-def _fmt_short(v: float) -> str:
-    return format(float(v), "g")
 
 
 # -- index sets ----------------------------------------------------------------
@@ -378,18 +364,10 @@ def parse_index_set(spec, n: int) -> IndexSet:
     return IndexSet(n, entries)
 
 
-def index_set_to_config(pattern: IndexSet):
-    if pattern == full_lower(pattern.n):
-        return "full"
-    if pattern == diagonal(pattern.n):
-        return "diag"
-    return [[i, j] for i, j in pattern.entries]
-
-
 # -- run configuration -----------------------------------------------------------
 
 _SOLVER_KEYS = {"tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner",
-                "penalty0", "multistart", "verbose"}
+                "penalty0", "verbose"}
 
 
 @dataclass(frozen=True)
@@ -482,38 +460,3 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
     return RunConfig(problem=problem, solver=solver, seed=seed)
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """Emit a configuration document that reparses to the same problem."""
-    spec = config.problem
-    ladm = spec.ladm
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "model": {
-            "n_s": ladm.n_s, "n_d": ladm.n_d,
-            "n_u": ladm.m, "n_y": ladm.p,
-            "plant_form": ladm.plant_form,
-            "Bd": ladm.Bd.tolist(),
-            "Cd": ladm.Cd.tolist(),
-            "C_fixed": None if ladm.C_fixed is None else ladm.C_fixed.tolist(),
-            "re_pattern": "full" if spec.re_pattern is None
-            else index_set_to_config(spec.re_pattern),
-        },
-        "constraints": [
-            {
-                "region": region_to_text(c.region),
-                "target": c.target,
-                "epsilon_i": c.epsilon_i,
-                **({"weight": c.weight.tolist()} if c.weight is not None else {}),
-                **({"shift": c.shift.tolist()} if c.shift is not None else {}),
-            }
-            for c in spec.eig_constraints
-        ],
-        "objective": {"rho": spec.rho, "delta_re": spec.delta_re,
-                      "epsilon": spec.epsilon},
-        "solver": {key: getattr(config.solver, key)
-                   for key in sorted(_SOLVER_KEYS)},
-        "io": {"seed": config.seed},
-    }
-    return doc

@@ -121,18 +121,14 @@ class SolveOptions:
     max_outer: int = 50
     max_inner: int = 300
     penalty0: float = 10.0
-    multistart: int = 0
-    multistart_spread: float = 0.1
     init_multipliers: str = "zero"
-    seed: int = 0
     verbose: int = 0
 
     def __post_init__(self):
         for name, low, strict in (
                 ("tol_eq", 0, True), ("tol_in", 0, True), ("tol_stat", 0, True),
                 ("max_outer", 1, False), ("max_inner", 1, False),
-                ("penalty0", 0, True), ("multistart", 0, False),
-                ("multistart_spread", 0, True)):
+                ("penalty0", 0, True)):
             value = getattr(self, name)
             if not (value > low if strict else value >= low):
                 raise ValueError(f"solver {name} must be "
@@ -407,7 +403,15 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
     return x, fx, pg_norm, it, status, fcs, ders
 
 
-def _solve_single(problem: NlpProblem, x0: np.ndarray, opts: SolveOptions) -> SolveReport:
+def solve(
+    problem: NlpProblem, x0: np.ndarray, options: SolveOptions | None = None
+) -> SolveReport:
+    """Minimize a constrained problem from the given start.
+
+    A start below its lower bounds is projected onto them, with a warning
+    charged to the caller.
+    """
+    opts = options or SolveOptions()
     lb = problem.lower_bounds
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.size != problem.dim:
@@ -493,34 +497,3 @@ def _inf_norm(v: np.ndarray) -> float:
 
 def _pos_inf_norm(v: np.ndarray) -> float:
     return float(np.max(np.maximum(0.0, v))) if v.size else 0.0
-
-
-def solve(
-    problem: NlpProblem, x0: np.ndarray, options: SolveOptions | None = None
-) -> SolveReport:
-    """Minimize a constrained problem from the given start.
-
-    With ``options.multistart > 0``, additional seeded perturbations of
-    ``x0`` are solved and the best feasible result is returned.
-    """
-    opts = options or SolveOptions()
-    best = _solve_single(problem, x0, opts)
-    if opts.multistart > 0:
-        rng = np.random.default_rng(opts.seed)
-        x0 = np.asarray(x0, dtype=float).ravel()
-        for _ in range(opts.multistart):
-            xs = x0 + opts.multistart_spread * rng.standard_normal(x0.size) \
-                * np.maximum(1.0, np.abs(x0))
-            xs = np.maximum(xs, problem.lower_bounds)
-            cand = _solve_single(problem, xs, opts)
-            if _better(cand, best, opts):
-                best = cand
-    return best
-
-
-def _better(a: SolveReport, b: SolveReport, opts: SolveOptions) -> bool:
-    a_feas = a.eq_residual_inf <= opts.tol_eq and a.in_violation_inf <= opts.tol_in
-    b_feas = b.eq_residual_inf <= opts.tol_eq and b.in_violation_inf <= opts.tol_in
-    if a_feas != b_feas:
-        return a_feas
-    return a.f_star < b.f_star

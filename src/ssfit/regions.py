@@ -12,13 +12,12 @@ system through the matrix characteristic function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LmiRegion",
-    "TightenedRegionConstraint",
     "half_plane",
     "left_half_plane",
     "disk",
@@ -30,7 +29,8 @@ __all__ = [
     "matrix_char_fn",
     "eig_membership",
     "membership_margin",
-    "tightened_residuals",
+    "require_pd_weight",
+    "require_sound_shift",
 ]
 
 # Scale-aware cushion for strict definiteness tests: "> 0" is checked as
@@ -59,7 +59,6 @@ class LmiRegion:
     m1: np.ndarray
     kind: str = "raw"
     label: str = ""
-    params: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         m0 = np.atleast_2d(np.asarray(self.m0, dtype=float))
@@ -83,14 +82,13 @@ class LmiRegion:
 def half_plane(x0: float) -> LmiRegion:
     """Open right half-plane ``Re(z) > x0``."""
     return LmiRegion(np.array([[-2.0 * x0]]), np.array([[1.0]]),
-                     kind="half_plane", label=f"half_plane({x0})", params=(x0,))
+                     kind="half_plane", label=f"half_plane({x0})")
 
 
 def left_half_plane(x0: float = 0.0) -> LmiRegion:
     """Open left half-plane ``Re(z) < x0`` (the sign-flipped half-plane)."""
     return LmiRegion(np.array([[2.0 * x0]]), np.array([[-1.0]]),
-                     kind="left_half_plane", label=f"left_half_plane({x0})",
-                     params=(x0,))
+                     kind="left_half_plane", label=f"left_half_plane({x0})")
 
 
 def disk(s: float, x0: float) -> LmiRegion:
@@ -99,7 +97,7 @@ def disk(s: float, x0: float) -> LmiRegion:
         raise ValueError(f"disk radius must be positive, got {s}")
     m0 = np.array([[s, -x0], [-x0, s]])
     m1 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return LmiRegion(m0, m1, kind="disk", label=f"disk({s}, {x0})", params=(s, x0))
+    return LmiRegion(m0, m1, kind="disk", label=f"disk({s}, {x0})")
 
 
 def cone(s: float, x0: float) -> LmiRegion:
@@ -108,7 +106,7 @@ def cone(s: float, x0: float) -> LmiRegion:
         raise ValueError(f"cone slope must be positive, got {s}")
     m0 = -2.0 * s * x0 * np.eye(2)
     m1 = np.array([[s, 1.0], [-1.0, s]])
-    return LmiRegion(m0, m1, kind="cone", label=f"cone({s}, {x0})", params=(s, x0))
+    return LmiRegion(m0, m1, kind="cone", label=f"cone({s}, {x0})")
 
 
 def band(s: float) -> LmiRegion:
@@ -118,7 +116,7 @@ def band(s: float) -> LmiRegion:
     # f(z) = [[2s, 2i Im z], [-2i Im z, 2s]], eigenvalues 2s +- 2|Im z|
     m0 = 2.0 * s * np.eye(2)
     m1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return LmiRegion(m0, m1, kind="band", label=f"band({s})", params=(s,))
+    return LmiRegion(m0, m1, kind="band", label=f"band({s})")
 
 
 def intersect(first: LmiRegion, second: LmiRegion, *rest: LmiRegion) -> LmiRegion:
@@ -134,7 +132,7 @@ def intersect(first: LmiRegion, second: LmiRegion, *rest: LmiRegion) -> LmiRegio
         m1[off:off + r.m, off:off + r.m] = r.m1
         off += r.m
     label = "intersect(" + ", ".join(r.label or r.kind for r in regions) + ")"
-    return LmiRegion(m0, m1, kind="intersect", label=label, params=tuple(regions))
+    return LmiRegion(m0, m1, kind="intersect", label=label)
 
 
 def char_fn(region: LmiRegion, z: complex) -> np.ndarray:
@@ -246,68 +244,3 @@ def _is_disk_corner_shift(region: LmiRegion, M: np.ndarray) -> bool:
     if np.any(M[n:, :]) or np.any(M[:n, n:]):
         return False
     return float(np.min(np.linalg.eigvalsh(Q))) > 0
-
-
-@dataclass(frozen=True)
-class TightenedRegionConstraint:
-    """Closed eigenvalue constraint: ``M_D(A, P) >= M``, ``P >= 0``, ``tr(VP) <= 1/eps``.
-
-    Parameters
-    ----------
-    region : LmiRegion
-    shift : ndarray
-        Positive semidefinite ``n*m x n*m`` shift ``M``.  A positive definite
-        shift always certifies strict feasibility of the underlying region
-        system; the only accepted semidefinite shape is the disk-specific
-        corner block ``[[Q, 0], [0, 0]]`` with ``Q > 0``.
-    weight : ndarray
-        Positive definite ``n x n`` trace weight ``V``.
-    epsilon : float
-        Trace bound parameter, ``tr(VP) <= 1/epsilon``.
-    """
-
-    region: LmiRegion
-    shift: np.ndarray
-    weight: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=float)
-        weight = np.asarray(self.weight, dtype=float)
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if weight.ndim != 2 or weight.shape[0] != weight.shape[1]:
-            raise ValueError(f"weight must be square, got shape {weight.shape}")
-        require_pd_weight(weight)
-        if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
-            raise ValueError(f"shift must be square, got shape {shift.shape}")
-        require_sound_shift(self.region, shift)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "weight", weight)
-
-    @property
-    def n(self) -> int:
-        return self.weight.shape[0]
-
-
-def tightened_residuals(
-    c: TightenedRegionConstraint, A: np.ndarray, P: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Residuals of the tightened system at ``(A, P)``.
-
-    Returns ``(M_D(A, P) - M, P, 1/epsilon - tr(VP))``.  Feasibility means the
-    two matrices are positive semidefinite and the scalar is nonnegative.
-    """
-    A = np.asarray(A, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if A.shape != (c.n, c.n) or P.shape != (c.n, c.n):
-        raise ValueError(
-            f"A and P must be {c.n} x {c.n}, got {A.shape} and {P.shape}"
-        )
-    mat = matrix_char_fn(c.region, A, P)
-    if mat.shape != c.shift.shape:
-        raise ValueError(
-            f"shift shape {c.shift.shape} does not match block shape {mat.shape}"
-        )
-    slack = 1.0 / c.epsilon - float(np.trace(c.weight @ P))
-    return mat - c.shift, P, slack

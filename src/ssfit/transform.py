@@ -33,8 +33,6 @@ __all__ = [
     "ConstraintSystem",
     "complete_factor",
     "reconstruct_q",
-    "bmz_forward",
-    "bmz_inverse",
     "sigma_factor_tangents",
     "gbmz_forward",
     "gbmz_inverse",
@@ -172,36 +170,6 @@ def _chol(S: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"{what} is not positive definite") from exc
-
-
-def bmz_forward(
-    x: np.ndarray,
-    L_on: np.ndarray,
-    H_of: Callable[[np.ndarray], np.ndarray],
-    pattern: IndexSet,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simple factor substitution: ``(x, L_on) -> (x, Q(H(x), L_on))``.
-
-    The result satisfies ``Q > H(x)`` and has zeros at off-pattern positions.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    H = np.asarray(H_of(x), dtype=float)
-    L_off = complete_factor(pattern, L_on, H)
-    return x, reconstruct_q(H, L_on, L_off)
-
-
-def bmz_inverse(
-    x: np.ndarray,
-    Q: np.ndarray,
-    H_of: Callable[[np.ndarray], np.ndarray],
-    pattern: IndexSet,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse substitution: project the Cholesky factor of ``Q - H(x)``."""
-    x = np.asarray(x, dtype=float).ravel()
-    Q = np.asarray(Q, dtype=float)
-    H = np.asarray(H_of(x), dtype=float)
-    L = _chol(Q - H, "Q - H(x)")
-    return x, project_lower(pattern, L)
 
 
 @dataclass(frozen=True)

@@ -259,8 +259,7 @@ def inner_minimize_reference_adapter(problem, x, fcs, ders, lam, mu, rho, tol,
     start's ``fcs`` and ``ders`` are ignored (the reference evaluates and
     differentiates the start itself) and the end point is evaluated and
     differentiated once more.  That is two evaluations and two
-    differentiations per outer iteration more than ``nlp._solve_single``
-    makes."""
+    differentiations per outer iteration more than ``nlp.solve`` makes."""
     from ssfit.nlp import _derivatives, _evaluate
 
     out = inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter,

@@ -160,6 +160,15 @@ class TestEig:
         path, _ = truth_model
         assert main(["eig", "--model", path, "--region", "sphere 1"]) == 1
 
+    def test_nonfinite_region_parameter(self, truth_model, capsys):
+        path, _ = truth_model
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eig", "--model", path, "--region", "half_plane inf"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: region half_plane: parameter inf must be a finite number\n"
+
     @pytest.mark.parametrize("epsilon", ["0", "-0.03"])
     def test_nonpositive_epsilon_is_input_error(self, truth_model, capsys,
                                                 epsilon):
@@ -295,14 +304,12 @@ NAN, INF = float("nan"), float("inf")
 # a JSON boolean is no number, and an integer option takes no fraction
 SOLVER_FAULTS = [(key, True) for key in (
     "tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner", "penalty0",
-    "multistart", "verbose")] + [
-    ("max_inner", 2.9), ("max_outer", 1.5), ("multistart", 0.5),
-    ("verbose", -0.5), ("max_inner", INF), ("tol_eq", NAN),
-    ("penalty0", INF), ("tol_stat", "1e-6"),
+    "verbose")] + [
+    ("max_inner", 2.9), ("max_outer", 1.5), ("verbose", -0.5),
+    ("max_inner", INF), ("tol_eq", NAN), ("penalty0", INF), ("tol_stat", "1e-6"),
     # well-typed but out of range
     ("penalty0", 0), ("penalty0", -10), ("max_outer", 0), ("max_outer", -3),
-    ("max_inner", 0), ("tol_eq", 0), ("tol_in", -1e-7), ("tol_stat", 0.0),
-    ("multistart", -1)]
+    ("max_inner", 0), ("tol_eq", 0), ("tol_in", -1e-7), ("tol_stat", 0.0)]
 # the other numbers of a config follow the same rule: counts are integral,
 # every number finite, and no value a boolean
 CONFIG_FAULTS = [
@@ -340,6 +347,10 @@ CONFIG_FAULTS = [
                  ERROR_IN_CFG, id="solver-max_inner-list"),
     pytest.param(FIT, ("cfg", ("solver",), {"tol_eq": None}), 1,
                  ERROR_IN_CFG, id="solver-tol_eq-null"),
+    # multistart is gone from the solver: the key is unknown
+    pytest.param(FIT, ("cfg", ("solver",), {"multistart": 0}), 1,
+                 ERROR_IN_CFG + "unknown solver keys ['multistart']\n",
+                 id="solver-multistart-0"),
     pytest.param(FIT, ("cfg", ("model", "n_s"), [2]), 1, ERROR_IN_CFG,
                  id="model-n_s-list"),
     pytest.param(["eig", "--model", "{model}"], ("model", ("A",), {"x": 1}),

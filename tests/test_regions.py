@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ssfit.regions import (
     LmiRegion,
-    TightenedRegionConstraint,
     band,
     char_fn,
     cone,
@@ -16,7 +15,8 @@ from ssfit.regions import (
     left_half_plane,
     matrix_char_fn,
     membership_margin,
-    tightened_residuals,
+    require_pd_weight,
+    require_sound_shift,
 )
 from test_oracle import spectrum_matrix
 
@@ -243,20 +243,27 @@ class TestMembershipMargin:
         assert membership_margin(left_half_plane(0.0), A) == 0.0
 
 
+def tightened_residuals(region, shift, weight, epsilon, A, P):
+    """Residuals of the tightened system ``M_D(A, P) >= M``, ``P >= 0``,
+    ``tr(VP) <= 1/epsilon``: feasible when the two matrices are positive
+    semidefinite and the scalar is nonnegative."""
+    return (matrix_char_fn(region, A, P) - shift, P,
+            1.0 / epsilon - float(np.trace(weight @ P)))
+
+
 class TestTightened:
     def test_residual_example(self):
-        c = TightenedRegionConstraint(
-            half_plane(0.0), np.array([[0.1]]), np.array([[1.0]]), 0.5)
         m_res, p_res, slack = tightened_residuals(
-            c, np.array([[1.0]]), np.array([[1.0]]))
+            half_plane(0.0), np.array([[0.1]]), np.array([[1.0]]), 0.5,
+            np.array([[1.0]]), np.array([[1.0]]))
         assert m_res[0, 0] == pytest.approx(1.9)
         assert p_res[0, 0] == pytest.approx(1.0)
         assert slack == pytest.approx(1.0)
 
     def test_zero_p_infeasible(self):
-        c = TightenedRegionConstraint(
-            disk(1.0, 0.0), 0.1 * np.eye(2), np.eye(1), 1.0)
-        m_res, _, _ = tightened_residuals(c, np.array([[0.5]]), np.array([[0.0]]))
+        m_res, _, _ = tightened_residuals(
+            disk(1.0, 0.0), 0.1 * np.eye(2), np.eye(1), 1.0,
+            np.array([[0.5]]), np.array([[0.0]]))
         assert np.allclose(m_res, -0.1 * np.eye(2))
 
     def test_satisfied_residuals_imply_membership(self):
@@ -273,9 +280,8 @@ class TestTightened:
             A = V @ np.diag(lam) @ np.linalg.inv(V)
             X = rng.standard_normal((n, n))
             P = X @ X.T + 0.5 * np.eye(n)
-            c = TightenedRegionConstraint(
-                region, 1e-6 * np.eye(2 * n), np.eye(n), 1e-4)
-            m_res, p_res, slack = tightened_residuals(c, A, P)
+            m_res, p_res, slack = tightened_residuals(
+                region, 1e-6 * np.eye(2 * n), np.eye(n), 1e-4, A, P)
             if (np.min(np.linalg.eigvalsh(m_res)) >= 0
                     and np.min(np.linalg.eigvalsh(p_res)) >= 0 and slack >= 0):
                 hits += 1
@@ -287,12 +293,12 @@ class TestTightened:
         # characteristic block to be definite
         rng = np.random.default_rng(10)
         region = half_plane(0.1)
-        c = TightenedRegionConstraint(region, 0.01 * np.eye(3), np.eye(3), 1e-3)
         for _ in range(200):
             A = np.diag(rng.uniform(0.3, 1.5, size=3))
             X = rng.standard_normal((3, 3))
             P = X @ X.T + 0.2 * np.eye(3)
-            m_res, p_res, slack = tightened_residuals(c, A, P)
+            m_res, p_res, slack = tightened_residuals(
+                region, 0.01 * np.eye(3), np.eye(3), 1e-3, A, P)
             if (np.min(np.linalg.eigvalsh(m_res)) >= 0
                     and np.min(np.linalg.eigvalsh(p_res)) >= 0 and slack >= 0):
                 assert np.min(np.linalg.eigvalsh(P)) > 0
@@ -300,20 +306,19 @@ class TestTightened:
                     matrix_char_fn(region, A, P))) > 0
 
     def test_shift_validation(self):
-        with pytest.raises(ValueError):
-            TightenedRegionConstraint(
-                half_plane(0.0), -0.1 * np.eye(1), np.eye(1), 1.0)
-        with pytest.raises(ValueError):
-            TightenedRegionConstraint(
-                half_plane(0.0), np.eye(1), np.eye(1), -1.0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            require_sound_shift(half_plane(0.0), -0.1 * np.eye(1))
+        with pytest.raises(ValueError, match="positive definite"):
+            require_pd_weight(np.diag([1.0, 0.0]))
         # general semidefinite shifts are rejected outside the disk form
         M = np.diag([1.0, 0.0])
-        with pytest.raises(ValueError):
-            TightenedRegionConstraint(band(1.0), M, np.eye(1), 1.0)
+        with pytest.raises(ValueError, match="disk corner-block"):
+            require_sound_shift(band(1.0), M)
         # the disk corner-block form is the documented exception
         corner = np.zeros((2, 2))
         corner[0, 0] = 1.0
-        TightenedRegionConstraint(disk(1.0, 0.0), corner, np.eye(1), 1.0)
+        require_sound_shift(disk(1.0, 0.0), corner)
+        require_pd_weight(np.eye(1))
 
 
 # region builders over three parameters in [0, 1], each with its signed

@@ -1,8 +1,10 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (doubling_scan_reference, perturbed, siso_dataset,
                      siso_truth, stacked, states_loop_reference)
@@ -16,6 +18,7 @@ from ssfit.statespace import (
     LadmSpec,
     ParameterLayout,
     STATE_BLOWUP,
+    STOP_TEST_SAMPLES,
     _check_states,
     _states_scan,
     assemble_ladm,
@@ -70,6 +73,52 @@ def random_model(rng, n=3, m=1, p=1, stable_filter=True):
                 A = A * (0.9 / (rho + 0.05))
                 model = InnovationModel(A, B, C, D, x0, K, Re)
     return model
+
+
+@st.composite
+def stop_rule_cases(draw):
+    """A stable ``F`` (n <= 4, spectral radius in [0.05, 0.99]) that is
+    non-normal through a superdiagonal coupling up to 4, possibly with a
+    conjugate pair, rotated by a random orthogonal matrix; a record long
+    enough for the scan's stop test; and ``c``, ``x0``."""
+    n = draw(st.integers(1, 4))
+    rho = draw(st.floats(0.05, 0.99))
+    coupling = draw(st.floats(0.0, 4.0))
+    N = draw(st.integers(STOP_TEST_SAMPLES, 3 * STOP_TEST_SAMPLES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = np.diag(rho * rng.uniform(-1.0, 1.0, n)) + coupling * np.eye(n, k=1)
+    T[0, 0] = rho
+    if n > 1 and draw(st.booleans()):
+        angle = draw(st.floats(0.0, np.pi))
+        T[:2, :2] = rho * np.array([[np.cos(angle), -np.sin(angle)],
+                                    [np.sin(angle), np.cos(angle)]])
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ T @ Q.T, rng.standard_normal((N, n)), rng.standard_normal(n)
+
+
+def power_growth(F):
+    """Peak of ``max(||F^k||_inf, ||F^k||_1)`` over ``k >= 0``.  Once a power
+    has norm at most 1, no later power exceeds the peak so far
+    (``F^m = F^k F^(m-k)``), so the search ends there."""
+    growth, P = 1.0, np.eye(F.shape[0])
+    while True:
+        P = P @ F
+        norm = max(float(np.abs(P).sum(axis=1).max()),
+                   float(np.abs(P).sum(axis=0).max()))
+        if norm <= 1.0:
+            return growth
+        growth = max(growth, norm)
+
+
+# spectral radius 0.79, power norms peaking at 35 (power_growth): the doubling
+# scan misses 16 eps (1 + log2 N) max|x| by 1.3x here, early stop or not, and
+# by 1.8x at N = 300, where it never tests for an early stop
+NONNORMAL_CASE = (
+    np.array([[-0.57796346, 2.332191, 1.70006916],
+              [-1.84196353, 0.74171584, -1.67246912],
+              [1.47197641, -0.29733732, 1.70917208]]),
+    np.random.default_rng(0).standard_normal((STOP_TEST_SAMPLES, 3)),
+    np.random.default_rng(1).standard_normal(3))
 
 
 class TestRecursionKernels:
@@ -147,6 +196,28 @@ class TestRecursionKernels:
                 bound = 16 * eps * (1 + np.log2(N)) \
                     * float(np.max(np.abs(exact)))
                 assert float(np.max(np.abs(got - exact))) <= bound
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(stop_rule_cases())
+    @example(NONNORMAL_CASE)
+    def test_stop_rule_accuracy(self, case):
+        """Stopping early moves no state by more than eps * max|x| from the
+        full-depth scan, and the scan stays within test_scan_accuracy's
+        bound of an extended-precision loop times the peak growth of F's
+        powers, for F and its transpose.  The doubling scan itself needs
+        that factor: at full depth it misses the plain bound by up to 5x on
+        strongly non-normal F (``NONNORMAL_CASE``) at any record length."""
+        F, c, x0 = case
+        eps = np.finfo(float).eps
+        bound = 16 * eps * (1 + np.log2(c.shape[0])) * power_growth(F)
+        for G in (F, F.T):
+            got = _states_scan(G, stacked(c, x0))
+            with mock.patch.object(statespace, "STOP_TEST_SAMPLES", np.inf):
+                full = _states_scan(G, stacked(c, x0))
+            exact = longdouble_loop(G, c, x0)
+            scale = float(np.max(np.abs(exact)))
+            assert float(np.max(np.abs(got - full))) <= eps * scale
+            assert float(np.max(np.abs(got - exact))) <= bound * scale
 
     def test_scan_peak_memory(self):
         """A scan runs in place: beyond its input it holds one product at a

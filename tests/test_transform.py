@@ -18,8 +18,6 @@ from ssfit.transform import (
     FactorPoint,
     SingularPivotError,
     ThetaPoint,
-    bmz_forward,
-    bmz_inverse,
     complete_factor,
     completion_is_trivial,
     epsilon_box,
@@ -42,6 +40,21 @@ def random_instance(rng, n):
     H = 0.5 * (X + X.T)
     H *= 1.0 / max(1.0, np.linalg.norm(H, 2))
     return pattern, L, H
+
+
+def one_block_forward(x, L, H_of, pattern):
+    """The simple substitution ``(x, L) -> (x, H(x) + L L^T)`` completed off
+    ``pattern``: :func:`gbmz_forward` on a system with no coupled block."""
+    system = ConstraintSystem(x.size, pattern, empty_set(0), shift_fn=H_of)
+    theta, _ = gbmz_forward(FactorPoint(x, L, np.zeros((0, 0))), system)
+    return theta.beta, theta.Sigma
+
+
+def one_block_inverse(x, Q, H_of, pattern):
+    """Inverse of :func:`one_block_forward` through :func:`gbmz_inverse`."""
+    system = ConstraintSystem(x.size, pattern, empty_set(0), shift_fn=H_of)
+    phi = gbmz_inverse(ThetaPoint(x, Q), system)
+    return phi.beta, phi.L_sigma
 
 
 class TestCompleteFactor:
@@ -121,25 +134,26 @@ class TestSimpleTransform:
         Q0 = X @ X.T + n * np.eye(n)
         L = np.linalg.cholesky(Q0)
         x = rng.standard_normal(2)
-        x_out, Q = bmz_forward(x, L, lambda b: np.zeros((n, n)), full_lower(n))
+        x_out, Q = one_block_forward(x, L, lambda b: np.zeros((n, n)),
+                                     full_lower(n))
         assert np.array_equal(x_out, x)
         assert np.allclose(Q, Q0)
 
     def test_inverse_identity_shift(self):
-        x, L = bmz_inverse(np.zeros(0), np.eye(2),
-                           lambda b: np.zeros((2, 2)), diagonal(2))
+        x, L = one_block_inverse(np.zeros(0), np.eye(2),
+                                 lambda b: np.zeros((2, 2)), diagonal(2))
         assert np.allclose(L, np.eye(2))
 
     def test_inverse_hand_example(self):
         Q = np.diag([1.0, 1.25])
         H = np.array([[0.0, 0.5], [0.5, 0.0]])
-        _, L = bmz_inverse(np.zeros(0), Q, lambda b: H, diagonal(2))
+        _, L = one_block_inverse(np.zeros(0), Q, lambda b: H, diagonal(2))
         assert np.allclose(L, np.eye(2))
 
     def test_inverse_rejects_indefinite(self):
         with pytest.raises(DomainError):
-            bmz_inverse(np.zeros(0), np.diag([1.0, -1.0]),
-                        lambda b: np.zeros((2, 2)), diagonal(2))
+            one_block_inverse(np.zeros(0), np.diag([1.0, -1.0]),
+                              lambda b: np.zeros((2, 2)), diagonal(2))
 
     def test_round_trips(self):
         rng = np.random.default_rng(14)
@@ -158,10 +172,10 @@ class TestSimpleTransform:
             L[pattern._rows0, pattern._cols0] = rng.standard_normal(len(pattern))
             L[np.arange(n), np.arange(n)] = rng.uniform(0.2, 1.5, size=n)
             x = rng.standard_normal(nb)
-            _, Q = bmz_forward(x, L, H_of, pattern)
-            _, L_back = bmz_inverse(x, Q, H_of, pattern)
+            _, Q = one_block_forward(x, L, H_of, pattern)
+            _, L_back = one_block_inverse(x, Q, H_of, pattern)
             assert np.allclose(L_back, L, rtol=1e-8, atol=1e-10)
-            _, Q_again = bmz_forward(x, L_back, H_of, pattern)
+            _, Q_again = one_block_forward(x, L_back, H_of, pattern)
             assert np.allclose(Q_again, Q, rtol=1e-8, atol=1e-10)
 
     def test_pattern_preserved(self):
@@ -171,7 +185,8 @@ class TestSimpleTransform:
             pattern, L_on, H = random_instance(rng, n)
             H = project_lower(pattern, H)
             H = H + H.T - np.diag(np.diag(H))
-            _, Q = bmz_forward(np.zeros(0), L_on, lambda b, H=H: H, pattern)
+            _, Q = one_block_forward(np.zeros(0), L_on, lambda b, H=H: H,
+                                     pattern)
             off = complement(pattern)
             if len(off):
                 assert float(np.max(np.abs(vecs(off, Q)))) <= 1e-10 * max(
