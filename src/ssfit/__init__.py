@@ -62,7 +62,6 @@ from .statespace import (
     identification_index,
     likelihood_gradients,
     neg_log_likelihood,
-    regularizer,
     simulate,
 )
 from .nlp import (

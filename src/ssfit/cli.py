@@ -149,6 +149,8 @@ def cmd_eig(args) -> int:
     if not 0.0 < args.epsilon < np.inf:
         return _fail(f"--epsilon must be positive and finite, got {args.epsilon}")
     model, _, _ = ssio.load_model(args.model)
+    # an input error prints its error line and nothing else
+    region = None if args.region is None else ssio.parse_region(args.region)
     rep = eigen_report(model)
     print("open-loop eigenvalues:")
     for z in rep.open_loop:
@@ -156,9 +158,8 @@ def cmd_eig(args) -> int:
     print("filter eigenvalues:")
     for z in rep.filter:
         print(f"  {z.real:+.6f} {z.imag:+.6f}j  |.| = {abs(z):.6f}")
-    if args.region is None:
+    if region is None:
         return EXIT_OK
-    region = ssio.parse_region(args.region)
     target = model.A if args.target == "open_loop" else model.filter_matrix()
     direct = eig_membership(region, target)
     shift = args.epsilon * np.eye(target.shape[0] * region.m)

@@ -36,7 +36,6 @@ from .statespace import (
     ladm_blocks,
     likelihood_gradients,
     neg_log_likelihood,
-    regularizer,
 )
 from .transform import (
     ConstraintSystem,
@@ -169,10 +168,12 @@ class ExtendedProblem:
     """A problem with its Lyapunov blocks and constraint system materialized.
 
     ``shifts`` and ``weights`` hold each constraint's shift ``M`` and trace
-    weight ``V`` with their defaults resolved.  ``derivative_fn(beta, Sigma,
-    dSigma)`` is the closed-form Jacobian of the pattern entries of the
-    coupled map followed by the trace rows: one column per beta coordinate,
-    then one per symmetric direction ``dSigma[k]`` of Sigma.
+    weight ``V`` with their defaults resolved.  ``coupled_fn(A, C, K,
+    Sigma)`` is the coupled map at the model blocks ``(A, C, K)`` of a point
+    (``system.psd_fn`` builds them from beta).  ``derivative_fn(A, C, K,
+    Sigma, dSigma)`` is the closed-form Jacobian of the pattern entries of
+    the coupled map followed by the trace rows: one column per beta
+    coordinate, then one per symmetric direction ``dSigma[k]`` of Sigma.
     """
 
     spec: ProblemSpec
@@ -183,7 +184,8 @@ class ExtendedProblem:
     delta_re: float
     shifts: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
-    derivative_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    coupled_fn: Callable[..., np.ndarray]
+    derivative_fn: Callable[..., np.ndarray]
 
     def model_of(self, theta: ThetaPoint) -> InnovationModel:
         return assemble_ladm(self.spec.ladm, theta, self.layout)
@@ -229,22 +231,25 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         resolved.append((c, n_i, shift, weight,
                          replace(c.region, m0=np.zeros_like(c.region.m0))))
 
-    # Both maps take one point or a stack: the leading dimensions of beta
-    # (..., n_beta) and Sigma (..., n_sigma, n_sigma) broadcast, and each
-    # item of a stack is its one-point value bit for bit.
-    def psd_fn(beta, Sigma):
-        lead = np.broadcast_shapes(np.shape(beta)[:-1], np.shape(Sigma)[:-2])
+    # The maps take one point or a stack: the leading dimensions of the
+    # model blocks (..., n, n) or beta (..., n_beta) and those of Sigma
+    # (..., n_sigma, n_sigma) broadcast, and each item of a stack is its
+    # one-point value bit for bit.
+    def coupled_fn(A, C, K, Sigma):
+        lead = np.broadcast_shapes(np.shape(A)[:-2], np.shape(Sigma)[:-2])
         out = np.zeros(lead + (pattern_a.n, pattern_a.n))
         out[..., :p, :p] = Sigma[..., :p, :p] - delta * np.eye(p)
-        if resolved:
-            A, _, C, K = ladm_blocks(layout, beta)
-            for (c, n_i, shift, _, _), (soff, _), (aoff, asize) in zip(
-                    resolved, sigma_blocks[1:], a_blocks[1:]):
-                P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
-                target = c.resolve_target(A, C, K, ladm.n_s)
-                out[..., aoff:aoff + asize, aoff:aoff + asize] = \
-                    matrix_char_fn(c.region, target, P_i) - shift
+        for (c, n_i, shift, _, _), (soff, _), (aoff, asize) in zip(
+                resolved, sigma_blocks[1:], a_blocks[1:]):
+            P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
+            target = c.resolve_target(A, C, K, ladm.n_s)
+            out[..., aoff:aoff + asize, aoff:aoff + asize] = \
+                matrix_char_fn(c.region, target, P_i) - shift
         return out
+
+    def psd_fn(beta, Sigma):
+        A, _, C, K = ladm_blocks(layout, beta)
+        return coupled_fn(A, C, K, Sigma)
 
     def ineq_fn(beta, Sigma):
         rows = np.empty(np.shape(Sigma)[:-2] + (len(resolved),))
@@ -263,12 +268,10 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
 
     # M_D(T, P) is linear in P and, with M0 = 0, in T, and the trace rows
     # are linear in Sigma and free of beta
-    def derivative_fn(beta, Sigma, dSigma):
+    def derivative_fn(A, C, K, Sigma, dSigma):
         out = np.zeros((nb + len(dSigma), pattern_a.n, pattern_a.n))
         out[nb:, :p, :p] = dSigma[:, :p, :p]
         rows = np.zeros((len(out), len(resolved)))
-        if resolved:
-            A, _, C, K = ladm_blocks(layout, beta)
         for k, ((c, n_i, _, weight, region0), (soff, _), (aoff, asize)) in \
                 enumerate(zip(resolved, sigma_blocks[1:], a_blocks[1:])):
             P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
@@ -295,18 +298,21 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         spec=spec, layout=layout, system=system,
         sigma_blocks=tuple(sigma_blocks), a_blocks=tuple(a_blocks),
         delta_re=delta, shifts=tuple(r[2] for r in resolved),
-        weights=tuple(r[3] for r in resolved), derivative_fn=derivative_fn)
+        weights=tuple(r[3] for r in resolved), coupled_fn=coupled_fn,
+        derivative_fn=derivative_fn)
 
 
 class _IdentificationNlp:
     """Callable bundle for one identification solve.
 
-    The objective runs the innovation filter and keeps its innovations for
-    the gradient at the same point, which is the filter adjoint pulled back
-    through the completed Sigma factor's tangents.  Both constraint
-    Jacobians share one closed-form derivative pass per point
-    (``ExtendedProblem.derivative_fn`` along the same tangents); the
-    coupled-block factor enters the equalities alone, as ``-d(L L^T)``.
+    Each decision vector maps once to a record (factors, theta, completed
+    coupled block, model) that all six callables read.  The objective keeps
+    its filter innovations for the gradient at the same point: the filter
+    adjoint pulled back along the completed Sigma factor's tangents.  Those
+    tangents, computed once per point, also serve the MAP prior and the one
+    closed-form derivative pass of both constraint Jacobians
+    (``ExtendedProblem.derivative_fn``); the coupled-block factor enters
+    the equalities alone, as ``-d(L L^T)``.
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
@@ -324,31 +330,44 @@ class _IdentificationNlp:
         # against the constraint residuals
         self.obj_scale = float(max(1, data.N))
         self._regularized = self.rho > 0 and phi_bar is not None
+        if self._regularized and (
+                phi_bar.beta.size != self.system.n_beta
+                or phi_bar.L_sigma.shape != (self.system.n_sigma,) * 2):
+            raise ValueError("phi_bar does not match the problem's layout")
         self._L_bar = (sigma_factor_tangents(self.system, phi_bar.L_sigma)[0]
                        if self._regularized else None)
         self._cache_key = None
         self._cache_val = None
-        # filter innovations at the cached point, left by the objective,
-        # and the constraint derivatives at that point, left by a Jacobian
+        # left at the cached point by the objective and by the first
+        # derivative taken there
         self._innovations = None
+        self._tangents = None
         self._derivatives = None
         self._gram = gram_jacobian(self.system.pattern_a)
         self._gram_cols = self.k_beta_sigma + self._gram.cols
 
     def _forward(self, x: np.ndarray):
+        """The record ``(phi, theta, A_T, model)`` of ``x``."""
         key = x.tobytes()
         if key != self._cache_key:
             phi = self.system.unpack(x)
             theta, A_T = gbmz_forward(phi, self.system)
             self._cache_key = key
-            self._cache_val = (phi, theta, A_T)
-            self._innovations = None
-            self._derivatives = None
+            self._cache_val = (phi, theta, A_T, self.ext.model_of(theta))
+            self._innovations = self._tangents = self._derivatives = None
         return self._cache_val
 
+    def _sigma_tangents(self, x: np.ndarray):
+        """The completed Sigma factor ``L`` at ``x`` and its tangents."""
+        phi = self._forward(x)[0]
+        if self._tangents is None:
+            self._tangents = sigma_factor_tangents(self.system, phi.L_sigma)
+        return self._tangents
+
     def objective(self, x: np.ndarray) -> float:
-        phi, theta, _ = self._forward(x)
-        model = self.ext.model_of(theta)
+        """The NLL plus the MAP prior ``(rho/2)(|beta - beta_bar|^2 +
+        |L - L_bar|_F^2)`` over the completed Sigma factors, per sample."""
+        phi, _, _, model = self._forward(x)
         try:
             innovations = statespace.filter_innovations(model, self.data)
             value = neg_log_likelihood(model, self.data, innovations)
@@ -356,7 +375,10 @@ class _IdentificationNlp:
             return float("inf")
         self._innovations = innovations
         if self._regularized:
-            value += regularizer(phi, self.phi_bar, self.rho, self.system)
+            dbeta = phi.beta - self.phi_bar.beta
+            dL = self._sigma_tangents(x)[0] - self._L_bar
+            value += 0.5 * self.rho * (float(dbeta @ dbeta)
+                                       + float(np.sum(dL * dL)))
         return value / self.obj_scale
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -369,26 +391,20 @@ class _IdentificationNlp:
         The innovations come from the objective call at ``x`` when there
         was one.
         """
-        phi, theta, _ = self._forward(x)
+        phi, theta, _, model = self._forward(x)
         ext = self.ext
         ladm = ext.spec.ladm
-        model = ext.model_of(theta)
         grads = likelihood_gradients(model, self.data, self._innovations)
         n_s = ladm.n_s
-        mats = {
-            "A_s": grads["A"][:n_s, :n_s],
-            "B_s": grads["B"][:n_s, :],
-            "K_s": grads["K"][:n_s, :],
-        }
-        if ladm.n_d > 0:
-            mats["K_d"] = grads["K"][n_s:, :]
-        if "C_s" in ext.layout.segments:
-            mats["C_s"] = grads["C"][:, :n_s]
-        g_beta = ext.layout.pack(mats)
+        # pack reads the blocks of the layout's segments only
+        g_beta = ext.layout.pack({
+            "A_s": grads["A"][:n_s, :n_s], "B_s": grads["B"][:n_s, :],
+            "K_s": grads["K"][:n_s, :], "K_d": grads["K"][n_s:, :],
+            "C_s": grads["C"][:, :n_s]})
         p = ladm.p
         grad_sigma = np.zeros_like(theta.Sigma)
         grad_sigma[:p, :p] = grads["Re"]
-        L, dL = sigma_factor_tangents(self.system, phi.L_sigma)
+        L, dL = self._sigma_tangents(x)
         G = 2.0 * grad_sigma @ L
         if self._regularized:
             g_beta = g_beta + self.rho * (phi.beta - self.phi_bar.beta)
@@ -399,20 +415,21 @@ class _IdentificationNlp:
         return g / self.obj_scale
 
     def equality(self, x: np.ndarray) -> np.ndarray:
-        phi, theta, A_T = self._forward(x)
-        Amat = self.system.psd_fn(theta.beta, theta.Sigma)
+        _, theta, A_T, model = self._forward(x)
+        Amat = self.ext.coupled_fn(model.A, model.C, model.K, theta.Sigma)
         return vecs(self.system.pattern_a, 0.5 * (Amat + Amat.T) - A_T)
 
     def _constraint_derivatives(self, x: np.ndarray) -> np.ndarray:
         """Jacobian columns in (beta, L_Sigma) of the pattern entries of the
         coupled map and of the trace rows: one closed-form pass along the
         Sigma factor's tangents, kept with the cached point."""
-        phi, theta, _ = self._forward(x)
+        _, theta, _, model = self._forward(x)
         if self._derivatives is None:
-            L, dL = sigma_factor_tangents(self.system, phi.L_sigma)
+            L, dL = self._sigma_tangents(x)
             Q = dL @ L.T
             self._derivatives = self.ext.derivative_fn(
-                theta.beta, theta.Sigma, Q + np.swapaxes(Q, 1, 2))
+                model.A, model.C, model.K, theta.Sigma,
+                Q + np.swapaxes(Q, 1, 2))
         return self._derivatives
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -427,7 +444,7 @@ class _IdentificationNlp:
         return J
 
     def inequality(self, x: np.ndarray) -> np.ndarray:
-        _, theta, _ = self._forward(x)
+        _, theta, _, _ = self._forward(x)
         return self.system.ineq_fn(theta.beta, theta.Sigma)
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -452,13 +469,19 @@ class _IdentificationNlp:
         )
 
 
+def _check_dimensions(ladm: LadmSpec, data: Dataset) -> None:
+    """``ValueError`` unless the record's dimensions are the model's."""
+    m, p = data.u.shape[1], data.y.shape[1]
+    if (m, p) != (ladm.m, ladm.p):
+        raise ValueError(
+            f"dataset has {m} input(s) and {p} output(s); the model "
+            f"structure has {ladm.m} input(s) and {ladm.p} output(s)")
+
+
 def build_nlp(ext: ExtendedProblem, data: Dataset,
               phi_bar: FactorPoint | None = None) -> NlpProblem:
     """Assemble the transformed minimization problem over packed factors."""
-    if data.N < 1:
-        raise ValueError("dataset is empty")
-    if data.u.shape[1] != ext.spec.ladm.m or data.y.shape[1] != ext.spec.ladm.p:
-        raise ValueError("dataset dimensions do not match the model structure")
+    _check_dimensions(ext.spec.ladm, data)
     return _IdentificationNlp(ext, data, phi_bar).problem()
 
 
@@ -549,8 +572,7 @@ def fit(
     solve, wall time, and constraint residuals.
     """
     t_start = time.perf_counter()
-    if data.N < 1:
-        raise ValueError("dataset is empty")
+    _check_dimensions(spec.ladm, data)
     spec = replace(spec, delta_re=resolve_delta(spec, data))
     ext = extend_with_eig_constraints(spec)
     if isinstance(init, str):
@@ -569,9 +591,7 @@ def fit(
     nlp = _IdentificationNlp(ext, data, phi_bar)
     report = solve(nlp.problem(), ext.system.pack(phi0),
                    options or FIT_OPTIONS)
-    phi_hat = ext.system.unpack(report.x_star)
-    theta_hat, _ = gbmz_forward(phi_hat, ext.system)
-    model = ext.model_of(theta_hat)
+    phi_hat, theta_hat, _, model = nlp._forward(report.x_star)
     nll = neg_log_likelihood(model, data)
     eig = eigen_report(model)
     wall = time.perf_counter() - t_start

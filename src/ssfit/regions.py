@@ -38,7 +38,7 @@ __all__ = [
 DEFINITE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmiRegion:
     """A region of the complex plane with generating matrices ``(M0, M1)``.
 
@@ -72,6 +72,15 @@ class LmiRegion:
             raise ValueError("m0 must be exactly symmetric")
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "m1", m1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LmiRegion):
+            return NotImplemented
+        return (self.kind, self.label) == (other.kind, other.label) \
+            and np.array_equal(self.m0, other.m0) \
+            and np.array_equal(self.m1, other.m1)
+
+    __hash__ = None
 
     @property
     def m(self) -> int:

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexsets import IndexSet
-from .transform import ConstraintSystem, FactorPoint, complete_factor
-
 __all__ = [
     "InnovationModel",
     "LadmSpec",
@@ -31,7 +28,6 @@ __all__ = [
     "simulate",
     "filter_innovations",
     "neg_log_likelihood",
-    "regularizer",
     "identification_index",
     "eigen_report",
     "EigenReport",
@@ -563,34 +559,6 @@ def likelihood_gradients(
     dRe = 0.5 * (dRe + dRe.T)
     return {"A": dA, "B": dB, "C": dC, "D": dD, "K": dK,
             "x0hat": dx0, "Re": dRe}
-
-
-def regularizer(
-    phi: FactorPoint,
-    phi_bar: FactorPoint,
-    rho: float,
-    system: ConstraintSystem,
-) -> float:
-    """Quadratic distance from a prior point in the transformed space.
-
-    ``(rho/2) |beta - beta_bar|^2`` plus ``(rho/2)`` times the squared
-    Frobenius distance between the completed Sigma factors.  The coupled
-    block factor is not regularized.
-    """
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if rho == 0:
-        return 0.0
-    if phi.beta.size != phi_bar.beta.size or phi.L_sigma.shape != phi_bar.L_sigma.shape:
-        raise ValueError("phi and phi_bar have mismatched layouts")
-
-    def completed(point: FactorPoint) -> np.ndarray:
-        H = system.shift(point.beta)
-        return point.L_sigma + complete_factor(system.pattern_sigma, point.L_sigma, H)
-
-    dbeta = phi.beta - phi_bar.beta
-    dL = completed(phi) - completed(phi_bar)
-    return 0.5 * rho * (float(dbeta @ dbeta) + float(np.sum(dL * dL)))
 
 
 def identification_index(

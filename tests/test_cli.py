@@ -156,9 +156,16 @@ class TestEig:
         value, bound = (float(line.split(": ")[1]) for line in lines[i:i + 2])
         assert bound <= value <= 1.0 / 0.03
 
-    def test_region_parse_error(self, truth_model):
+    def test_region_parse_error(self, truth_model, capsys):
         path, _ = truth_model
-        assert main(["eig", "--model", path, "--region", "sphere 1"]) == 1
+        for region in ("sphere 1", "intersect(half_plane 0.3", "disk 1",
+                       "half_plane x"):
+            assert main(["eig", "--model", path, "--region", region]) == 1
+            captured = capsys.readouterr()
+            # an input error writes no partial report
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
 
     def test_nonfinite_region_parameter(self, truth_model, capsys):
         path, _ = truth_model
@@ -166,7 +173,9 @@ class TestEig:
             warnings.simplefilter("error")
             code = main(["eig", "--model", path, "--region", "half_plane inf"])
         assert code == 1
-        assert capsys.readouterr().err == \
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
             "error: region half_plane: parameter inf must be a finite number\n"
 
     @pytest.mark.parametrize("epsilon", ["0", "-0.03"])
@@ -278,6 +287,24 @@ class TestFitPipeline:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "constraint 0 must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m, p", [(1, 2), (2, 1)])
+    def test_record_of_other_dimensions_is_input_error(self, tmp_path,
+                                                       capsys, m, p):
+        rng = np.random.default_rng(0)
+        data = str(tmp_path / "data.csv")
+        save_dataset(data, Dataset(rng.standard_normal((60, m)),
+                                   rng.standard_normal((60, p))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sample_config()))
+        out = tmp_path / "o"
+        code = main(["fit", "--config", str(cfg), "--data", data,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset has {m} input(s) and {p} output(s); the model "
+            f"structure has 1 input(s) and 1 output(s)\n")
+        assert not (out / "model.json").exists()
 
     def test_negative_constraint_shift_is_input_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -38,10 +38,10 @@ from ssfit.statespace import (
     filter_innovations,
     identification_index,
     neg_log_likelihood,
-    regularizer,
 )
 from ssfit.transform import (
     ThetaPoint,
+    complete_factor,
     epsilon_box,
     gbmz_forward,
     gbmz_inverse,
@@ -330,6 +330,27 @@ def _assert_close(J, J_ref, rtol):
     assert float(np.max(np.abs(J - J_ref), initial=0.0)) <= rtol * scale
 
 
+def _likelihood_only(nlp):
+    """The NLP of ``nlp``'s problem without its prior."""
+    ext = extend_with_eig_constraints(replace(nlp.ext.spec, rho=0.0))
+    return _IdentificationNlp(ext, nlp.data, None)
+
+
+def _prior_by_hand(nlp, x):
+    """``(rho/2)(|beta - beta_bar|^2 + |L - L_bar|_F^2)`` at ``x``, with
+    each Sigma factor completed by ``transform.complete_factor``."""
+    system, bar = nlp.system, nlp.phi_bar
+    phi = system.unpack(x)
+
+    def completed(L_on):
+        return L_on + complete_factor(system.pattern_sigma, L_on,
+                                      np.zeros_like(L_on))
+
+    dbeta = phi.beta - bar.beta
+    dL = completed(phi.L_sigma) - completed(bar.L_sigma)
+    return 0.5 * nlp.rho * (float(dbeta @ dbeta) + float(np.sum(dL * dL)))
+
+
 DISK_CONSTRAINT = (EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),)
 # a p = 3 pattern without (3, 2): rows 2 and 3 share column 1, so the
 # completion of the Re factor is not zero
@@ -380,25 +401,32 @@ class TestClosedForms:
     def test_one_derivative_pass_per_point(self, monkeypatch):
         # the fit-active start: N = 300, data seed 7, disk(0.95, 0)
         nlp, x = _fit_start(disk(0.95, 0.0), n=300, seed=7)
-        nlp.equality(x)
-        calls = []
-        original = identify.sigma_factor_tangents
+        calls = {"ladm_blocks": 0, "assemble_ladm": 0,
+                 "sigma_factor_tangents": 0}
+        for module, name in ((statespace, "ladm_blocks"),
+                             (identify, "ladm_blocks"),
+                             (identify, "assemble_ladm"),
+                             (identify, "sigma_factor_tangents")):
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(identify, "sigma_factor_tangents", counted)
+            monkeypatch.setattr(module, name, counted)
+        once = dict.fromkeys(calls, 1)
+        # one record and one derivative pass serve all six callables
+        assert np.isfinite(nlp.objective(x))
+        for name in ("gradient", "equality", "inequality"):
+            getattr(nlp, name)(x)
         J_eq = nlp.equality_jacobian(x)
         J_in = nlp.inequality_jacobian(x)
-        # one pass serves both Jacobians, and a repeated request reuses it
-        assert len(calls) == 1
+        assert calls == once
+        # a repeated request reuses them
         assert np.array_equal(nlp.equality_jacobian(x), J_eq)
         assert np.array_equal(nlp.inequality_jacobian(x), J_in)
-        assert len(calls) == 1
-        # a new point gets a new pass
+        assert calls == once
+        # a new point gets a new record and a new pass
         nlp.inequality_jacobian(x + 1e-3)
-        assert len(calls) == 2
+        assert calls == dict.fromkeys(calls, 2)
 
     def test_preflight_at_the_fit_active_start(self):
         nlp, x = _fit_start(disk(0.95, 0.0), n=300, seed=7)
@@ -446,6 +474,33 @@ def test_fit_derivatives_match_finite_differences(problem):
     nlp, x = _random_point(ladm, (constraint,), seed, re_pattern, rho)
     assert preflight_gradients(nlp.problem(), x, n_points=2, rtol=1e-6,
                                seed=seed) <= 1e-6
+
+
+NLP_CALLABLES = ("objective", "gradient", "equality", "equality_jacobian",
+                 "inequality", "inequality_jacobian")
+
+
+def _outcome(fn, x):
+    """The bytes of ``fn(x)``, or the type of the error it raises."""
+    try:
+        return np.asarray(fn(x)).tobytes()
+    except FilterDivergedError as exc:
+        return type(exc)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(identification_problems(),
+       st.permutations(range(2 * len(NLP_CALLABLES))))
+def test_point_record_matches_fresh_evaluations(problem, order):
+    ladm, constraint, re_pattern, rho, seed = problem
+    nlp, x = _random_point(ladm, (constraint,), seed, re_pattern, rho)
+    y = x * (1.0 + 0.01 * np.random.default_rng(seed).standard_normal(x.size))
+    # the six callables at two points, interleaved in a drawn order
+    for i in order:
+        point, name = (x, y)[i % 2], NLP_CALLABLES[i // 2]
+        fresh = _IdentificationNlp(nlp.ext, nlp.data, nlp.phi_bar)
+        assert _outcome(getattr(nlp, name), point) \
+            == _outcome(getattr(fresh, name), point), name
 
 
 class TestLeanHotPaths:
@@ -540,17 +595,51 @@ class TestObjectivePaths:
                              ids=["unconstrained", "disk"])
     def test_map_objective_adds_the_regularizer(self, constraints):
         ext, data, phi0, phi_bar = self._map_start(constraints, 2.5)
-        ext_ml = extend_with_eig_constraints(replace(ext.spec, rho=0.0))
         nlp = _IdentificationNlp(ext, data, phi_bar)
-        nlp_ml = _IdentificationNlp(ext_ml, data, phi_bar)
         x = ext.system.pack(phi0)
         x[:nlp.k_beta_sigma] *= 1.0 + 0.01 * np.random.default_rng(12) \
             .standard_normal(nlp.k_beta_sigma)
-        added = regularizer(ext.system.unpack(x), phi_bar, 2.5, ext.system)
+        added = _prior_by_hand(nlp, x)
         assert added > 0
-        assert nlp.objective(x) - nlp_ml.objective(x) \
+        assert nlp.objective(x) - _likelihood_only(nlp).objective(x) \
             == pytest.approx(added / nlp.obj_scale, rel=1e-9)
 
+    @pytest.mark.parametrize("re_pattern", [None, NONTRIVIAL_RE],
+                             ids=["full", "nontrivial"])
+    def test_prior_at_and_beside_its_point(self, re_pattern):
+        ladm = LadmSpec(n_s=2, n_d=3, m=1, p=3)
+        nlp, x = _random_point(ladm, DISK_CONSTRAINT, seed=5,
+                               re_pattern=re_pattern, rho=3.0)
+        ml = _likelihood_only(nlp).objective(x)
+        at_prior = _IdentificationNlp(nlp.ext, nlp.data, nlp.system.unpack(x))
+        assert at_prior.objective(x) == ml
+        # a prior that differs in beta alone adds (rho/2)|d|^2
+        d = np.zeros(nlp.system.n_beta)
+        d[:2] = [0.5, -1.0]
+        beside = replace(nlp.system.unpack(x), beta=x[:d.size] + d)
+        shifted = _IdentificationNlp(nlp.ext, nlp.data, beside)
+        assert (shifted.objective(x) - ml) * nlp.obj_scale \
+            == pytest.approx(0.5 * 3.0 * 1.25, rel=1e-12)
+        # a random prior adds its distance over the completed factors
+        added = _prior_by_hand(nlp, x)
+        assert added > 0
+        assert (nlp.objective(x) - ml) * nlp.obj_scale \
+            == pytest.approx(added, rel=1e-9)
+
+    def test_mismatched_prior_rejected_before_the_solve(self, monkeypatch):
+        ext, data, phi0, _ = self._map_start(DISK_CONSTRAINT, 2.5)
+        wrong = replace(phi0, beta=np.zeros(phi0.beta.size + 1))
+        with pytest.raises(ValueError, match="phi_bar"):
+            build_nlp(ext, data, wrong)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(identify, "solve", no_solve)
+        theta = siso_truth()[2]
+        for bad in (wrong, replace(phi0, L_sigma=np.eye(1))):
+            with pytest.raises(ValueError, match="phi_bar"):
+                fit(replace(ext.spec, phi_bar=bad), data, init=theta)
 
     def test_fd_gradient_under_nontrivial_sigma_completion(self):
         nlp, x = _random_point(LadmSpec(n_s=2, n_d=3, m=1, p=3),
@@ -637,6 +726,23 @@ class TestFit:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 1)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("m, p", [(1, 2), (2, 1)])
+    def test_record_of_other_dimensions_rejected(self, monkeypatch, m, p):
+        def no_init(*args):
+            raise AssertionError("the initializer ran")
+
+        monkeypatch.setattr(identify, "varx_init", no_init)
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.standard_normal((200, m)),
+                       rng.standard_normal((200, p)))
+        message = (f"dataset has {m} input\\(s\\) and {p} output\\(s\\); "
+                   f"the model structure has 1 input\\(s\\) and 1 output")
+        with pytest.raises(ValueError, match=message):
+            fit(siso_problem(), data)
+        ext = extend_with_eig_constraints(siso_problem(delta_re=1e-8))
+        with pytest.raises(ValueError, match=message):
+            build_nlp(ext, data)
 
     def test_infeasible_init_reports_block(self):
         spec, layout, theta = siso_truth()

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ssfit.identify import EigConstraintSpec
+from ssfit.io import parse_region
 from ssfit.regions import (
     LmiRegion,
     band,
@@ -111,6 +113,41 @@ class TestIntersect:
         for _ in range(1000):
             z = complex(*(2.0 * rng.standard_normal(2)))
             assert contains(r, z) == (contains(r1, z) and contains(r2, z))
+
+
+class TestEquality:
+    """Regions compare by value: generating matrices, kind and label."""
+
+    def test_equal_regions_compare_equal(self):
+        assert disk(1.0, 0.0) == disk(1.0, 0.0)
+        assert not disk(1.0, 0.0) != disk(1.0, 0.0)
+        assert cone(1.0, 0.1) == LmiRegion(cone(1.0, 0.1).m0,
+                                           cone(1.0, 0.1).m1, "cone",
+                                           "cone(1.0, 0.1)")
+
+    @pytest.mark.parametrize("other", [
+        disk(1.0, 0.1), disk(0.9, 0.0), cone(1.0, 0.0),
+        LmiRegion(disk(1.0, 0.0).m0, disk(1.0, 0.0).m1),
+        intersect(disk(1.0, 0.0), disk(1.0, 0.0)), "disk(1.0, 0.0)"])
+    def test_another_parameter_differs(self, other):
+        assert disk(1.0, 0.0) != other
+        assert not disk(1.0, 0.0) == other
+
+    def test_parsed_text_equals_its_constructor(self):
+        built = intersect(half_plane(0.3), disk(0.998, 0.0))
+        assert parse_region("intersect(half_plane 0.3, disk 0.998 0)") \
+            == built
+        assert parse_region("intersect(half_plane 0.3, disk 0.9 0)") != built
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(disk(1.0, 0.0))
+
+    def test_constraint_specs_with_default_weight_and_shift(self):
+        assert EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05) \
+            == EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05)
+        assert EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05) \
+            != EigConstraintSpec(disk(0.9, 0.0), "filter", 0.05)
 
 
 class TestMatrixCharFn:

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (doubling_scan_reference, perturbed, siso_dataset,
                      siso_truth, stacked, states_loop_reference)
 from ssfit import statespace
-from ssfit.indexsets import empty_set, full_lower
 from ssfit.statespace import (
     Dataset,
     EigenReport,
@@ -27,10 +26,9 @@ from ssfit.statespace import (
     identification_index,
     likelihood_gradients,
     neg_log_likelihood,
-    regularizer,
     simulate,
 )
-from ssfit.transform import ConstraintSystem, FactorPoint, ThetaPoint
+from ssfit.transform import ThetaPoint
 
 
 def longdouble_loop(F, c, x0):
@@ -710,37 +708,6 @@ class TestLadm:
             assert accepted == expected, Re
             verdicts.add(expected)
         assert verdicts == {True, False}
-
-
-class TestRegularizer:
-    def setup_method(self):
-        self.system = ConstraintSystem(
-            n_beta=1, pattern_sigma=full_lower(2), pattern_a=empty_set(0))
-        self.phi = FactorPoint(np.array([1.0]), 2.0 * np.eye(2), np.zeros((0, 0)))
-        self.phi_bar = FactorPoint(np.array([0.0]), 2.0 * np.eye(2), np.zeros((0, 0)))
-
-    def test_zero_rho(self):
-        assert regularizer(self.phi, self.phi_bar, 0.0, self.system) == 0.0
-
-    def test_zero_at_prior(self):
-        assert regularizer(self.phi, self.phi, 3.0, self.system) == 0.0
-
-    def test_beta_distance(self):
-        assert regularizer(self.phi, self.phi_bar, 2.0, self.system) \
-            == pytest.approx(1.0)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(27)
-        for _ in range(20):
-            phi = FactorPoint(rng.standard_normal(1),
-                              np.tril(rng.standard_normal((2, 2))) + 2 * np.eye(2),
-                              np.zeros((0, 0)))
-            assert regularizer(phi, self.phi_bar, 0.7, self.system) >= 0.0
-
-    def test_layout_mismatch(self):
-        other = FactorPoint(np.array([0.0, 0.0]), 2.0 * np.eye(2), np.zeros((0, 0)))
-        with pytest.raises(ValueError):
-            regularizer(self.phi, other, 1.0, self.system)
 
 
 class TestIdentificationIndex:
