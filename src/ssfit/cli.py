@@ -46,8 +46,8 @@ def _spectrum(values: np.ndarray) -> list:
 def cmd_fit(args) -> int:
     config = ssio.load_config(args.config)
     data = ssio.load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
     result = fit(config.problem, data, init="auto", options=config.solver)
+    os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.json")
     report_path = os.path.join(args.out, "fit_report.json")
     ssio.save_model(model_path, result.model, ladm=config.problem.ladm,

@@ -74,7 +74,7 @@ class InitializationError(ValueError):
     """The initial parameters are unusable for the requested problem."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigConstraintSpec:
     """One eigenvalue-region constraint on a model submatrix.
 
@@ -105,6 +105,16 @@ class EigConstraintSpec:
             raise ValueError(f"unknown target {self.target!r}; "
                              f"expected one of {TARGETS}")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EigConstraintSpec):
+            return NotImplemented
+        return (self.region, self.target, self.epsilon_i) \
+            == (other.region, other.target, other.epsilon_i) \
+            and _same_matrix(self.weight, other.weight) \
+            and _same_matrix(self.shift, other.shift)
+
+    __hash__ = None
+
     def resolve_target(self, A: np.ndarray, C: np.ndarray, K: np.ndarray,
                        n_s: int) -> np.ndarray:
         """The bound matrix of the model ``(A, C, K)``, which may carry
@@ -128,6 +138,12 @@ class EigConstraintSpec:
 
     def target_dim(self, spec: LadmSpec) -> int:
         return spec.n_s if self.target == "plant_block" else spec.n
+
+
+def _same_matrix(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -606,6 +622,7 @@ def fit(
         "eq_residual_inf": report.eq_residual_inf,
         "in_violation_inf": report.in_violation_inf,
         "stationarity_inf": report.stationarity_inf,
+        "inner_capped": report.inner_capped,
         "open_loop_eigs": eig.open_loop,
         "filter_eigs": eig.filter,
         "spectral_radius": eig.spectral_radius,

@@ -5,7 +5,12 @@ Solves problems of the form
     min f(x)  subject to  c_eq(x) = 0,  c_in(x) <= 0,  x >= lb
 
 with a method-of-multipliers outer loop (a plain x10 penalty update) and a
-projected quasi-Newton (BFGS) inner solve.  Every derivative comes from a
+projected quasi-Newton (BFGS) inner solve.  The outer loop carries the BFGS
+matrix from one subproblem to the next while the penalty stays put, and
+starts from the identity again after the penalty grows.  An inner solve that
+stops on ``max_inner`` above its tolerance updates no multiplier, penalty or
+tolerance: the next outer iteration goes on with the same subproblem (Conn,
+Gould & Toint 1991; Birgin & Martinez 2014).  Every derivative comes from a
 provider the problem supplies; central finite differences only check them
 (:func:`preflight_gradients`).  The solver is deterministic and has no
 dependencies beyond numpy.
@@ -141,7 +146,9 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one :func:`solve` call; ``n_evals`` counts the points
-    evaluated (objective and constraints at one x), not derivative calls."""
+    evaluated (objective and constraints at one x), not derivative calls,
+    and ``inner_capped`` the inner solves that stopped on ``max_inner``
+    above their tolerance."""
 
     x_star: np.ndarray
     f_star: float
@@ -153,6 +160,7 @@ class SolveReport:
     status: str
     penalty: float = 0.0
     n_evals: int = 0
+    inner_capped: int = 0
 
     @property
     def converged(self) -> bool:
@@ -323,7 +331,7 @@ def _al_gradient(fcs, ders, lam, mu, rho):
 
 
 def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
-                    count):
+                    count, Hinv=None):
     """Projected-BFGS minimization of the augmented Lagrangian over x >= lb.
 
     Accepted steps are monotone in the merit value by the Armijo rule; this
@@ -333,6 +341,17 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
     ``(g_f, J_c, J_s)`` of :func:`_derivatives` at the start ``x``, and the
     end point's come back with it, so the caller evaluates and
     differentiates no point again.
+
+    ``Hinv`` is the inverse-Hessian estimate to start from, as a previous
+    call returned it; ``None`` starts from the identity and scales it at the
+    first curvature pair.  The final estimate comes back last (``None`` when
+    the loop ended on an unscaled identity), so the caller can carry the
+    curvature into the next subproblem; :func:`solve` does so while the
+    penalty is unchanged.  A non-descent direction or a failed line search
+    still resets it to the identity.  Status ``ok`` with a projected
+    gradient above ``tol`` means the loop stopped on ``max_iter``; the
+    caller then updates no multiplier or penalty and calls again on the same
+    subproblem.
     """
     lb = problem.lower_bounds
     n = x.size
@@ -340,8 +359,9 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
     finite = np.isfinite(lb)
     edge = np.full(n, np.nan)
     edge[finite] = lb[finite] + 1e-12 * np.maximum(1.0, np.abs(lb[finite]))
-    scaled = False
-    Hinv = np.eye(n)
+    scaled = Hinv is not None
+    if not scaled:
+        Hinv = np.eye(n)
 
     def backtrack(direction):
         alpha = 1.0
@@ -400,7 +420,7 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
         x, g, fx, fcs, ders = xt, gt, ft, fcs_t, ders_t
     pg = np.where((x <= edge) & (g > 0), 0.0, g)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    return x, fx, pg_norm, it, status, fcs, ders
+    return x, fx, pg_norm, it, status, fcs, ders, Hinv if scaled else None
 
 
 def solve(
@@ -440,21 +460,27 @@ def solve(
     unconstrained = problem.n_eq + problem.n_in == 0
     omega = opts.tol_stat if unconstrained else max(opts.tol_stat, 1.0 / rho)
     total_inner = 0
+    inner_capped = 0
     v_prev = np.inf
     status = "max-iter"
     ls_failures = 0
+    Hinv = None
     for outer in range(1, opts.max_outer + 1):
-        x, fx, pg_norm, inner_iters, inner_status, fcs, ders = \
+        x, fx, pg_norm, inner_iters, inner_status, fcs, ders, Hinv = \
             _inner_minimize(problem, x, fcs, ders, lam, mu, rho, omega,
-                            opts.max_inner, count)
+                            opts.max_inner, count, Hinv)
         total_inner += inner_iters
+        # an "ok" inner solve above its tolerance stopped on max_inner
+        capped = inner_status == "ok" and pg_norm > omega
+        inner_capped += capped
         f, c, s = fcs
         ceq = _inf_norm(c)
         cin = _pos_inf_norm(s)
         v = max(ceq, cin)
         if opts.verbose:
             print(f"[outer {outer:2d}] f={f: .6e} viol={v:.3e} "
-                  f"pg={pg_norm:.3e} rho={rho:.1e} inner={inner_iters}")
+                  f"pg={pg_norm:.3e} rho={rho:.1e} inner={inner_iters}"
+                  + (" capped" if capped else ""))
         feasible = ceq <= opts.tol_eq and cin <= opts.tol_in
         if feasible and pg_norm <= opts.tol_stat:
             status = "converged"
@@ -466,6 +492,9 @@ def solve(
                 break
         else:
             ls_failures = 0
+        if capped:
+            # finish this subproblem before judging its multipliers
+            continue
         if v <= max(VIOLATION_SHRINK * v_prev, min(opts.tol_eq, opts.tol_in)):
             lam = lam - rho * c
             mu = np.maximum(0.0, mu + rho * s)
@@ -475,6 +504,8 @@ def solve(
                 break
             rho = min(PENALTY_MAX, rho * PENALTY_FACTOR)
             omega = max(opts.tol_stat, 1.0 / rho)
+            # the rho J^T J term of the merit's Hessian grew tenfold
+            Hinv = None
         v_prev = min(v_prev, v)
 
     return SolveReport(
@@ -488,6 +519,7 @@ def solve(
         status=status,
         penalty=rho,
         n_evals=count.n,
+        inner_capped=inner_capped,
     )
 
 

@@ -149,14 +149,17 @@ def fd_jacobian_reference(fn, x, n_out, h0=1e-6, lower_bounds=None):
 
 
 def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
-                             redundant=None):
+                             redundant=None, Hinv=None):
     """The projected-BFGS inner loop as it was before each trial point was
     evaluated once: the gradient at an accepted point calls the constraints
     again, the bound mask is rebuilt per use, and a failed line search
     retries along -pg even when its direction already was -pg.
     ``nlp._inner_minimize`` must return its bytes; ``redundant`` (a list)
     gets one entry per such repeated retry, which costs 40 merit
-    evaluations and changes nothing else."""
+    evaluations and changes nothing else.  ``Hinv`` is the carried
+    inverse-Hessian estimate (``None``: the identity, scaled at the first
+    curvature pair); the final one is returned last, ``None`` when it is
+    an unscaled identity."""
     from ssfit.nlp import _al_value, _evaluate
 
     def _al_gradient(problem, x, lam, mu, rho):
@@ -186,8 +189,9 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
 
     lb = problem.lower_bounds
     n = x.size
-    scaled = False
-    Hinv = np.eye(n)
+    scaled = Hinv is not None
+    if not scaled:
+        Hinv = np.eye(n)
 
     def merit(xq):
         f, c, s = _evaluate(problem, xq, count)
@@ -248,24 +252,26 @@ def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,
         x, g, fx = xt, gt, ft
     pg = _projected_gradient(g, x, lb)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    return x, fx, pg_norm, it, status
+    return x, fx, pg_norm, it, status, Hinv if scaled else None
 
 
 def inner_minimize_reference_adapter(problem, x, fcs, ders, lam, mu, rho, tol,
-                                     max_iter, count, redundant=None):
+                                     max_iter, count, Hinv=None,
+                                     redundant=None):
     """:func:`inner_minimize_reference` behind the protocol of
     ``nlp._inner_minimize``, as the outer loop drove it before the inner
     loop handed back its end point's ``(f, c, s)`` and derivatives: the
     start's ``fcs`` and ``ders`` are ignored (the reference evaluates and
     differentiates the start itself) and the end point is evaluated and
     differentiated once more.  That is two evaluations and two
-    differentiations per outer iteration more than ``nlp.solve`` makes."""
+    differentiations per outer iteration more than ``nlp.solve`` makes.
+    The carried ``Hinv`` goes in and comes out as in ``_inner_minimize``."""
     from ssfit.nlp import _derivatives, _evaluate
 
-    out = inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter,
-                                   count, redundant)
+    *out, Hinv = inner_minimize_reference(problem, x, lam, mu, rho, tol,
+                                          max_iter, count, redundant, Hinv)
     return (*out, _evaluate(problem, out[0], count),
-            _derivatives(problem, out[0]))
+            _derivatives(problem, out[0]), Hinv)
 
 
 def count_constraint_calls(problem):

@@ -254,6 +254,10 @@ class TestCriterion7ConstrainedMl:
             eig_constraints=(EigConstraintSpec(region, "filter", 0.03),),
             epsilon=1e-6)
         result = fit(pspec, data, init=theta0)
+        # the bound is the NLL this fit reaches with a fresh BFGS matrix in
+        # every outer iteration
+        assert result.solve_report.status == "converged"
+        assert result.nll <= -2204.937272405
         eigs = np.linalg.eigvals(result.model.filter_matrix())
         assert np.all(eigs.real >= 0.3 - 1e-6), f"Re bound violated: {eigs}"
         assert np.all(np.abs(eigs) <= 0.998 + 1e-6), f"modulus bound: {eigs}"

@@ -13,6 +13,8 @@ from ssfit.io import load_dataset, load_model, save_dataset, save_model
 from ssfit.statespace import Dataset, assemble_ladm
 from test_io import sample_config
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
 
 @pytest.fixture
 def truth_model(tmp_path):
@@ -295,16 +297,31 @@ class TestFitPipeline:
         data = str(tmp_path / "data.csv")
         save_dataset(data, Dataset(rng.standard_normal((60, m)),
                                    rng.standard_normal((60, p))))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(sample_config()))
         out = tmp_path / "o"
-        code = main(["fit", "--config", str(cfg), "--data", data,
-                     "--out", str(out)])
+        code = main(["fit", "--config", os.path.join(FIXTURES, "config.json"),
+                     "--data", data, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: dataset has {m} input(s) and {p} output(s); the model "
             f"structure has 1 input(s) and 1 output(s)\n")
-        assert not (out / "model.json").exists()
+        # the fit fails before anything is written
+        assert not out.exists()
+
+    def test_long_record_fit_converges(self, tmp_path):
+        # 20 000 samples of the truth model; the bound is the NLL this fit
+        # reaches with a fresh BFGS matrix in every outer iteration
+        sim = str(tmp_path / "long.csv")
+        assert main(["simulate", "--model",
+                     os.path.join(FIXTURES, "truth_model.json"), "--out", sim,
+                     "--seed", "21", "--gen-samples", "20000"]) == 0
+        out = tmp_path / "run"
+        assert main(["fit", "--config",
+                     os.path.join(FIXTURES, "config_unconstrained.json"),
+                     "--data", sim, "--out", str(out)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["status"] == "converged"
+        assert report["nll"] <= -22242.613080298
+        assert report["inner_capped"] == 0
 
     def test_negative_constraint_shift_is_input_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

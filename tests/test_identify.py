@@ -54,6 +54,44 @@ def tclab_like_spec(**kwargs) -> ProblemSpec:
     return ProblemSpec(ladm=ladm, delta_re=1e-10, **kwargs)
 
 
+class TestSpecEquality:
+    """Constraint specs compare by value, their weight and shift too."""
+
+    @staticmethod
+    def spec(**kwargs):
+        return EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"weight": np.eye(3)}, {"shift": 0.05 * np.eye(6)},
+        {"weight": np.diag([1.0, 2.0, 3.0]), "shift": 0.1 * np.eye(6)}])
+    def test_equal_matrices_compare_equal(self, kwargs):
+        assert self.spec(**kwargs) == self.spec(**kwargs)
+        assert not self.spec(**kwargs) != self.spec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, other", [
+        ({"weight": np.eye(3)}, {"weight": 2.0 * np.eye(3)}),
+        ({"weight": np.eye(3)}, {}),
+        ({"weight": np.eye(3)}, {"weight": np.eye(2)}),
+        ({"shift": 0.05 * np.eye(6)}, {"shift": 0.06 * np.eye(6)}),
+        ({"shift": 0.05 * np.eye(6)}, {}),
+        ({"weight": np.eye(3)}, {"shift": np.eye(3)})])
+    def test_other_matrices_differ(self, kwargs, other):
+        assert self.spec(**kwargs) != self.spec(**other)
+        assert self.spec(**other) != self.spec(**kwargs)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(self.spec(weight=np.eye(3)))
+
+    def test_problem_specs_compare_their_constraints(self):
+        def problem(scale):
+            return siso_problem(eig_constraints=(
+                self.spec(weight=scale * np.eye(3)),))
+
+        assert problem(1.0) == problem(1.0)
+        assert problem(1.0) != problem(2.0)
+
+
 class TestExtension:
     def test_no_constraints_unchanged(self):
         ext = extend_with_eig_constraints(tclab_like_spec())
@@ -761,6 +799,9 @@ class TestFit:
                      options=SolveOptions(max_inner=250, init_multipliers="lsq"))
         eigs = np.linalg.eigvals(result.model.filter_matrix())
         assert np.all(np.abs(eigs) <= 0.95 + 1e-6)
+        # the SLSQP optimum of bench/reference.json ("fit-active")
+        assert result.solve_report.status == "converged"
+        assert result.nll == pytest.approx(-325.797320660, rel=1e-6)
 
     def test_unconverged_fit_is_one_solve(self, monkeypatch):
         # case A on a shorter record with a small budget stops max-iter at a

@@ -224,6 +224,7 @@ class TestSolveAnalytic:
         assert rep.converged
         assert np.allclose(rep.x_star, [-np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-5)
         assert rep.eq_residual_inf <= 1e-7
+        assert rep.inner_capped == 0
 
     def test_active_lower_bound(self):
         rep = _solve_case("active-bound")
@@ -304,6 +305,47 @@ class TestReportContract:
         assert rep.penalty == nlp.PENALTY_MAX
         assert rep.outer_iterations == outer
         assert rep.eq_residual_inf >= 1.0
+
+    @pytest.mark.parametrize("case", ["circle", "rosenbrock", "providers"])
+    def test_capped_inner_solves_continue_one_subproblem(self, case):
+        # one inner step per outer iteration never reaches omega here, so
+        # no multiplier, penalty or tolerance moves and each outer iteration
+        # goes on from the carried BFGS matrix: eight of them are one inner
+        # solve of eight steps, bit for bit
+        problem, x0, _ = SOLVE_CASES[case]
+        capped = solve(problem, np.array(x0, dtype=float),
+                       SolveOptions(max_inner=1, max_outer=8))
+        whole = solve(problem, np.array(x0, dtype=float),
+                      SolveOptions(max_inner=8, max_outer=1))
+        assert (capped.status, capped.inner_capped, capped.outer_iterations,
+                capped.iterations) == ("max-iter", 8, 8, 8)
+        assert capped.penalty == SolveOptions().penalty0
+        assert capped.x_star.tobytes() == whole.x_star.tobytes()
+        assert (capped.iterations, capped.n_evals) \
+            == (whole.iterations, whole.n_evals)
+        assert whole.inner_capped == 1
+
+    @pytest.mark.parametrize("case", ["circle", "mixed", "providers"])
+    def test_matrix_carried_while_the_penalty_holds(self, case, monkeypatch):
+        # each inner solve starts from the matrix the previous one returned,
+        # unless the penalty grew in between: then from the identity
+        calls = []
+        inner = nlp._inner_minimize
+
+        def recorded(*args):
+            out = inner(*args)
+            calls.append((args[6], args[10], out[7]))  # rho, Hinv in, out
+            return out
+
+        monkeypatch.setattr(nlp, "_inner_minimize", recorded)
+        problem, x0, opts = SOLVE_CASES[case]
+        solve(problem, np.array(x0, dtype=float), opts)
+        assert calls[0][1] is None
+        pairs = list(zip(calls, calls[1:]))
+        assert any(b[0] == a[0] for a, b in pairs)
+        assert any(b[0] > a[0] for a, b in pairs)
+        for (rho, _, carried), (rho_next, start, _) in pairs:
+            assert start is (carried if rho_next == rho else None)
 
 
     @pytest.mark.parametrize("field, value", [
@@ -448,14 +490,16 @@ class TestOneEvaluationPerPoint:
         count = nlp._Counter()
         fcs = nlp._evaluate(problem, x0, count)
         ders = nlp._derivatives(problem, x0)
-        x, fx, _, it, status, _, _ = nlp._inner_minimize(problem, x0, fcs,
-                                                         ders, *args, count)
+        x, fx, _, it, status, _, _, Hinv = nlp._inner_minimize(
+            problem, x0, fcs, ders, *args, count)
         assert (it, status, count.n) == (1, "line-search-failure", 41)
         ref_count, redundant = nlp._Counter(), []
         ref = inner_minimize_reference(problem, x0, *args, ref_count,
                                        redundant)
         assert ref_count.n == 81 and redundant == [1]
         assert x.tobytes() == ref[0].tobytes() and fx == ref[1]
+        # the failed searches reset the matrix: nothing to carry
+        assert Hinv is None and ref[5] is None
 
     @pytest.mark.parametrize("case", list(SOLVE_CASES))
     def test_solve_matches_reference_inner_loop(self, case, monkeypatch):
