@@ -8,13 +8,16 @@ which is finite exactly when the spectrum of ``A`` lies in the region, and
 whose sublevel sets ``phi(A) <= 1/eps`` are the closed tightened constraint
 sets.  ``h0`` is zero, or ``RELAXED_P_FLOOR`` for the relaxed system
 ``M = 0``.  The program is linear in ``P``, so each query is one small
-semidefinite program in ``y = svec(P)``, solved by a primal-dual
-interior-point method (Mehrotra predictor-corrector with the HKM direction
-and SDPT3's infeasible start; Todd, Toh and Tutuncu 1998).  Its answer
-carries two certificates recomputed from the iterates: the value is
+semidefinite program in ``y = svec(P)``.  When an eigenvalue of ``A`` lies
+outside the region, its eigenvectors give a Farkas ray of the program in
+closed form (Chilali and Gahinet 1996), which answers the query when it
+passes the solve's own Farkas test.  Otherwise the program is solved by a
+primal-dual interior-point method (Mehrotra predictor-corrector with the HKM
+direction and SDPT3's infeasible start; Todd, Toh and Tutuncu 1998).  Its
+answer carries two certificates recomputed from the iterates: the value is
 ``tr(V P)`` of a ``P`` whose two slacks pass Cholesky in the query's own
 coordinates, and the lower bound is the objective of a dual point made
-exactly feasible by scaling (Chilali and Gahinet 1996 for the regions).
+exactly feasible by scaling.
 """
 
 from __future__ import annotations
@@ -139,11 +142,17 @@ class SdpProblem:
         inequality_jacobian = None
 
 
-def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest ``a`` with ``X + a dX >= 0``, for ``X > 0``."""
-    Li = np.linalg.inv(np.linalg.cholesky(X))
+def _max_step(Li: np.ndarray, dX: np.ndarray) -> float:
+    """Largest ``a`` with ``X + a dX >= 0``, for ``X > 0`` whose inverse
+    Cholesky factor is ``Li``."""
     lam = float(np.linalg.eigvalsh(Li @ dX @ Li.T)[0])
     return np.inf if lam >= 0 else -1.0 / lam
+
+
+def _farkas(FX: np.ndarray, dobj: float) -> bool:
+    """Whether a dual point ``X >= 0`` with ``F*(X) = FX`` and objective
+    ``dobj = tr(F_0 X) / |F_0|`` is a Farkas ray to ``FARKAS_TOL``."""
+    return dobj > 0 and float(np.linalg.norm(FX)) <= FARKAS_TOL * dobj
 
 
 def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
@@ -154,13 +163,16 @@ def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
     iteration solves a predictor and a corrector HKM direction through one
     Cholesky factor of the ``k x k`` Schur complement
     ``H_ij = tr(F_i X F_j S^-1)``, and steps ``y, S`` and ``X`` separately
-    to a fraction of the distance to the boundary.  ``observe(y, X)`` sees
-    every iterate in the problem's own units.  The status is ``converged``
-    when the relative gap and both residuals are below ``STOP_TOL``,
-    ``infeasible`` when ``X`` is a Farkas ray (``tr(F_0 X) > 0`` with
-    ``|F*(X)| <= FARKAS_TOL tr(F_0 X)``), and ``max-iter`` when neither
-    holds after ``MAX_ITER`` iterations or a factorization fails first.
-    One loop: ``outer_iterations`` equals ``iterations``.
+    to a fraction of the distance to the boundary; both step lengths of
+    ``S`` (and of ``X``) use one inverse Cholesky factor per iteration.
+    ``observe(y, X)`` sees every iterate in the problem's own units.  The
+    status is ``converged`` when the relative gap and both residuals are
+    below ``STOP_TOL``, ``infeasible`` when ``X`` is a Farkas ray
+    (:func:`_farkas`: ``tr(F_0 X) > 0`` with
+    ``|F*(X)| <= FARKAS_TOL tr(F_0 X) / |F_0|``, the test a closed-form ray
+    of :func:`barrier_solve` passes before any iteration), and ``max-iter``
+    when neither holds after ``MAX_ITER`` iterations or a factorization
+    fails first.  One loop: ``outer_iterations`` equals ``iterations``.
     """
     k, d, _ = problem.blocks.shape
     F = problem.blocks.reshape(k, d * d)
@@ -187,13 +199,16 @@ def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
                p_res, d_res) < STOP_TOL:
             status = "converged"
             break
-        if dobj > 0 and float(np.linalg.norm(FX)) <= FARKAS_TOL * dobj:
+        if _farkas(FX, dobj):
             status = "infeasible"
             break
         if it == MAX_ITER:
             break
         try:
             Si = np.linalg.inv(S)
+            # inverse Cholesky factors of S and X, shared by both steps
+            Ls = np.linalg.inv(np.linalg.cholesky(S))
+            Lx = np.linalg.inv(np.linalg.cholesky(X))
             H = F @ (X @ problem.blocks @ Si).reshape(k, d * d).T
             L = np.linalg.cholesky(0.5 * (H + H.T))
 
@@ -206,16 +221,16 @@ def solve(problem: SdpProblem, y0: np.ndarray, observe) -> SolveReport:
                 return dy, dS, 0.5 * (dX + dX.T)
 
             dy, dS, dX = direction(np.zeros((d, d)))
-            a_p = min(1.0, _max_step(S, dS))
-            a_d = min(1.0, _max_step(X, dX))
+            a_p = min(1.0, _max_step(Ls, dS))
+            a_d = min(1.0, _max_step(Lx, dX))
             mu = float(np.sum(X * S)) / d
             mu_aff = float(np.sum((X + a_d * dX) * (S + a_p * dS))) / d
             sigma = min(1.0, max(0.0, mu_aff / mu)
                         ** max(1.0, 3.0 * min(a_p, a_d) ** 2))
             gamma = 0.9 + 0.09 * min(a_p, a_d)
             dy, dS, dX = direction(sigma * mu * Si - dX @ dS @ Si)
-            a_p = min(1.0, gamma * _max_step(S, dS))
-            a_d = min(1.0, gamma * _max_step(X, dX))
+            a_p = min(1.0, gamma * _max_step(Ls, dS))
+            a_d = min(1.0, gamma * _max_step(Lx, dX))
         except np.linalg.LinAlgError:
             break
         y = y + a_p * dy
@@ -293,32 +308,73 @@ def _balance(A: np.ndarray) -> np.ndarray:
     return d
 
 
-def _coordinates(query: BarrierQuery) -> np.ndarray:
-    """Congruence ``T`` of the solve: it works on ``P'`` with ``P = T P' T^T``.
+def _coordinates(query: BarrierQuery):
+    """Congruence ``T`` of the solve, and an eigenpair outside the region.
 
-    With eigenvectors ``u_i`` of ``A``, ``P = sum_i w_i u_i u_i^H`` makes
-    ``M_D(A, P)`` congruent to the block diagonal of the ``w_i f(lambda_i)``,
-    so the modal Gram matrix with ``w_i = 1 / |lambda_min(f(lambda_i))|``
-    is close to the optimum in shape, and under its Cholesky factor ``T``
-    the solve sees a ``P'`` near the identity, however widely the optimum's
-    eigenvalues are spread.  The factor serves when
-    ``cond(T T^T) * eps <= GAP_TOL``.  A nearly defective ``A``, or an
-    eigenvalue on the region's boundary, fails that, and the diagonal
-    balancing of ``A`` (:func:`_balance`) is ``T`` instead.
+    The solve works on ``P'`` with ``P = T P' T^T``.  With eigenvectors
+    ``u_i`` of ``A``, ``P = sum_i c_i u_i u_i^H`` makes ``M_D(A, P)``
+    congruent to the block diagonal of the ``c_i f(lambda_i)``, so the modal
+    Gram matrix with ``c_i = 1 / |lambda_min(f(lambda_i))|`` is close to the
+    optimum in shape, and under its Cholesky factor ``T`` the solve sees a
+    ``P'`` near the identity, however widely the optimum's eigenvalues are
+    spread.  The factor serves when ``cond(T T^T) * eps <= GAP_TOL``.  A
+    nearly defective ``A``, or an eigenvalue on the region's boundary, fails
+    that, and the diagonal balancing of ``A`` (:func:`_balance`) is ``T``
+    instead.
+
+    The second output is ``None`` when every ``lambda_min(f(lambda_i))`` is
+    positive.  Otherwise it is ``(w, v, mu)`` for the eigenvalue with the
+    smallest: its left eigenvector ``w`` (``w^H A = lambda w^H``), and the
+    unit ``v`` with ``v^H f(lambda) v = mu <= 0``, the data of
+    :func:`_certified_ray`.
     """
     A = query.a_mat
+    T = outside = None
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             lam, U = np.linalg.eig(A)
             f_min = np.array([np.linalg.eigvalsh(char_fn(query.region, z))[0]
                               for z in lam])
+            i = int(np.argmin(f_min))
+            if f_min[i] <= 0:
+                mu, v = np.linalg.eigh(char_fn(query.region, lam[i]))
+                if mu[0] <= 0:
+                    w = np.linalg.solve(U.conj().T, np.eye(lam.size)[i])
+                    outside = w, v[:, 0], float(mu[0])
             G = np.real((U / np.abs(f_min)) @ U.conj().T)
             G = 0.5 * (G + G.T)
             if np.linalg.cond(G) * np.finfo(float).eps <= GAP_TOL:
-                return np.linalg.cholesky(G)
+                T = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         pass
-    return np.diag(_balance(A))
+    if T is None:
+        T = np.diag(_balance(A))
+    return T, outside
+
+
+def _certified_ray(problem: SdpProblem, w: np.ndarray, v: np.ndarray,
+                   mu: float) -> bool:
+    """Whether the closed-form ray of an eigenvalue outside the region
+    passes :func:`solve`'s Farkas test on ``problem``.
+
+    ``w`` is a left eigenvector of the program's ``A'`` for ``lambda``, and
+    ``v`` a unit vector with ``v^H f(lambda) v = mu <= 0``.  For every
+    ``P``, ``z = v (x) w`` gives ``z^H M_D(A', P) z = mu w^H P w``, so
+    ``X = blkdiag(Re z z^H, -mu Re w w^H) >= 0`` has ``F*(X) = 0``; it is a
+    ray when ``tr(F_0 X) > 0`` (the necessity half of Chilali and Gahinet
+    1996).  Round-off in ``w`` (a nearly defective ``A``) or ``mu = 0`` with
+    ``M = 0`` fails the test.
+    """
+    with np.errstate(invalid="ignore"):
+        w = w / np.max(np.abs(w))
+        z = np.kron(v, w)
+        X = _blkdiag(np.real(np.outer(z, z.conj())),
+                     -mu * np.real(np.outer(w, w.conj())))
+        k, d, _ = problem.blocks.shape
+        FX = problem.blocks.reshape(k, d * d) @ X.ravel()
+        dobj = float(np.sum(problem.f0 * X)) \
+            / float(np.linalg.norm(problem.f0))
+    return _farkas(FX, dobj)
 
 
 def barrier_solve(query: BarrierQuery) -> BarrierResult:
@@ -327,7 +383,12 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     The program is posed under the congruence of :func:`_coordinates`:
     ``tr(V' P')`` subject to ``M_D(T^-1 A T, P') >= M'`` and
     ``P' >= h0 T^-1 T^-T``, with ``V' = T^T V T`` and
-    ``M' = (I x T)^-1 M (I x T)^-T``.  Every iterate is certified in the
+    ``M' = (I x T)^-1 M (I x T)^-T``.  When ``A`` has an eigenvalue outside
+    the region and its closed-form ray, built from the left eigenvector
+    ``T^T w`` of ``T^-1 A T``, passes :func:`_certified_ray`, the query is
+    answered without an iteration: ``value`` and ``lower_bound`` are
+    ``inf``, ``p_matrix`` is ``None`` and the status is ``infeasible``.  Any
+    other query goes to :func:`solve`.  Every iterate is certified in the
     query's own coordinates: the returned value is ``tr(V P)`` of the best
     ``P`` whose ``M_D(A, P) - M`` and ``P - h0 I`` pass Cholesky, or
     ``inf``.  Every dual iterate ``X = blkdiag(Z, W)`` gives a lower bound:
@@ -340,7 +401,7 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     region, A, M, V = query.region, query.a_mat, query.shift, query.weight
     n, nm = query.n, query.n * region.m
     h0 = 0.0 if np.any(M) else RELAXED_P_FLOOR
-    T = _coordinates(query)
+    T, outside = _coordinates(query)
     Ti = np.linalg.inv(T)
     Ki = np.kron(np.eye(region.m), Ti)
     basis = _svec_basis(n)
@@ -352,6 +413,14 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     problem = SdpProblem(
         blocks=_blkdiag(matrix_char_fn(region, Ti @ A @ T, basis), basis),
         f0=_blkdiag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
+    if outside is not None and _certified_ray(problem, T.T @ outside[0],
+                                              *outside[1:]):
+        report = SolveReport(
+            x_star=np.zeros(len(basis)), f_star=0.0,
+            eq_residual_inf=np.inf, in_violation_inf=0.0,
+            stationarity_inf=0.0, iterations=0, outer_iterations=0,
+            status="infeasible")
+        return BarrierResult(np.inf, None, report, False, np.inf)
     adjoint_z = problem.blocks[:, :nm, :nm].reshape(len(basis), nm * nm)
     # V' = (R^T R)^-1: lambda_max(V'^-1/2 G V'^-1/2) = lambda_max(R G R^T)
     R = np.linalg.inv(np.linalg.cholesky(V)) @ Ti.T

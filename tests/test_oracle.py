@@ -1,11 +1,14 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (ReferenceBarrierNlp, count_constraint_calls,
                      inner_minimize_reference_adapter)
 from ssfit import nlp as nlp_module
+from ssfit import oracle
 from ssfit.oracle import (BarrierQuery, _balance, barrier_solve,
                           barrier_value, region_feasible)
 from ssfit.regions import (cone, disk, eig_membership, half_plane, intersect,
@@ -145,7 +148,13 @@ class TestJordanCounterexample:
         region = left_half_plane(0.0)
         for shift in (0.0, 1e-4, 1e-2):
             q = BarrierQuery(region, A, shift * np.eye(2))
-            assert barrier_value(q) == np.inf
+            res = barrier_solve(q)
+            assert res.value == np.inf
+            assert res.report.status == "infeasible"
+            # mu = 0 at the boundary eigenvalue: under a shift, z^H M z > 0
+            # makes the closed-form ray a certificate; with M = 0 it has
+            # tr(F_0 X) = 0, and the solve finds a ray itself
+            assert (res.report.iterations == 0) == (shift > 0)
 
     def test_relaxed_feasible_strictly_inside(self):
         # diagonalizable spectrum strictly inside the left half-plane is
@@ -401,3 +410,170 @@ class TestCertificates:
                 >= res.lower_bound * (1.0 - 1e-6)
         assert res.feasible == (report.eq_residual_inf
                                 <= REFERENCE_OPTIONS.tol_eq)
+
+
+# the region kinds of the benchmark's oracle batch, each with the signed
+# distance of a point z from its boundary (for the cone, the distance to its
+# boundary lines)
+PLACED_REGIONS = {
+    "half_plane": (half_plane(0.1), lambda z: z.real - 0.1),
+    "disk": (disk(0.9, 0.0), lambda z: 0.9 - abs(z)),
+    "cone": (cone(1.0, 0.0),
+             lambda z: (z.real - abs(z.imag)) / np.sqrt(2.0)),
+    "intersect": (intersect(half_plane(0.3), disk(0.998, 0.0)),
+                  lambda z: min(z.real - 0.3, 0.998 - abs(z))),
+}
+MARGIN = 0.05
+
+
+def placed_query(kind, seed, inside, relaxed, weighted=False):
+    """A query on a real matrix with one to four eigenvalues, drawn from
+    ``seed``: all of them at least MARGIN inside the region, or at least one
+    MARGIN outside it, and no two closer than MARGIN.  The shift is zero
+    (``relaxed``), the disk's corner block or 1e-4 I; the weight is random
+    when ``weighted``."""
+    region, distance = PLACED_REGIONS[kind]
+    rng = np.random.default_rng(seed)
+    while True:
+        reals = list(rng.uniform(-1.5, 1.8, int(rng.integers(0, 3))))
+        pairs = [complex(rng.uniform(-1.5, 1.8), rng.uniform(0.05, 1.5))
+                 for _ in range(int(rng.integers(0, 2)))]
+        eigs = reals + pairs + [z.conjugate() for z in pairs]
+        if not eigs or min((abs(a - b) for i, a in enumerate(eigs)
+                            for b in eigs[i + 1:]), default=1.0) < MARGIN:
+            continue
+        d = np.array([distance(z) for z in eigs])
+        if np.all(d >= MARGIN) if inside else np.min(d) <= -MARGIN:
+            break
+    A = spectrum_matrix(rng, reals, pairs)
+    n = A.shape[0]
+    if relaxed:
+        shift = 0.0
+    elif kind == "disk":
+        shift = np.zeros((2 * n, 2 * n))
+        shift[:n, :n] = 1e-4 * np.eye(n)
+    else:
+        shift = 1e-4 * np.eye(n * region.m)
+    weight = None
+    if weighted:
+        B = rng.standard_normal((n, n))
+        weight = B @ B.T + 0.5 * np.eye(n)
+    return BarrierQuery(region, A, shift, weight)
+
+
+def _ray_verdicts(monkeypatch):
+    """Record the verdict of every closed-form ray ``barrier_solve`` tries."""
+    verdicts = []
+    certified_ray = oracle._certified_ray
+
+    def spy(*args):
+        verdicts.append(certified_ray(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(oracle, "_certified_ray", spy)
+    return verdicts
+
+
+class TestClosedFormRay:
+    @pytest.mark.parametrize("kind", list(PLACED_REGIONS))
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**16), relaxed=st.booleans())
+    def test_outside_query_ends_on_the_ray(self, kind, seed, relaxed):
+        q = placed_query(kind, seed, False, relaxed)
+        res = barrier_solve(q)
+        assert res.report.status == "infeasible"
+        assert res.report.iterations == 0
+        assert res.value == np.inf and res.lower_bound == np.inf
+        assert res.p_matrix is None and not res.feasible
+        # the same program through the interior-point solve certifies no P
+        programs = []
+
+        def no_ray(problem, *args):
+            programs.append(problem)
+            return False
+
+        with mock.patch.object(oracle, "_certified_ray", no_ray):
+            solved = barrier_solve(q)
+        assert len(programs) == 1
+        assert solved.report.iterations > 0
+        assert solved.value == np.inf and solved.p_matrix is None
+
+    @pytest.mark.parametrize("kind", list(PLACED_REGIONS))
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**16), relaxed=st.booleans())
+    def test_inside_query_tries_no_ray(self, kind, seed, relaxed):
+        q = placed_query(kind, seed, True, relaxed)
+        with mock.patch.object(oracle, "_certified_ray",
+                               side_effect=AssertionError("ray tried")):
+            res = barrier_solve(q)
+        assert res.report.iterations > 0
+        assert res.feasible
+
+
+class TestRayFallback:
+    def test_relaxed_jordan_block(self, monkeypatch):
+        # mu = 0 with M = 0: the ray has tr(F_0 X) = 0 and fails its test,
+        # and the interior-point solve finds the Farkas ray itself
+        verdicts = _ray_verdicts(monkeypatch)
+        res = barrier_solve(BarrierQuery(
+            left_half_plane(0.0), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0))
+        assert verdicts == [False]
+        assert res.report.iterations > 0
+        assert res.report.status == "infeasible"
+        assert res.value == np.inf and res.p_matrix is None
+
+    @pytest.mark.parametrize("kind", list(PLACED_REGIONS))
+    def test_perturbed_eigenvector(self, kind, monkeypatch):
+        q = placed_query(kind, 7, False, False)
+        assert barrier_solve(q).report.iterations == 0
+        coordinates = oracle._coordinates
+
+        def perturbed(query):
+            T, (w, v, mu) = coordinates(query)
+            w = w + 1e-3 * np.max(np.abs(w)) \
+                * np.random.default_rng(8).standard_normal(w.size)
+            return T, (w, v, mu)
+
+        monkeypatch.setattr(oracle, "_coordinates", perturbed)
+        verdicts = _ray_verdicts(monkeypatch)
+        res = barrier_solve(q)
+        assert verdicts == [False]
+        assert res.report.iterations > 0
+        assert res.value == np.inf and res.p_matrix is None
+        assert not res.feasible
+
+
+@pytest.mark.parametrize("kind", list(PLACED_REGIONS))
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), inside=st.booleans(),
+       relaxed=st.booleans())
+def test_lower_bound_never_above_value(kind, seed, inside, relaxed):
+    q = placed_query(kind, seed, inside, relaxed, weighted=True)
+    res = barrier_solve(q)
+    assert res.lower_bound <= res.value
+    assert res.feasible == inside
+
+
+def test_step_lengths_share_the_factors_of_s_and_x(monkeypatch):
+    # each iteration factors the Schur complement, S and X once: the
+    # predictor's and the corrector's step lengths share the factors
+    programs = []
+    solve = oracle.solve
+
+    def capture(problem, y0, observe):
+        programs.append((problem, y0))
+        return solve(problem, y0, observe)
+
+    monkeypatch.setattr(oracle, "solve", capture)
+    barrier_solve(_reference_query("cone"))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    report = solve(*programs[0], lambda y, X: None)
+    assert report.status == "converged" and report.iterations > 0
+    assert len(calls) == 3 * report.iterations
