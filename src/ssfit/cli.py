@@ -56,10 +56,6 @@ def cmd_fit(args) -> int:
     report["open_loop_eigs"] = _spectrum(report.pop("open_loop_eigs"))
     report["filter_eigs"] = _spectrum(report.pop("filter_eigs"))
     ssio.save_json(report_path, report)
-    if args.verbose:
-        print(f"L_N = {result.nll:.6f}  iterations = "
-              f"{result.solve_report.iterations}  "
-              f"status = {result.solve_report.status}")
     print(f"wrote {model_path} and {report_path}")
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
@@ -195,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--config", required=True)
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--verbose", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="simulate a model")

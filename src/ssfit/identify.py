@@ -23,7 +23,7 @@ from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower, vecs
 from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .oracle import BarrierQuery, barrier_solve
-from .regions import (LmiRegion, matrix_char_fn, membership_margin,
+from .regions import (LmiRegion, char_fn, matrix_char_fn, membership_margin,
                       require_pd_weight, require_sound_shift)
 from .statespace import (
     Dataset,
@@ -584,8 +584,9 @@ def fit(
     ``"auto"`` for the regression initializer.  The problem is solved once;
     a solve that does not converge returns its own last iterate, and its
     status says why it stopped.  The returned report carries the
-    unregularized log-likelihood, both spectra, the iteration counts of that
-    solve, wall time, and constraint residuals.
+    unregularized log-likelihood, both spectra, the iteration counts and
+    per-outer-iteration ``trace`` of that solve, wall time, and constraint
+    residuals.
     """
     t_start = time.perf_counter()
     _check_dimensions(spec.ladm, data)
@@ -623,6 +624,7 @@ def fit(
         "in_violation_inf": report.in_violation_inf,
         "stationarity_inf": report.stationarity_inf,
         "inner_capped": report.inner_capped,
+        "trace": list(report.trace),
         "open_loop_eigs": eig.open_loop,
         "filter_eigs": eig.filter,
         "spectral_radius": eig.spectral_radius,
@@ -756,15 +758,11 @@ def _blend_feasible(theta: ThetaPoint, spec: ProblemSpec,
         return theta
     # a real center that sits inside every region, found by scanning
     candidates = np.linspace(-0.95, 0.95, 77)
-    best_center, best_margin = 0.5, -np.inf
-    for z in candidates:
-        worst = min(
-            float(np.min(np.linalg.eigvalsh(
-                c.region.m0 + (c.region.m1 + c.region.m1.T) * z)))
-            for c in spec.eig_constraints)
-        if worst > best_margin:
-            best_center, best_margin = float(z), worst
-    if best_margin <= 0:
+    worst = np.min([np.linalg.eigvalsh(char_fn(c.region, candidates))[:, 0]
+                    for c in spec.eig_constraints], axis=0)
+    best = int(np.argmax(worst))
+    best_center = float(candidates[best])
+    if worst[best] <= 0:
         raise InitializationError(
             "no real point lies inside every constraint region; supply a "
             "feasible initial model explicitly")

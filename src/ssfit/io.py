@@ -239,6 +239,8 @@ def load_model(path: str):
                   {"ladm", "meta"})
     dims = _fields(doc["dims"], path, {"n", "m", "p"}, what="dims")
     try:
+        dims = {key: _number(dims[key], f"dims {key}", integral=True)
+                for key in ("n", "m", "p")}
         model = InnovationModel(*(_finite(doc[key], key) for key in _MATRICES))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
@@ -367,7 +369,7 @@ def parse_index_set(spec, n: int) -> IndexSet:
 # -- run configuration -----------------------------------------------------------
 
 _SOLVER_KEYS = {"tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner",
-                "penalty0", "verbose"}
+                "penalty0"}
 
 
 @dataclass(frozen=True)

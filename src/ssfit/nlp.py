@@ -127,7 +127,6 @@ class SolveOptions:
     max_inner: int = 300
     penalty0: float = 10.0
     init_multipliers: str = "zero"
-    verbose: int = 0
 
     def __post_init__(self):
         for name, low, strict in (
@@ -148,7 +147,10 @@ class SolveReport:
     """Outcome of one :func:`solve` call; ``n_evals`` counts the points
     evaluated (objective and constraints at one x), not derivative calls,
     and ``inner_capped`` the inner solves that stopped on ``max_inner``
-    above their tolerance."""
+    above their tolerance.  ``trace`` holds one dict per outer iteration:
+    ``f``, ``violation``, ``stationarity`` (the projected gradient) and
+    ``penalty`` (the rho of that inner solve) at its end point, and its
+    ``inner_iterations``, ``inner_status`` and ``capped``."""
 
     x_star: np.ndarray
     f_star: float
@@ -161,6 +163,7 @@ class SolveReport:
     penalty: float = 0.0
     n_evals: int = 0
     inner_capped: int = 0
+    trace: tuple = ()
 
     @property
     def converged(self) -> bool:
@@ -465,6 +468,7 @@ def solve(
     status = "max-iter"
     ls_failures = 0
     Hinv = None
+    trace = []
     for outer in range(1, opts.max_outer + 1):
         x, fx, pg_norm, inner_iters, inner_status, fcs, ders, Hinv = \
             _inner_minimize(problem, x, fcs, ders, lam, mu, rho, omega,
@@ -477,10 +481,9 @@ def solve(
         ceq = _inf_norm(c)
         cin = _pos_inf_norm(s)
         v = max(ceq, cin)
-        if opts.verbose:
-            print(f"[outer {outer:2d}] f={f: .6e} viol={v:.3e} "
-                  f"pg={pg_norm:.3e} rho={rho:.1e} inner={inner_iters}"
-                  + (" capped" if capped else ""))
+        trace.append({"f": f, "violation": v, "stationarity": pg_norm,
+                      "penalty": float(rho), "inner_iterations": inner_iters,
+                      "inner_status": inner_status, "capped": capped})
         feasible = ceq <= opts.tol_eq and cin <= opts.tol_in
         if feasible and pg_norm <= opts.tol_stat:
             status = "converged"
@@ -520,6 +523,7 @@ def solve(
         penalty=rho,
         n_evals=count.n,
         inner_capped=inner_capped,
+        trace=tuple(trace),
     )
 
 

@@ -333,11 +333,11 @@ def _coordinates(query: BarrierQuery):
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             lam, U = np.linalg.eig(A)
-            f_min = np.array([np.linalg.eigvalsh(char_fn(query.region, z))[0]
-                              for z in lam])
+            F = char_fn(query.region, lam)
+            f_min = np.linalg.eigvalsh(F)[:, 0]
             i = int(np.argmin(f_min))
             if f_min[i] <= 0:
-                mu, v = np.linalg.eigh(char_fn(query.region, lam[i]))
+                mu, v = np.linalg.eigh(F[i])
                 if mu[0] <= 0:
                     w = np.linalg.solve(U.conj().T, np.eye(lam.size)[i])
                     outside = w, v[:, 0], float(mu[0])

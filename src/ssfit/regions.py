@@ -144,31 +144,34 @@ def intersect(first: LmiRegion, second: LmiRegion, *rest: LmiRegion) -> LmiRegio
     return LmiRegion(m0, m1, kind="intersect", label=label)
 
 
-def char_fn(region: LmiRegion, z: complex) -> np.ndarray:
+def char_fn(region: LmiRegion, z) -> np.ndarray:
     """Characteristic function ``f(z) = M0 + M1*z + M1^T*conj(z)``.
 
-    The result is Hermitian exactly: entry ``(i, j)`` and the conjugate of
-    entry ``(j, i)`` are assembled from identical floating-point products.
+    ``z`` may be an array of points; the result then stacks their ``f(z)``
+    along its leading axes.  The result is Hermitian exactly: entry
+    ``(i, j)`` and the conjugate of entry ``(j, i)`` are assembled from
+    identical floating-point products.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)[..., None, None]
     return region.m0 + region.m1 * z + region.m1.T * np.conj(z)
 
 
-def _definite_tol(F: np.ndarray, tol: float | None) -> float:
+def _definite_tol(F: np.ndarray, tol: float | None):
     if tol is not None:
         if tol < 0:
             raise ValueError(f"tolerance must be nonnegative, got {tol}")
         return tol
-    return DEFINITE_RTOL * max(1.0, float(np.linalg.norm(F, 2)))
+    return DEFINITE_RTOL * np.maximum(1.0, np.linalg.norm(F, 2, axis=(-2, -1)))
 
 
-def contains(region: LmiRegion, z: complex, tol: float | None = None) -> bool:
-    """Strict membership test: min eigenvalue of ``f(z)`` exceeds ``tol``.
+def contains(region: LmiRegion, z, tol: float | None = None) -> bool:
+    """Strict membership test: min eigenvalue of ``f(z)`` exceeds ``tol``,
+    for every point when ``z`` is an array.
 
     ``tol=None`` uses the scale-aware default cushion.
     """
     F = char_fn(region, z)
-    return float(np.min(np.linalg.eigvalsh(F))) > _definite_tol(F, tol)
+    return bool(np.all(np.linalg.eigvalsh(F)[..., 0] > _definite_tol(F, tol)))
 
 
 def matrix_char_fn(region: LmiRegion, A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -211,14 +214,13 @@ def eig_membership(region: LmiRegion, A: np.ndarray, tol: float | None = None) -
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigenvalue computation failed: {exc}") from exc
-    return all(contains(region, lam, tol) for lam in eigs)
+    return contains(region, eigs, tol)
 
 
 def membership_margin(region: LmiRegion, A: np.ndarray) -> float:
     """Smallest eigenvalue of ``f(lambda)`` over the spectrum of ``A``: positive
     exactly when every eigenvalue lies in the open region."""
-    return min(float(np.min(np.linalg.eigvalsh(char_fn(region, lam))))
-               for lam in np.linalg.eigvals(A))
+    return float(np.linalg.eigvalsh(char_fn(region, np.linalg.eigvals(A))).min())
 
 
 def require_pd_weight(weight: np.ndarray) -> None:

@@ -174,25 +174,21 @@ class LadmSpec:
                 raise ValueError("canonical plant form requires a single output")
             if self.C_fixed is not None:
                 raise ValueError("canonical plant form fixes C_s itself")
-        Bd = self.Bd
-        if Bd is None:
-            Bd = np.zeros((self.n_s, self.n_d))
-        Bd = np.atleast_2d(np.asarray(Bd, dtype=float)).reshape(self.n_s, self.n_d)
+        Bd = np.zeros((self.n_s, self.n_d)) if self.Bd is None else self.Bd
         Cd = self.Cd
         if Cd is None:
             if self.n_d not in (0, self.p):
                 raise ValueError("default Cd is the identity; give Cd when n_d != p")
             Cd = np.eye(self.p, self.n_d)
-        Cd = np.atleast_2d(np.asarray(Cd, dtype=float)).reshape(self.p, self.n_d)
-        object.__setattr__(self, "Bd", Bd)
-        object.__setattr__(self, "Cd", Cd)
-        if self.C_fixed is not None:
-            Cs = np.atleast_2d(np.asarray(self.C_fixed, dtype=float))
-            if Cs.shape != (self.p, self.n_s):
-                raise ValueError(
-                    f"C_fixed has shape {Cs.shape}, expected {(self.p, self.n_s)}"
-                )
-            object.__setattr__(self, "C_fixed", Cs)
+        for name, value, shape in (("Bd", Bd, (self.n_s, self.n_d)),
+                                   ("Cd", Cd, (self.p, self.n_d)),
+                                   ("C_fixed", self.C_fixed, (self.p, self.n_s))):
+            if value is None:
+                continue
+            value = np.atleast_2d(np.asarray(value, dtype=float))
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LadmSpec):

@@ -257,6 +257,15 @@ class TestFitPipeline:
         report = json.loads((tmp_path / "run" / "fit_report.json").read_text())
         assert np.isfinite(report["nll"])
         assert "filter_eigs" in report and "wall_time_s" in report
+        # the solve's story, one row per outer iteration
+        trace = report["trace"]
+        assert len(trace) == report["outer_iterations"] >= 1
+        assert sum(row["inner_iterations"] for row in trace) \
+            == report["iterations"]
+        assert sum(row["capped"] for row in trace) == report["inner_capped"]
+        assert trace[-1]["stationarity"] == report["stationarity_inf"]
+        assert set(trace[-1]) == {"f", "violation", "stationarity", "penalty",
+                                  "inner_iterations", "inner_status", "capped"}
 
     def test_malformed_csv_reports_row(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -347,9 +356,8 @@ ERROR_IN_CFG = "error: {cfg}: "
 NAN, INF = float("nan"), float("inf")
 # a JSON boolean is no number, and an integer option takes no fraction
 SOLVER_FAULTS = [(key, True) for key in (
-    "tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner", "penalty0",
-    "verbose")] + [
-    ("max_inner", 2.9), ("max_outer", 1.5), ("verbose", -0.5),
+    "tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner", "penalty0")] + [
+    ("max_inner", 2.9), ("max_outer", 1.5),
     ("max_inner", INF), ("tol_eq", NAN), ("penalty0", INF), ("tol_stat", "1e-6"),
     # well-typed but out of range
     ("penalty0", 0), ("penalty0", -10), ("max_outer", 0), ("max_outer", -3),
@@ -395,6 +403,10 @@ CONFIG_FAULTS = [
     pytest.param(FIT, ("cfg", ("solver",), {"multistart": 0}), 1,
                  ERROR_IN_CFG + "unknown solver keys ['multistart']\n",
                  id="solver-multistart-0"),
+    # so is verbose: a solve reports its outer iterations in its trace
+    pytest.param(FIT, ("cfg", ("solver",), {"verbose": 0}), 1,
+                 ERROR_IN_CFG + "unknown solver keys ['verbose']\n",
+                 id="solver-verbose-0"),
     pytest.param(FIT, ("cfg", ("model", "n_s"), [2]), 1, ERROR_IN_CFG,
                  id="model-n_s-list"),
     pytest.param(["eig", "--model", "{model}"], ("model", ("A",), {"x": 1}),
@@ -446,6 +458,21 @@ CONFIG_FAULTS = [
                  ("model", ("ladm", "n_d"), 1.7), 1,
                  "error: {model}: ladm: n_d must be an integer, got 1.7\n",
                  id="eig-model-ladm-n_d-fraction"),
+    # a disturbance map of the wrong shape is not reshaped into the right one
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("ladm", "Bd"), [[0.0, 0.0]]), 1,
+                 "error: {model}: ladm: Bd has shape (1, 2), "
+                 "expected (2, 1)\n", id="eig-model-ladm-Bd-row"),
+    pytest.param(FIT, ("cfg", ("model", "Bd"), [[0.0, 0.0]]), 1,
+                 ERROR_IN_CFG + "Bd has shape (1, 2), expected (2, 1)\n",
+                 id="model-Bd-row"),
+    pytest.param(FIT, ("cfg", ("model", "Cd"), [[1.0, 0.0]]), 1,
+                 ERROR_IN_CFG + "Cd has shape (1, 2), expected (1, 1)\n",
+                 id="model-Cd-row"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("dims", "m"), True), 1,
+                 "error: {model}: dims m must be an integer, got true\n",
+                 id="eig-model-dims-m-boolean"),
 ])
 def test_input_boundary(tmp_path, truth_model, capsys, argv, edit, code, err):
     """Every malformed input ends in ``error: ...`` and exit 1, and a

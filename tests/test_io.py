@@ -179,6 +179,31 @@ class TestModelFiles:
         with pytest.raises(SchemaError, match="dims"):
             load_model(path)
 
+    def test_dims_are_integers(self, tmp_path):
+        # true == 1 in Python, but a JSON boolean is no count
+        spec, layout, theta = siso_truth()
+        path = tmp_path / "m.json"
+        save_model(path, assemble_ladm(spec, theta, layout))
+        doc = json.loads(path.read_text())
+        assert doc["dims"]["m"] == 1
+        doc["dims"]["m"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="dims m must be an integer, "
+                                              "got true"):
+            load_model(path)
+
+    def test_ladm_maps_need_their_exact_shape(self, tmp_path):
+        spec, layout, theta = siso_truth()
+        path = tmp_path / "m.json"
+        save_model(path, assemble_ladm(spec, theta, layout), ladm=spec)
+        doc = json.loads(path.read_text())
+        assert np.shape(doc["ladm"]["Bd"]) == (2, 1)
+        doc["ladm"]["Bd"] = [[0.0, 0.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"ladm: Bd has shape \(1, 2\), "
+                                              r"expected \(2, 1\)"):
+            load_model(path)
+
 
 @st.composite
 def model_files(draw):
@@ -332,10 +357,9 @@ class TestRunConfig:
         assert solver == FIT_OPTIONS
         assert {key: getattr(solver, key) for key in (
             "tol_eq", "tol_in", "tol_stat", "max_outer", "max_inner",
-            "penalty0", "verbose")} == {
+            "penalty0")} == {
             "tol_eq": 1e-7, "tol_in": 1e-7, "tol_stat": 1e-6,
-            "max_outer": 50, "max_inner": 400, "penalty0": 100.0,
-            "verbose": 0}
+            "max_outer": 50, "max_inner": 400, "penalty0": 100.0}
 
     def test_unknown_keys_rejected_everywhere(self):
         for path in (("extra",), ("model", "extra"), ("objective", "extra"),

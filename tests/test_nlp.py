@@ -273,6 +273,7 @@ class TestReportContract:
                              gradient=lambda x: np.zeros(1))
         rep = solve(problem, np.array([0.0]))
         assert rep.status == "domain-error"
+        assert rep.trace == ()
 
     def test_x0_projected_with_warning(self):
         problem = NlpProblem(
@@ -288,6 +289,31 @@ class TestReportContract:
         # objective is +inf left of 0.5 but the minimum sits at the cliff
         rep = _solve_case("cliff")
         assert rep.x_star[0] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("case", list(SOLVE_CASES))
+    def test_trace_has_one_row_per_outer_iteration(self, case, capsys):
+        rep = _solve_case(case)
+        assert len(rep.trace) == rep.outer_iterations
+        assert sum(row["inner_iterations"] for row in rep.trace) \
+            == rep.iterations
+        assert sum(row["capped"] for row in rep.trace) == rep.inner_capped
+        for row in rep.trace:
+            assert {key: type(value) for key, value in row.items()} == {
+                "f": float, "violation": float, "stationarity": float,
+                "penalty": float, "inner_iterations": int,
+                "inner_status": str, "capped": bool}
+            assert row["inner_status"] in ("ok", "line-search-failure")
+        # the last row is the report's end point, bit for bit
+        last = rep.trace[-1]
+        bits = [np.float64(v).tobytes() for v in (
+            last["f"], last["stationarity"], last["violation"])]
+        assert bits == [np.float64(v).tobytes() for v in (
+            rep.f_star, rep.stationarity_inf,
+            max(rep.eq_residual_inf, rep.in_violation_inf))]
+        if rep.status != "max-iter":  # it ended before any penalty update
+            assert last["penalty"] == rep.penalty
+        # the report is the solve's only output
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("penalty0, outer", [(10.0, 9), (100.0, 8)])
     def test_infeasible_equality_ends_at_the_penalty_cap(self, penalty0,
@@ -518,6 +544,7 @@ class TestOneEvaluationPerPoint:
                 new.stationarity_inf, new.penalty) \
             == (ref.eq_residual_inf, ref.in_violation_inf,
                 ref.stationarity_inf, ref.penalty)
+        assert new.trace == ref.trace
         # only the repeated steepest-descent retries (40 each) and the two
         # evaluations per outer iteration at the inner end point are gone
         assert ref.n_evals - new.n_evals \

@@ -577,3 +577,68 @@ def test_step_lengths_share_the_factors_of_s_and_x(monkeypatch):
     report = solve(*programs[0], lambda y, X: None)
     assert report.status == "converged" and report.iterations > 0
     assert len(calls) == 3 * report.iterations
+
+
+def near_defective_queries(seed, count):
+    """Badly scaled, nearly defective queries ``A = D J D^-1`` over the four
+    placed region kinds, each with its margin: the least distance of the
+    spectrum of ``J`` to the region's boundary.  ``J`` is a 3 x 3 Jordan
+    block at 0.5-0.7 whose diagonal steps by ``delta = 10^U(-9, -3)``, and in
+    30 % of draws its last eigenvalue moves by ``U(-0.7, 0.7)``;
+    ``D = diag(10^U(-4, 4))``.  The shift is the 1e-4 one of
+    :func:`placed_query` in 70 % of draws and zero (relaxed) otherwise."""
+    rng = np.random.default_rng(seed)
+    kinds = list(PLACED_REGIONS)
+    for q in range(count):
+        region, distance = PLACED_REGIONS[kinds[q % len(kinds)]]
+        delta = 10.0 ** rng.uniform(-9, -3)
+        J = np.diag(rng.uniform(0.5, 0.7) + delta * np.arange(3)) \
+            + np.eye(3, k=1)
+        if rng.random() < 0.3:
+            J[2, 2] += rng.uniform(-0.7, 0.7)
+        d = 10.0 ** rng.uniform(-4, 4, 3)
+        shift = 0.0
+        if rng.random() < 0.7:
+            shift = 1e-4 * np.eye(3 * region.m)
+            if region.kind == "disk":
+                shift[3:, 3:] = 0.0
+        yield (BarrierQuery(region, (d[:, None] * J) / d, shift),
+               min(distance(z) for z in np.diag(J)))
+
+
+@functools.lru_cache(maxsize=None)
+def _near_defective_outcomes():
+    """``(balancing calls, [(margin, result)])`` of 100 near-defective
+    queries."""
+    calls = []
+    balance = oracle._balance
+
+    def counted(A):
+        calls.append(A)
+        return balance(A)
+
+    with mock.patch.object(oracle, "_balance", counted):
+        outcomes = [(margin, barrier_solve(q))
+                    for q, margin in near_defective_queries(11, 100)]
+    return len(calls), outcomes
+
+
+def test_near_defective_queries_balance_to_the_right_verdict():
+    # the modal congruence is too ill-conditioned for these queries, and
+    # the diagonal balancing takes its place; with the identity in its
+    # place about a third of the inside queries end infeasible
+    calls, outcomes = _near_defective_outcomes()
+    assert calls >= 0.8 * len(outcomes)
+    inside = [res for margin, res in outcomes if margin >= 1e-3]
+    assert len(inside) >= 0.8 * len(outcomes)
+    assert [res.report.status for res in inside].count("infeasible") == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a relaxed query's dual bound divides by lambda_max(R G R^T) from "
+    "eigvalsh, whose absolute error eps * ||R G R^T|| exceeds lambda_max "
+    "itself under a badly scaled balancing, so the bound can exceed a "
+    "certified value"))
+def test_near_defective_lower_bounds_stay_below_values():
+    _, outcomes = _near_defective_outcomes()
+    assert all(res.lower_bound <= res.value for _, res in outcomes)

@@ -629,6 +629,22 @@ class TestLadm:
         with pytest.raises(ValueError):
             LadmSpec(n_s=2, n_d=2, m=1, p=2, plant_form="canonical")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # a 2 x 3 Bd holds n_s * n_d = 6 entries, but not as 3 x 2
+        (dict(n_s=3, n_d=2, m=1, p=2, Bd=np.arange(6.0).reshape(2, 3),
+              Cd=np.eye(2)), r"Bd has shape \(2, 3\), expected \(3, 2\)"),
+        # a 1 x 3 Cd is a row, not the column p = 3 asks for
+        (dict(n_s=1, n_d=1, m=1, p=3, Cd=np.ones((1, 3))),
+         r"Cd has shape \(1, 3\), expected \(3, 1\)"),
+        (dict(n_s=2, n_d=1, m=1, p=1, Bd=np.ones(3)),
+         r"Bd has shape \(1, 3\), expected \(2, 1\)"),
+        (dict(n_s=2, n_d=0, m=1, p=1, Bd=np.zeros((1, 0))),
+         r"Bd has shape \(1, 0\), expected \(2, 0\)"),
+    ])
+    def test_disturbance_maps_need_their_exact_shape(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LadmSpec(**kwargs)
+
     @pytest.mark.parametrize("spec", [
         LadmSpec(n_s=2, n_d=1, m=1, p=1, plant_form="canonical"),
         LadmSpec(n_s=3, n_d=2, m=2, p=2),
