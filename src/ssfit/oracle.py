@@ -388,11 +388,13 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     ``T^T w`` of ``T^-1 A T``, passes :func:`_certified_ray`, the query is
     answered without an iteration: ``value`` and ``lower_bound`` are
     ``inf``, ``p_matrix`` is ``None`` and the status is ``infeasible``.  Any
-    other query goes to :func:`solve`.  Every iterate is certified in the
-    query's own coordinates: the returned value is ``tr(V P)`` of the best
-    ``P`` whose ``M_D(A, P) - M`` and ``P - h0 I`` pass Cholesky, or
-    ``inf``.  Every dual iterate ``X = blkdiag(Z, W)`` gives a lower bound:
-    for ``Z >= 0`` and ``0 <= t <= 1 / lambda_max(V'^-1/2 M_D*(Z) V'^-1/2)``,
+    other query goes to :func:`solve`.  Its iterates are certified after
+    the solve, in the query's own coordinates and in ascending order of
+    trace: the returned value is ``tr(V P)`` of the least-trace ``P`` (the
+    earliest on ties) whose ``M_D(A, P) - M`` and ``P - h0 I`` pass
+    Cholesky, or ``inf``.  Every dual iterate ``X = blkdiag(Z, W)`` gives a
+    lower bound: for ``Z >= 0`` and
+    ``0 <= t <= 1 / lambda_max(V'^-1/2 M_D*(Z) V'^-1/2)``,
     ``(t Z, V' - t M_D*(Z))`` is a dual feasible point, whose objective
     ``t tr(M' Z) + tr((V' - t M_D*(Z)) h0 T^-1 T^-T)`` is at most
     ``phi(A)``.  It is linear in ``t``, so the better end is taken, and the
@@ -421,31 +423,42 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
             stationarity_inf=0.0, iterations=0, outer_iterations=0,
             status="infeasible")
         return BarrierResult(np.inf, None, report, False, np.inf)
+    iterates = []
+    report = solve(problem, np.zeros(len(basis)),
+                   lambda y, X: iterates.append((y, X[:nm, :nm])))
+    # every iterate at once: each stacked product, sum and eigensolver
+    # below makes per iterate the call that a loop over them would make,
+    # so the certificates keep the bits of per-iterate ones
+    svec = basis.reshape(len(basis), n * n)
+    Y = np.array([y for y, _ in iterates])
+    P = T @ np.matmul(Y[:, None, :], svec).reshape(-1, n, n) @ T.T
+    P = 0.5 * (P + np.swapaxes(P, 1, 2))
+    trace = np.sum((V * P).reshape(len(P), -1), axis=1)
+    # the least trace among the certified iterates, the earliest on ties
+    value, p_matrix = np.inf, None
+    for i in np.argsort(trace, kind="stable"):
+        if np.isfinite(trace[i]) and _definite(P[i] - h0 * np.eye(n)) \
+                and _definite(matrix_char_fn(region, A, P[i]) - M):
+            value, p_matrix = float(trace[i]), P[i]
+            break
+    # the dual bound of every iterate, the largest kept
     adjoint_z = problem.blocks[:, :nm, :nm].reshape(len(basis), nm * nm)
     # V' = (R^T R)^-1: lambda_max(V'^-1/2 G V'^-1/2) = lambda_max(R G R^T)
     R = np.linalg.inv(np.linalg.cholesky(V)) @ Ti.T
-    value, p_matrix, lower = np.inf, None, -np.inf
-
-    def observe(y, X):
-        nonlocal value, p_matrix, lower
-        P = T @ np.tensordot(y, basis, 1) @ T.T
-        P = 0.5 * (P + P.T)
-        trace = float(np.sum(V * P))
-        if trace < value and _definite(P - h0 * np.eye(n)) \
-                and _definite(matrix_char_fn(region, A, P) - M):
-            value, p_matrix = trace, P
-        lam, U = np.linalg.eigh(X[:nm, :nm])
-        Z = (U * np.maximum(lam, 0.0)) @ U.T
-        G = np.tensordot(adjoint_z @ Z.ravel(), basis, 1)
-        g_max = float(np.linalg.eigvalsh(R @ G @ R.T)[-1])
-        gain = float(np.sum(Mt * Z)) - float(np.sum(floor * G))
-        bound = float(np.sum(floor * Vt))
-        if gain > 0:
+    lam, U = np.linalg.eigh(np.array([X for _, X in iterates]))
+    Z = (U * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(U, 1, 2)
+    z_adj = np.matmul(adjoint_z, Z.reshape(len(Z), nm * nm, 1))
+    G = np.matmul(np.swapaxes(z_adj, 1, 2), svec).reshape(-1, n, n)
+    g_max = np.linalg.eigvalsh(R @ G @ R.T)[:, -1]
+    gain = np.sum((Mt * Z).reshape(len(Z), -1), axis=1) \
+        - np.sum((floor * G).reshape(len(G), -1), axis=1)
+    base, lower = float(np.sum(floor * Vt)), -np.inf
+    for g, g_top in zip(gain.tolist(), g_max.tolist()):
+        bound = base
+        if g > 0:
             # with g_max <= 0 every t >= 0 is allowed: a Farkas ray
-            bound = bound + gain / g_max if g_max > 0 else np.inf
+            bound = base + g / g_top if g_top > 0 else np.inf
         lower = max(lower, bound)
-
-    report = solve(problem, np.zeros(len(basis)), observe)
     if value < np.inf and value - lower <= GAP_TOL * value:
         status = "converged"
     elif value == np.inf and report.status == "infeasible":

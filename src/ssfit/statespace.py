@@ -397,9 +397,10 @@ def _states_scan(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     N = x.shape[0] - 1
     stop_test = N >= STOP_TEST_SAMPLES
-    G = F.T
     with np.errstate(over="ignore", invalid="ignore"):
-        x[1:2] += x[0] @ G
+        x[1:2] += x[0] @ F.T
+        # a C-ordered G keeps every level's product on BLAS's fast path
+        G = np.ascontiguousarray(F.T)
         offset = 1
         while offset < N:
             x[1 + offset:] += x[1:N + 1 - offset] @ G
@@ -451,10 +452,11 @@ def simulate(
         e = np.zeros((N, model.p))
     x = np.empty((N + 1, model.n))
     x[0] = model.x0hat
-    np.matmul(u, model.B.T, out=x[1:])
-    x[1:] += e @ model.K.T
+    np.dot(u, np.ascontiguousarray(model.B.T), out=x[1:])
+    x[1:] += np.dot(e, np.ascontiguousarray(model.K.T))
     _check_states(_states_scan(model.A, x))
-    return x[:-1] @ model.C.T + u @ model.D.T + e
+    D_T = np.ascontiguousarray(model.D.T)
+    return x[:-1] @ model.C.T + np.dot(u, D_T) + e
 
 
 def filter_innovations(
@@ -476,10 +478,11 @@ def filter_innovations(
     G_u = model.B - model.K @ model.D
     xhat = np.empty((data.N + 1, model.n))
     xhat[0] = model.x0hat
-    np.matmul(data.u, G_u.T, out=xhat[1:])
-    xhat[1:] += data.y @ model.K.T
+    np.dot(data.u, np.ascontiguousarray(G_u.T), out=xhat[1:])
+    xhat[1:] += np.dot(data.y, np.ascontiguousarray(model.K.T))
     _check_states(_states_scan(F, xhat))
-    e = data.y - xhat[:-1] @ model.C.T - data.u @ model.D.T
+    D_T = np.ascontiguousarray(model.D.T)
+    e = data.y - xhat[:-1] @ model.C.T - np.dot(data.u, D_T)
     return e, xhat
 
 
@@ -503,7 +506,7 @@ def neg_log_likelihood(
         except FilterDivergedError:
             return float("inf")
     e, _ = innovations
-    z = np.linalg.inv(Lc) @ e.T
+    z = np.dot(np.linalg.inv(Lc), e.T)
     logdet = 2.0 * float(np.sum(np.log(np.diag(Lc))))
     value = 0.5 * data.N * logdet + 0.5 * float(np.sum(z * z))
     return value if np.isfinite(value) else float("inf")
@@ -527,27 +530,24 @@ def likelihood_gradients(
         innovations = filter_innovations(model, data)
     e, xhat = innovations
     W = np.linalg.inv(_innovation_chol(model.Re))  # Re^-1 = W^T W
-    w = (e @ W.T) @ W
-    N, n, m = data.N, model.n, model.m
+    w = np.dot(e, W.T @ W)
+    N = data.N
     # adjoint recursion lam_k = F^T lam_{k+1} - C^T w_k, lam_N = 0, run as a
-    # forward scan in reversed time: mu[j] = lam[N - j]
-    w_rev = w[::-1]
-    mu = np.empty((N + 1, n))
+    # forward scan in reversed time with every vector's entries reversed
+    # too, mu[j] = flip(lam[N - j]): flipping both axes of a record is one
+    # reversed copy, several times faster than reversing its rows alone
+    mu = np.empty((N + 1, model.n))
     mu[0] = 0.0
-    np.matmul(w_rev, -model.C, out=mu[1:])
-    _states_scan(model.filter_matrix().T, mu)
-    # the operands (xhat[k], u[k], e[k]) in reversed time, so that
-    # sum_k lam[k+1] (.)^T is one product with mu[:N]
-    R = np.empty((N, n + m + model.p))
-    R[:, :n] = xhat[:-1][::-1]
-    R[:, n:n + m] = data.u[::-1]
-    R[:, n + m:] = e[::-1]
-    dABK = mu[:N].T @ R
-    mix = w_rev + mu[:N] @ model.K
-    dCD = -(mix.T @ R[:, :n + m])
-    dA, dB, dK = dABK[:, :n], dABK[:, n:n + m], dABK[:, n + m:]
-    dC, dD = dCD[:, :n], dCD[:, n:]
-    dx0 = mu[N].copy()
+    np.dot(np.flip(w).copy(), -np.flip(model.C), out=mu[1:])
+    _states_scan(np.flip(model.filter_matrix()).T, mu)
+    # lam[k] = lam_{k+1} in natural time and order, so that each
+    # sum_k lam_{k+1} (.)^T is one product with the record as it is stored
+    lam = np.flip(mu[:N]).copy()
+    x = xhat[:-1]
+    mix = w + np.dot(lam, model.K)
+    dA, dB, dK = lam.T @ x, lam.T @ data.u, lam.T @ e
+    dC, dD = -(mix.T @ x), -(mix.T @ data.u)
+    dx0 = mu[N, ::-1].copy()
     S = e.T @ e
     Re_inv_S = W.T @ (W @ S)
     dRe = 0.5 * (N * np.eye(model.p) - Re_inv_S)
@@ -568,7 +568,7 @@ def identification_index(
     """
     e = np.atleast_2d(np.asarray(e, dtype=float))
     Lc = _innovation_chol(np.atleast_2d(np.asarray(Re, dtype=float)))
-    z = np.linalg.inv(Lc) @ e.T
+    z = np.dot(np.linalg.inv(Lc), e.T)
     q = np.sum(z * z, axis=0)
     N = q.size
     averages: dict[int, np.ndarray] = {}

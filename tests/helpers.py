@@ -1,11 +1,14 @@
 """Shared synthetic fixtures and reference implementations for the tests."""
 
+import dataclasses
+
 import numpy as np
 import scipy.signal
 
+from ssfit import oracle, statespace
 from ssfit.identify import ProblemSpec
 from ssfit.indexsets import full_lower, vecs
-from ssfit.nlp import NlpProblem
+from ssfit.nlp import NlpProblem, SolveReport
 from ssfit.oracle import RELAXED_P_FLOOR
 from ssfit.regions import matrix_char_fn
 from ssfit.statespace import (
@@ -112,6 +115,46 @@ def doubling_scan_reference(F, x):
             offset *= 2
         x[1:] = np.matmul(P, x[0]) + d
     return x
+
+
+def simulate_reference(model, u, seed=0, noise=True):
+    """``statespace.simulate`` as numpy's ``matmul`` computes it on the
+    transposed views of the small matrices; the states come from
+    ``statespace._states_scan``, so the two differ only in their per-sample
+    products."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    N = u.shape[0]
+    if noise:
+        Lc = np.linalg.cholesky(model.Re)
+        e = np.random.default_rng(seed).standard_normal((N, model.p)) @ Lc.T
+    else:
+        e = np.zeros((N, model.p))
+    x = np.empty((N + 1, model.n))
+    x[0] = model.x0hat
+    np.matmul(u, model.B.T, out=x[1:])
+    x[1:] += e @ model.K.T
+    statespace._states_scan(model.A, x)
+    return x[:-1] @ model.C.T + u @ model.D.T + e
+
+
+def filter_reference(model, data):
+    """``statespace.filter_innovations`` as ``matmul`` computes it on the
+    transposed views of the small matrices, with the states of
+    ``statespace._states_scan``; returns ``(e, xhat)``."""
+    G_u = model.B - model.K @ model.D
+    xhat = np.empty((data.N + 1, model.n))
+    xhat[0] = model.x0hat
+    np.matmul(data.u, G_u.T, out=xhat[1:])
+    xhat[1:] += data.y @ model.K.T
+    statespace._states_scan(model.filter_matrix(), xhat)
+    e = data.y - xhat[:-1] @ model.C.T - data.u @ model.D.T
+    return e, xhat
+
+
+def whitened_reference(e, Re):
+    """The whitened innovations ``Lc^-1 e^T`` of ``statespace``'s NLL and
+    identification index, by ``matmul`` on the transposed view of ``e``."""
+    return np.linalg.inv(np.linalg.cholesky(Re)) @ e.T
 
 
 def fd_jacobian_reference(fn, x, n_out, h0=1e-6, lower_bounds=None):
@@ -280,7 +323,6 @@ def count_constraint_calls(problem):
     the returned ``Counter``; the kinds are ``eq``, ``in``, ``grad``,
     ``eq_jac`` and ``in_jac``."""
     import collections
-    import dataclasses
 
     calls = collections.Counter()
 
@@ -300,6 +342,70 @@ def count_constraint_calls(problem):
         equality_jacobian=counted("eq_jac", problem.equality_jacobian),
         inequality_jacobian=counted("in_jac", problem.inequality_jacobian),
     ), calls
+
+
+def barrier_solve_reference(query):
+    """``oracle.barrier_solve`` with its certificates taken per iterate,
+    inside the solve's ``observe``: an iterate's ``P`` is certified whenever
+    its trace beats the best so far, and its dual bound is folded in at
+    once.  The test reference for certifying the iterates after the solve.
+    """
+    region, A, M, V = query.region, query.a_mat, query.shift, query.weight
+    n, nm = query.n, query.n * region.m
+    h0 = 0.0 if np.any(M) else RELAXED_P_FLOOR
+    T, outside = oracle._coordinates(query)
+    Ti = np.linalg.inv(T)
+    Ki = np.kron(np.eye(region.m), Ti)
+    basis = oracle._svec_basis(n)
+    Mt = Ki @ M @ Ki.T
+    Mt = 0.5 * (Mt + Mt.T)
+    floor = h0 * (Ti @ Ti.T)
+    floor = 0.5 * (floor + floor.T)
+    Vt = T.T @ V @ T
+    problem = oracle.SdpProblem(
+        blocks=oracle._blkdiag(matrix_char_fn(region, Ti @ A @ T, basis),
+                               basis),
+        f0=oracle._blkdiag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
+    if outside is not None and oracle._certified_ray(
+            problem, T.T @ outside[0], *outside[1:]):
+        report = SolveReport(
+            x_star=np.zeros(len(basis)), f_star=0.0,
+            eq_residual_inf=np.inf, in_violation_inf=0.0,
+            stationarity_inf=0.0, iterations=0, outer_iterations=0,
+            status="infeasible")
+        return oracle.BarrierResult(np.inf, None, report, False, np.inf)
+    adjoint_z = problem.blocks[:, :nm, :nm].reshape(len(basis), nm * nm)
+    R = np.linalg.inv(np.linalg.cholesky(V)) @ Ti.T
+    value, p_matrix, lower = np.inf, None, -np.inf
+
+    def observe(y, X):
+        nonlocal value, p_matrix, lower
+        P = T @ np.tensordot(y, basis, 1) @ T.T
+        P = 0.5 * (P + P.T)
+        trace = float(np.sum(V * P))
+        if trace < value and oracle._definite(P - h0 * np.eye(n)) \
+                and oracle._definite(matrix_char_fn(region, A, P) - M):
+            value, p_matrix = trace, P
+        lam, U = np.linalg.eigh(X[:nm, :nm])
+        Z = (U * np.maximum(lam, 0.0)) @ U.T
+        G = np.tensordot(adjoint_z @ Z.ravel(), basis, 1)
+        g_max = float(np.linalg.eigvalsh(R @ G @ R.T)[-1])
+        gain = float(np.sum(Mt * Z)) - float(np.sum(floor * G))
+        bound = float(np.sum(floor * Vt))
+        if gain > 0:
+            bound = bound + gain / g_max if g_max > 0 else np.inf
+        lower = max(lower, bound)
+
+    report = oracle.solve(problem, np.zeros(len(basis)), observe)
+    if value < np.inf and value - lower <= oracle.GAP_TOL * value:
+        status = "converged"
+    elif value == np.inf and report.status == "infeasible":
+        status = "infeasible"
+    else:
+        status = "max-iter"
+    return oracle.BarrierResult(value, p_matrix,
+                                dataclasses.replace(report, status=status),
+                                value < np.inf, lower)
 
 
 class ReferenceBarrierNlp:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from unittest import mock
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (ReferenceBarrierNlp, count_constraint_calls,
-                     inner_minimize_reference_adapter)
+from helpers import (ReferenceBarrierNlp, barrier_solve_reference,
+                     count_constraint_calls, inner_minimize_reference_adapter)
 from ssfit import nlp as nlp_module
 from ssfit import oracle
 from ssfit.oracle import (BarrierQuery, _balance, barrier_solve,
@@ -642,3 +643,40 @@ def test_near_defective_queries_balance_to_the_right_verdict():
 def test_near_defective_lower_bounds_stay_below_values():
     _, outcomes = _near_defective_outcomes()
     assert all(res.lower_bound <= res.value for _, res in outcomes)
+
+
+def same_bits(a, b):
+    """Whether two results (or their fields) hold the same bytes."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def test_certificates_after_the_solve_match_the_per_iterate_reference(
+        monkeypatch):
+    # barrier_solve certifies its iterates after the solve, in ascending
+    # trace order, and takes every dual bound from one stacked eigh and
+    # eigvalsh; the reference certifies and bounds inside observe, one
+    # iterate at a time.  Their results hold the same bytes: placed queries
+    # of the four kinds, shifted and relaxed, inside and outside (outside
+    # once more with the ray refused, so that the solve iterates on them),
+    # and the near-defective draws
+    placed = {(kind, seed, inside, relaxed):
+              placed_query(kind, seed, inside, relaxed)
+              for kind in PLACED_REGIONS for seed in (3, 4)
+              for inside in (True, False) for relaxed in (True, False)}
+    drawn = list(near_defective_queries(11, 100))
+    for q in [*placed.values(), *(q for q, _ in drawn)]:
+        assert same_bits(barrier_solve(q), barrier_solve_reference(q))
+    outside = [q for key, q in placed.items() if not key[2]] \
+        + [q for q, margin in drawn if margin < 0]
+    monkeypatch.setattr(oracle, "_certified_ray", lambda *args: False)
+    for q in outside:
+        res = barrier_solve(q)
+        assert res.report.iterations > 0 and not res.feasible
+        assert same_bits(res, barrier_solve_reference(q))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (doubling_scan_reference, perturbed, siso_dataset,
-                     siso_truth, stacked, states_loop_reference)
+from helpers import (doubling_scan_reference, filter_reference, perturbed,
+                     simulate_reference, siso_dataset, siso_truth, stacked,
+                     states_loop_reference, whitened_reference)
 from ssfit import statespace
 from ssfit.statespace import (
     Dataset,
@@ -543,29 +544,99 @@ def triangular_solve_reference(model, data):
     return nll, grad, np.sum(z * z, axis=0)
 
 
+def laid_out(a, layout):
+    """``a`` as a C-ordered array, a Fortran-ordered one, or a column slice
+    of a wider C-ordered array."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    wide = np.zeros((a.shape[0], a.shape[1] + 3))
+    wide[:, 2:2 + a.shape[1]] = a
+    return wide[:, 2:2 + a.shape[1]]
+
+
+class TestForwardBits:
+    """The forward paths' per-sample products (``np.dot`` on C-ordered small
+    operands) give the bits of ``matmul`` on the transposed views, the
+    formulas of ``helpers.simulate_reference`` and ``filter_reference``.
+
+    One exception: a one-sample record with ``m`` or ``p`` above 1.  Each
+    of its products has a single row, which numpy hands to BLAS ``gemv``,
+    and OpenBLAS's ``gemv`` kernel (and with it the fused multiply-adds)
+    follows the small operand's layout.  There the two agree to a few ulps.
+    """
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("N", [1, 2, 300, 4095, 4096, 20_000])
+    def test_same_bits_as_matmul_on_views(self, m, p, N):
+        rng = np.random.default_rng(1000 * N + 10 * m + p)
+        base = random_model(rng, n=3, m=m, p=p)
+        model = InnovationModel(base.A, base.B, base.C,
+                                rng.standard_normal((p, m)), base.x0hat,
+                                base.K, base.Re)
+        u0 = rng.standard_normal((N, m))
+        y0 = simulate_reference(model, u0, seed=N)
+
+        def same(got, want):
+            if N > 1 or m == p == 1:
+                return np.array_equal(got, want)
+            tol = 8 * np.finfo(float).eps
+            return np.allclose(got, want, rtol=tol,
+                               atol=tol * float(np.max(np.abs(want))))
+
+        for layout in ("C", "F", "slice"):
+            u, y = laid_out(u0, layout), laid_out(y0, layout)
+            assert same(simulate(model, u, seed=N),
+                        simulate_reference(model, u, seed=N))
+            data = Dataset(u, y)
+            e, xhat = filter_innovations(model, data)
+            e_ref, xhat_ref = filter_reference(model, data)
+            assert same(e, e_ref) and same(xhat, xhat_ref)
+            # the whitening itself is exact on any record: compare it on
+            # the filter's own innovations
+            z = whitened_reference(e, model.Re)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(
+                np.linalg.cholesky(model.Re)))))
+            nll = 0.5 * N * logdet + 0.5 * float(np.sum(z * z))
+            assert neg_log_likelihood(model, data) == nll
+            assert np.array_equal(identification_index(e, model.Re)[0],
+                                  np.sum(z * z, axis=0))
+
+
+def whitening_case(p, cond):
+    """A model with ``m = 2`` whose ``Re`` has condition number ``cond``, and
+    400 samples simulated from it."""
+    rng = np.random.default_rng(int(40 + 10 * p + np.log10(cond)))
+    base = random_model(rng, n=3, m=2, p=p)
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    Re = 0.7 * (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
+    model = InnovationModel(base.A, base.B, base.C, base.D, base.x0hat,
+                            base.K, 0.5 * (Re + Re.T))
+    u = rng.standard_normal((400, 2))
+    return model, Dataset(u, simulate(model, u, seed=p))
+
+
+def assert_gradient_matches(got, grad):
+    for name in ("A", "B", "C", "D", "K", "x0hat"):
+        err = np.linalg.norm(got[name] - grad[name])
+        assert err <= 1e-10 * np.linalg.norm(grad[name]), name
+
+
 class TestWhitening:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
     def test_matches_triangular_solves(self, p, cond):
         # W = Lc^-1 applied by matmul gives the NLL, its gradient and the
         # identification index of triangular solves to 1e-10 relative
-        rng = np.random.default_rng(int(40 + 10 * p + np.log10(cond)))
-        base = random_model(rng, n=3, m=2, p=p)
-        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        Re = 0.7 * (Q * np.geomspace(1.0, 1.0 / cond, p)) @ Q.T
-        model = InnovationModel(base.A, base.B, base.C, base.D, base.x0hat,
-                                base.K, 0.5 * (Re + Re.T))
-        u = rng.standard_normal((400, 2))
-        data = Dataset(u, simulate(model, u, seed=p))
+        model, data = whitening_case(p, cond)
         nll, grad, q = triangular_solve_reference(model, data)
         e, _ = filter_innovations(model, data)
         assert abs(neg_log_likelihood(model, data) - nll) <= 1e-10 * abs(nll)
         index, _ = identification_index(e, model.Re)
         assert np.linalg.norm(index - q) <= 1e-10 * np.linalg.norm(q)
         got = likelihood_gradients(model, data)
-        for name in ("A", "B", "C", "D", "K", "x0hat"):
-            err = np.linalg.norm(got[name] - grad[name])
-            assert err <= 1e-10 * np.linalg.norm(grad[name]), name
+        assert_gradient_matches(got, grad)
         # the Re gradient (N Re^-1 - Re^-1 S Re^-1) / 2 cancels near the
         # data's covariance: at cond 1e8 both evaluations are up to 3e-6
         # (relative) off a 50-digit one, so their difference is held to
@@ -576,6 +647,17 @@ class TestWhitening:
         bound = max(1e-10 * np.linalg.norm(grad["Re"]),
                     np.linalg.cond(model.Re) * np.finfo(float).eps * terms)
         assert np.linalg.norm(got["Re"] - grad["Re"]) <= bound
+
+    @pytest.mark.parametrize("layout", ["F", "slice"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_adjoint_on_noncontiguous_records(self, p, layout):
+        # the adjoint contracts lambda with the record as it is stored:
+        # a Fortran-ordered record or a column slice gives the gradient of
+        # the triangular solves to the same 1e-10
+        model, data = whitening_case(p, 1e4)
+        data = Dataset(laid_out(data.u, layout), laid_out(data.y, layout))
+        _, grad, _ = triangular_solve_reference(model, data)
+        assert_gradient_matches(likelihood_gradients(model, data), grad)
 
 
 class TestLadm:
