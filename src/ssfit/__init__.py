@@ -17,8 +17,6 @@ from .indexsets import (
     empty_set,
     full_lower,
     project_lower,
-    project_sym,
-    unvecs,
     vecs,
 )
 from .regions import (

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import statespace
-from .indexsets import IndexSet, direct_sum, full_lower, vecs
+from .indexsets import IndexSet, direct_sum, full_lower
 from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .oracle import BarrierQuery, barrier_solve
 from .regions import (LmiRegion, char_fn, matrix_char_fn, membership_margin,
@@ -247,19 +247,14 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         resolved.append((c, n_i, shift, weight,
                          replace(c.region, m0=np.zeros_like(c.region.m0))))
 
-    # The maps take one point or a stack: the leading dimensions of the
-    # model blocks (..., n, n) or beta (..., n_beta) and those of Sigma
-    # (..., n_sigma, n_sigma) broadcast, and each item of a stack is its
-    # one-point value bit for bit.
     def coupled_fn(A, C, K, Sigma):
-        lead = np.broadcast_shapes(np.shape(A)[:-2], np.shape(Sigma)[:-2])
-        out = np.zeros(lead + (pattern_a.n, pattern_a.n))
-        out[..., :p, :p] = Sigma[..., :p, :p] - delta * np.eye(p)
+        out = np.zeros((pattern_a.n, pattern_a.n))
+        out[:p, :p] = Sigma[:p, :p] - delta * np.eye(p)
         for (c, n_i, shift, _, _), (soff, _), (aoff, asize) in zip(
                 resolved, sigma_blocks[1:], a_blocks[1:]):
-            P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
+            P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
             target = c.resolve_target(A, C, K, ladm.n_s)
-            out[..., aoff:aoff + asize, aoff:aoff + asize] = \
+            out[aoff:aoff + asize, aoff:aoff + asize] = \
                 matrix_char_fn(c.region, target, P_i) - shift
         return out
 
@@ -268,19 +263,14 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         return coupled_fn(A, C, K, Sigma)
 
     def ineq_fn(beta, Sigma):
-        rows = np.empty(np.shape(Sigma)[:-2] + (len(resolved),))
-        for k, ((c, n_i, _, weight, _), (soff, _)) in enumerate(
-                zip(resolved, sigma_blocks[1:])):
-            P_i = Sigma[..., soff:soff + n_i, soff:soff + n_i]
-            rows[..., k] = (np.trace(weight @ P_i, axis1=-2, axis2=-1)
-                            - 1.0 / c.epsilon_i)
-        return rows
+        return np.array([
+            np.trace(weight @ Sigma[soff:soff + n_i, soff:soff + n_i])
+            - 1.0 / c.epsilon_i
+            for (c, n_i, _, weight, _), (soff, _) in zip(resolved,
+                                                         sigma_blocks[1:])])
 
-    # the model blocks are affine in beta, so their directions along each
-    # coordinate are exact differences
     nb = layout.n_beta
-    dA, _, dC, dK = (b1 - b0 for b1, b0 in zip(
-        ladm_blocks(layout, np.eye(nb)), ladm_blocks(layout, np.zeros(nb))))
+    dA, _, dC, dK = layout.directions
 
     # M_D(T, P) is linear in P and, with M0 = 0, in T, and the trace rows
     # are linear in Sigma and free of beta
@@ -401,23 +391,17 @@ class _IdentificationNlp:
         """Exact objective gradient via the filter adjoint.
 
         The likelihood touches only the model parameters and the leading
-        covariance block; matrix gradients pull back through the (linear)
-        layout and along the tangents ``dL`` of the completed Sigma factor
-        ``L``, and the coupled-block factor coordinates carry zero gradient.
-        The innovations come from the objective call at ``x`` when there
-        was one.
+        covariance block; matrix gradients pull back along the layout's
+        block directions and along the tangents ``dL`` of the completed
+        Sigma factor ``L``, and the coupled-block factor coordinates carry
+        zero gradient.  The innovations come from the objective call at
+        ``x`` when there was one.
         """
         phi, theta, _, model = self._forward(x)
-        ext = self.ext
-        ladm = ext.spec.ladm
         grads = likelihood_gradients(model, self.data, self._innovations)
-        n_s = ladm.n_s
-        # pack reads the blocks of the layout's segments only
-        g_beta = ext.layout.pack({
-            "A_s": grads["A"][:n_s, :n_s], "B_s": grads["B"][:n_s, :],
-            "K_s": grads["K"][:n_s, :], "K_d": grads["K"][n_s:, :],
-            "C_s": grads["C"][:, :n_s]})
-        p = ladm.p
+        g_beta = sum(d.reshape(len(d), -1) @ grads[name].ravel() for d, name
+                     in zip(self.ext.layout.directions, "ABCK"))
+        p = self.ext.spec.ladm.p
         grad_sigma = np.zeros_like(theta.Sigma)
         grad_sigma[:p, :p] = grads["Re"]
         L, dL = self._sigma_tangents(x)
@@ -433,7 +417,8 @@ class _IdentificationNlp:
     def equality(self, x: np.ndarray) -> np.ndarray:
         _, theta, A_T, model = self._forward(x)
         Amat = self.ext.coupled_fn(model.A, model.C, model.K, theta.Sigma)
-        return vecs(self.system.pattern_a, 0.5 * (Amat + Amat.T) - A_T)
+        pa = self.system.pattern_a
+        return (0.5 * (Amat + Amat.T) - A_T)[pa._rows0, pa._cols0]
 
     def _constraint_derivatives(self, x: np.ndarray) -> np.ndarray:
         """Jacobian columns in (beta, L_Sigma) of the pattern entries of the
@@ -453,10 +438,8 @@ class _IdentificationNlp:
         J = np.zeros((self.n_eq, self.dim))
         J[:, :ks] = self._constraint_derivatives(x)[:self.n_eq]
         # the completed coupled factor contributes -d(L L^T)
-        pa = self.system.pattern_a
-        La = np.zeros((pa.n, pa.n))
-        La[pa._rows0, pa._cols0] = x[ks:]
-        J[self._gram.rows, self._gram_cols] -= self._gram.values(La)
+        L_a = self._forward(x)[0].L_a
+        J[self._gram.rows, self._gram_cols] -= self._gram.values(L_a)
         return J
 
     def inequality(self, x: np.ndarray) -> np.ndarray:

@@ -21,14 +21,11 @@ __all__ = [
     "direct_sum",
     "complement",
     "vecs",
-    "unvecs",
     "project_lower",
-    "project_sym",
 ]
 
-# Relative tolerance used when checking that a matrix passed to vecs() or
-# project_sym() is symmetric.  Round-off from matrix products must not trip
-# the check.
+# Relative tolerance used when checking that a matrix passed to vecs() is
+# symmetric.  Round-off from matrix products must not trip the check.
 SYMMETRY_RTOL = 1e-10
 
 
@@ -77,9 +74,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, pos: tuple[int, int]) -> bool:
-        return tuple(pos) in set(self.entries)
 
     @property
     def diag_mask(self) -> np.ndarray:
@@ -163,19 +157,6 @@ def vecs(pattern: IndexSet, S: np.ndarray) -> np.ndarray:
     return S[pattern._rows0, pattern._cols0].copy()
 
 
-def unvecs(pattern: IndexSet, v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vecs`: place entries symmetrically, zeros elsewhere."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != len(pattern):
-        raise PatternError(
-            f"vector length {v.size} does not match pattern size {len(pattern)}"
-        )
-    S = np.zeros((pattern.n, pattern.n))
-    S[pattern._rows0, pattern._cols0] = v
-    S[pattern._cols0, pattern._rows0] = v
-    return S
-
-
 def project_lower(pattern: IndexSet, M: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto lower-triangular matrices with this pattern.
 
@@ -191,20 +172,3 @@ def project_lower(pattern: IndexSet, M: np.ndarray) -> np.ndarray:
     out[pattern._rows0, pattern._cols0] = M[pattern._rows0, pattern._cols0]
     return out
 
-
-def project_sym(pattern: IndexSet, S: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto symmetric matrices with this pattern.
-
-    Keeps the symmetric pairs of pattern entries and zeroes off-pattern
-    pairs symmetrically.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.shape != (pattern.n, pattern.n):
-        raise PatternError(
-            f"matrix shape {S.shape} does not match pattern dimension {pattern.n}"
-        )
-    _check_symmetric(S)
-    out = np.zeros_like(S)
-    out[pattern._rows0, pattern._cols0] = S[pattern._rows0, pattern._cols0]
-    out[pattern._cols0, pattern._rows0] = S[pattern._cols0, pattern._rows0]
-    return out

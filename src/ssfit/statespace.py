@@ -215,12 +215,17 @@ class ParameterLayout:
 
     Segments are laid out in the order ``A_s``, ``B_s``, ``K_s``, ``K_d``
     and, when the output map is not fixed, ``C_s``; each segment stores its
-    matrix row-major.
+    matrix row-major.  ``directions`` holds the augmented blocks' derivatives
+    ``(dA, dB, dC, dK)`` along each coordinate, each of shape ``(n_beta,
+    ...)``: the blocks of :func:`ladm_blocks` are affine in beta, and each
+    coordinate drives one block entry with coefficient 1.
     """
 
     ladm: LadmSpec
     segments: dict[str, tuple[slice, tuple[int, ...]]] = field(init=False)
     n_beta: int = field(init=False)
+    directions: tuple[np.ndarray, ...] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         spec = self.ladm
@@ -245,6 +250,9 @@ class ParameterLayout:
             add("C_s", (spec.p, spec.n_s))
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "n_beta", offset)
+        object.__setattr__(self, "directions", tuple(
+            b1 - b0 for b1, b0 in zip(ladm_blocks(self, np.eye(offset)),
+                                      ladm_blocks(self, np.zeros(offset)))))
 
     def matrices(self, beta: np.ndarray) -> dict[str, np.ndarray]:
         """Expand a parameter vector, or a ``(..., n_beta)`` stack of them,

@@ -157,38 +157,14 @@ def whitened_reference(e, Re):
     return np.linalg.inv(np.linalg.cholesky(Re)) @ e.T
 
 
-def fd_jacobian_reference(fn, x, n_out, h0=1e-6, lower_bounds=None):
-    """The per-coordinate central-difference loop: one ``fn`` call per
-    stencil point, ``f(x)`` only beside a nonfinite side.  ``nlp.fd_jacobian``
-    must return its bytes and raise its errors."""
-    from ssfit.nlp import FdGradientError
-
-    x = np.asarray(x, dtype=float).ravel()
-    J = np.zeros((n_out, x.size))
-    f0 = None
-    for i in range(x.size):
-        h = h0 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        fp = np.asarray(fn(xp), dtype=float).ravel()
-        fm = None
-        if lower_bounds is None or x[i] - h >= lower_bounds[i]:
-            xm = x.copy()
-            xm[i] -= h
-            fm = np.asarray(fn(xm), dtype=float).ravel()
-        fp_ok = bool(np.all(np.isfinite(fp)))
-        fm_ok = fm is not None and bool(np.all(np.isfinite(fm)))
-        if fp_ok and fm_ok:
-            J[:, i] = (fp - fm) / (2.0 * h)
-            continue
-        if f0 is None:
-            f0 = np.asarray(fn(x), dtype=float).ravel()
-        if not (fp_ok or fm_ok) or not np.all(np.isfinite(f0)):
-            raise FdGradientError(
-                f"nonfinite finite-difference values at coordinate {i}"
-            )
-        J[:, i] = (fp - f0) / h if fp_ok else (f0 - fm) / h
-    return J
+def pack_reference(layout, grads):
+    """The likelihood's beta gradient as ``layout.pack`` reads it from the
+    augmented blocks' gradients, segment by segment."""
+    n_s = layout.ladm.n_s
+    return layout.pack({
+        "A_s": grads["A"][:n_s, :n_s], "B_s": grads["B"][:n_s, :],
+        "K_s": grads["K"][:n_s, :], "K_d": grads["K"][n_s:, :],
+        "C_s": grads["C"][:, :n_s]})
 
 
 def inner_minimize_reference(problem, x, lam, mu, rho, tol, max_iter, count,

@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    pack_reference,
     perturbed,
     siso_dataset,
     siso_ladm_spec,
@@ -512,6 +513,36 @@ def test_fit_derivatives_match_finite_differences(problem):
     nlp, x = _random_point(ladm, (constraint,), seed, re_pattern, rho)
     assert preflight_gradients(nlp.problem(), x, n_points=2, rtol=1e-6,
                                seed=seed) <= 1e-6
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(identification_problems())
+# the strategy seldom draws the canonical form, never without disturbances
+@example((LadmSpec(n_s=3, n_d=0, m=2, p=1, plant_form="canonical"),
+          DISK_CONSTRAINT[0], None, 0.0, 5))
+def test_layout_directions_are_the_affine_blocks(problem):
+    ladm, constraint, re_pattern, rho, seed = problem
+    nlp, x = _random_point(ladm, (constraint,), seed, re_pattern, rho)
+    layout = nlp.ext.layout
+    beta = nlp.system.unpack(x).beta
+    # each coordinate drives one block entry with coefficient 1
+    counts = sum(np.count_nonzero(d.reshape(len(beta), -1), axis=1)
+                 for d in layout.directions)
+    assert np.all(counts == 1)
+    assert all(set(np.unique(d)) <= {0.0, 1.0} for d in layout.directions)
+    for block, offset, d in zip(
+            statespace.ladm_blocks(layout, beta),
+            statespace.ladm_blocks(layout, np.zeros_like(beta)),
+            layout.directions):
+        assert np.array_equal(block, offset + np.tensordot(beta, d, 1))
+    # the objective's pull-back is pack on the hand-sliced block gradients
+    lik = _IdentificationNlp(nlp.ext, nlp.data, None)
+    try:
+        grads = statespace.likelihood_gradients(lik._forward(x)[3], nlp.data)
+    except FilterDivergedError:
+        return
+    assert np.array_equal(lik.gradient(x)[:layout.n_beta],
+                          pack_reference(layout, grads) / lik.obj_scale)
 
 
 NLP_CALLABLES = ("objective", "gradient", "equality", "equality_jacobian",

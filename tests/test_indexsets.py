@@ -11,8 +11,6 @@ from ssfit.indexsets import (
     empty_set,
     full_lower,
     project_lower,
-    project_sym,
-    unvecs,
     vecs,
 )
 
@@ -124,22 +122,3 @@ class TestVecsProject:
     def test_project_lower_identity_on_pattern(self):
         M = np.tril(np.arange(9.0).reshape(3, 3) + 1)
         assert np.array_equal(project_lower(full_lower(3), M), M)
-
-    def test_project_sym(self):
-        S = np.array([[1.0, 4.0], [4.0, 2.0]])
-        assert np.array_equal(project_sym(diagonal(2), S), np.diag([1.0, 2.0]))
-
-    def test_vecs_of_projection_matches(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            n = rng.integers(1, 7)
-            s = random_pattern(rng, n, require_diag=False)
-            X = rng.standard_normal((n, n))
-            S = X + X.T
-            assert np.array_equal(vecs(s, project_sym(s, S)), vecs(s, S))
-
-    def test_unvecs_roundtrip(self):
-        rng = np.random.default_rng(2)
-        s = random_pattern(rng, 5)
-        v = rng.standard_normal(len(s))
-        assert np.allclose(vecs(s, unvecs(s, v)), v)
