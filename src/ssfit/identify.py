@@ -23,8 +23,8 @@ from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower
 from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .oracle import BarrierQuery, barrier_solve
-from .regions import (LmiRegion, char_fn, matrix_char_fn, membership_margin,
-                      require_pd_weight, require_sound_shift)
+from .regions import (LmiRegion, char_fn, matrix_char_fn, require_pd_weight,
+                      require_sound_shift)
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -452,17 +452,17 @@ class _IdentificationNlp:
         return J
 
     def problem(self) -> NlpProblem:
-        n_eq = self.n_eq
+        # the back-off block keeps n_eq >= 1
         return NlpProblem(
             dim=self.dim,
             objective=self.objective,
-            equality=self.equality if n_eq else None,
-            n_eq=n_eq,
+            equality=self.equality,
+            n_eq=self.n_eq,
             inequality=self.inequality if self.system.n_ineq else None,
             n_in=self.system.n_ineq,
             lower_bounds=self.lower,
             gradient=self.gradient,
-            equality_jacobian=self.equality_jacobian if n_eq else None,
+            equality_jacobian=self.equality_jacobian,
             inequality_jacobian=(self.inequality_jacobian
                                  if self.system.n_ineq else None),
         )
@@ -563,8 +563,9 @@ def fit(
 ) -> FitResult:
     """Identify a model by constrained maximum likelihood.
 
-    ``init`` is a base parameter point (beta plus innovation covariance) or
-    ``"auto"`` for the regression initializer.  The problem is solved once;
+    ``init`` is a base parameter point (beta plus innovation covariance),
+    taken as given, or ``"auto"`` for the regression initializer blended
+    into the constraints until its start extends.  The problem is solved once;
     a solve that does not converge returns its own last iterate, and its
     status says why it stopped.  The returned report carries the
     unregularized log-likelihood, both spectra, the iteration counts and
@@ -578,10 +579,9 @@ def fit(
     if isinstance(init, str):
         if init != "auto":
             raise ValueError(f"unknown init {init!r}")
-        theta0 = varx_init(data, spec)
+        theta0 = _blend_feasible(ext, varx_init(data, spec))
     else:
-        theta0 = init
-    theta0 = _extend_theta(ext, theta0)
+        theta0 = _extend_theta(ext, init)
     try:
         phi0 = gbmz_inverse(theta0, ext.system)
     except DomainError as exc:
@@ -668,9 +668,9 @@ def varx_init(data: Dataset, spec: ProblemSpec) -> ThetaPoint:
     ``n_s``-lag fit realized through its impulse response.  The filter gain
     starts at zero on plant rows with a small positive diagonal on the
     disturbance rows, and the innovation covariance is the regression
-    residual covariance lifted clear of the back-off floor.  Initial points
-    whose target matrices violate an eigenvalue region are blended toward a
-    point inside every region until strictly feasible.
+    residual covariance lifted clear of the back-off floor.  The
+    eigenvalue constraints play no part: :func:`fit` blends this point into
+    them.
     """
     ladm = spec.ladm
     p, m, n_s, n_d = ladm.p, ladm.m, ladm.n_s, ladm.n_d
@@ -718,48 +718,46 @@ def varx_init(data: Dataset, spec: ProblemSpec) -> ThetaPoint:
     Re0 = (U * np.maximum(lam, floor)) @ U.T
     Re0 = 0.5 * (Re0 + Re0.T)
 
-    beta = layout.pack(mats)
-    theta = ThetaPoint(beta, Re0)
-    if spec.eig_constraints:
-        theta = _blend_feasible(theta, spec, layout)
-    return theta
+    return ThetaPoint(layout.pack(mats), Re0)
 
 
-def _blend_feasible(theta: ThetaPoint, spec: ProblemSpec,
-                    layout: ParameterLayout) -> ThetaPoint:
-    """Shrink an initial point toward a region-interior default until the
-    constrained target matrices sit strictly inside every region."""
-    ladm = spec.ladm
-
-    def margins(th: ThetaPoint) -> float:
-        model = assemble_ladm(ladm, th, layout)
-        return min(membership_margin(
-            c.region, c.resolve_target(model.A, model.C, model.K, ladm.n_s))
-                   for c in spec.eig_constraints)
-
-    if margins(theta) > 1e-3:
-        return theta
+def _blend_feasible(ext: ExtendedProblem, theta: ThetaPoint) -> ThetaPoint:
+    """The first point that :func:`_extend_theta` accepts, extended:
+    ``theta``, else ``theta`` blended toward an end point whose constrained
+    poles all sit at a real centre ``c`` inside every region, else the last
+    rejection.  The end point's plant block is ``c I`` (in the canonical
+    form, the companion of ``(z - c)^n_s``), with ``K_s = 0`` and ``K_d =
+    (1 - c) I``: with ``Bd = 0`` and ``Cd = I`` the filter matrix is then
+    block triangular with every eigenvalue at ``c``."""
+    try:
+        return _extend_theta(ext, theta)
+    except InitializationError as exc:
+        error = exc
+    ladm, layout = ext.spec.ladm, ext.layout
     # a real center that sits inside every region, found by scanning
     candidates = np.linspace(-0.95, 0.95, 77)
     worst = np.min([np.linalg.eigvalsh(char_fn(c.region, candidates))[:, 0]
-                    for c in spec.eig_constraints], axis=0)
+                    for c in ext.spec.eig_constraints], axis=0)
     best = int(np.argmax(worst))
-    best_center = float(candidates[best])
+    center = float(candidates[best])
     if worst[best] <= 0:
         raise InitializationError(
             "no real point lies inside every constraint region; supply a "
             "feasible initial model explicitly")
     mats = layout.matrices(theta.beta)
+    end = layout.pack(dict(
+        mats, A_s=(-np.poly(np.full(ladm.n_s, center))[:0:-1]
+                   if ladm.plant_form == "canonical"
+                   else center * np.eye(ladm.n_s)),
+        K_s=np.zeros_like(mats["K_s"]),
+        K_d=(1 - center) * np.eye(ladm.n_d, ladm.p)))
     for t in np.linspace(0.1, 1.0, 10):
-        blended = dict(mats)
-        blended["A_s"] = (1 - t) * mats["A_s"] + t * best_center * np.eye(ladm.n_s)
-        blended["K_s"] = (1 - t) * mats["K_s"]
-        blended["K_d"] = (1 - t) * mats["K_d"] + t * 0.05 * np.eye(ladm.n_d, ladm.p)
-        cand = ThetaPoint(layout.pack(blended), theta.Sigma)
-        if margins(cand) > 1e-3:
-            return cand
-    raise InitializationError(
-        "could not blend the initial model into the constraint regions")
+        try:
+            return _extend_theta(ext, ThetaPoint(
+                (1 - t) * theta.beta + t * end, theta.Sigma))
+        except InitializationError as exc:
+            error = exc
+    raise error
 
 
 def epsilon_continuation(

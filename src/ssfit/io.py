@@ -68,6 +68,13 @@ def _fields(doc, where: str, required, optional=(), what: str = "") -> dict:
     return doc
 
 
+def _check_version(doc: dict, where: str) -> None:
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise SchemaError(f"{where}: schema_version must be {SCHEMA_VERSION}, "
+                          f"got {json.dumps(version)}")
+
+
 def _read_json(path: str):
     with open(path) as fh:
         try:
@@ -237,6 +244,7 @@ def load_model(path: str):
     """Read a model file; returns ``(model, ladm_or_None, meta)``."""
     doc = _fields(_read_json(path), path, {"schema_version", "dims", *_MATRICES},
                   {"ladm", "meta"})
+    _check_version(doc, path)
     dims = _fields(doc["dims"], path, {"n", "m", "p"}, what="dims")
     try:
         dims = {key: _number(dims[key], f"dims {key}", integral=True)
@@ -397,6 +405,7 @@ def parse_config(doc: dict, origin: str = "<config>") -> RunConfig:
     :class:`SchemaError` naming ``origin``."""
     doc = _fields(doc, origin, {"model"},
                   {"schema_version", "constraints", "objective", "solver", "io"})
+    _check_version(doc, origin)
     mdl = _fields(doc["model"], origin, {"n_s", "n_u", "n_y"},
                   {"n_d", "plant_form", "Bd", "Cd", "C_fixed", "re_pattern"},
                   "model")

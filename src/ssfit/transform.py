@@ -294,7 +294,7 @@ def sigma_factor_tangents(
     ps, n = system.pattern_sigma, system.n_sigma
     dL = np.zeros((len(ps), n, n))
     dL[np.arange(len(ps)), ps._rows0, ps._cols0] = 1.0
-    if getattr(system, "_sigma_trivial", False):
+    if system._sigma_trivial:
         return L_sigma, dL
     L = L_sigma + complete_factor(ps, L_sigma, np.zeros((n, n)))
     for i1, j1 in complement(ps).entries:
@@ -314,14 +314,14 @@ def gbmz_forward(
     block ``A_T = (L_a + L_a_off)(L_a + L_a_off)^T``.
     """
     H = system.shift(phi.beta)
-    if getattr(system, "_sigma_trivial", False):
+    if system._sigma_trivial:
         L_off = np.zeros_like(phi.L_sigma)
     else:
         L_off = complete_factor(system.pattern_sigma, phi.L_sigma, H)
     Sigma = reconstruct_q(H, phi.L_sigma, L_off)
     if system.n_a > 0:
         Ha = np.zeros((system.n_a, system.n_a))
-        if getattr(system, "_a_trivial", False):
+        if system._a_trivial:
             La_off = np.zeros_like(phi.L_a)
         else:
             La_off = complete_factor(system.pattern_a, phi.L_a, Ha)

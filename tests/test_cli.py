@@ -469,6 +469,18 @@ CONFIG_FAULTS = [
     pytest.param(FIT, ("cfg", ("model", "Cd"), [[1.0, 0.0]]), 1,
                  ERROR_IN_CFG + "Cd has shape (1, 2), expected (1, 1)\n",
                  id="model-Cd-row"),
+    # a file of another schema version is refused, whatever it holds
+    pytest.param(FIT, ("cfg", ("schema_version",), 7), 1,
+                 ERROR_IN_CFG + "schema_version must be 1, got 7\n",
+                 id="config-schema-version-7"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("schema_version",), 99), 1,
+                 "error: {model}: schema_version must be 1, got 99\n",
+                 id="eig-model-schema-version-99"),
+    pytest.param(["eig", "--model", "{model}"],
+                 ("model", ("schema_version",), "one"), 1,
+                 'error: {model}: schema_version must be 1, got "one"\n',
+                 id="eig-model-schema-version-one"),
     pytest.param(["eig", "--model", "{model}"],
                  ("model", ("dims", "m"), True), 1,
                  "error: {model}: dims m must be an integer, got true\n",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ class TestModelFiles:
                                               "got true"):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [99, "one", True, 0])
+    def test_schema_version_must_be_current(self, tmp_path, version):
+        spec, layout, theta = siso_truth()
+        path = tmp_path / "m.json"
+        save_model(path, assemble_ladm(spec, theta, layout))
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=(
+                f"^{re.escape(str(path))}: schema_version must be 1, "
+                f"got {json.dumps(version)}$")):
+            load_model(path)
+
     def test_ladm_maps_need_their_exact_shape(self, tmp_path):
         spec, layout, theta = siso_truth()
         path = tmp_path / "m.json"
@@ -347,6 +361,21 @@ class TestRunConfig:
         assert config.problem.eig_constraints[0].epsilon_i == 0.03
         assert config.seed == 7
         assert config.solver.max_inner == 300
+
+    @pytest.mark.parametrize("version", [7, "1", True, None])
+    def test_schema_version_must_be_current(self, version):
+        doc = sample_config()
+        doc["schema_version"] = version
+        with pytest.raises(SchemaError, match=(
+                f"^cfg.json: schema_version must be 1, "
+                f"got {json.dumps(version)}$")):
+            parse_config(doc, origin="cfg.json")
+        # the version may be left out, and 1.0 is the integer 1
+        for current in ({}, {"schema_version": 1.0}):
+            doc = {key: value for key, value in sample_config().items()
+                   if key != "schema_version"}
+            assert parse_config({**doc, **current}) == parse_config(
+                sample_config())
 
     def test_solver_defaults_are_the_fit_defaults(self):
         from ssfit.identify import FIT_OPTIONS
