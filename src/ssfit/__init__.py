@@ -77,8 +77,6 @@ from .oracle import (
     BarrierQuery,
     BarrierResult,
     barrier_solve,
-    barrier_value,
-    region_feasible,
     within_sublevel,
 )
 from .identify import (

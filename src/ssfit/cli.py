@@ -1,9 +1,12 @@
 """Command-line front end: fit, simulate, eval, eig.
 
 Exit codes: 0 success/converged, 1 input, schema or unreadable path, 2
-numerical non-convergence, a diverging state recursion (simulate, eval) or
-verification disagreement (artifacts are still written where that makes
-sense).  :func:`main` is the one place that maps exceptions to exit codes.
+numerical non-convergence (artifacts are still written where that makes
+sense), a diverging state recursion (simulate, eval), or an oracle verdict
+of ``eig`` that its certificates leave undecided (value above ``1/epsilon``,
+lower bound not) or that the spectrum contradicts (certified inside the
+tightened set, spectrum outside the region).  :func:`main` is the one place
+that maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import sys
 import numpy as np
 
 from . import io as ssio
-from .identify import fit
-from .oracle import BarrierQuery, barrier_solve, within_sublevel
+from .identify import EigConstraintSpec, fit
+from .oracle import barrier_solve, within_sublevel
 from .regions import eig_membership, membership_margin
 from .statespace import (
     Dataset,
@@ -99,8 +102,6 @@ def cmd_simulate(args) -> int:
         if args.gen_inputs is None:
             args.gen_inputs = model.m
         u = _generator_input(args)
-    if u.shape[1] != model.m:
-        return _fail(f"input has {u.shape[1]} columns, model expects {model.m}")
     y = simulate(model, u, seed=args.seed, noise=not args.no_noise)
     ssio.save_dataset(args.out, Dataset(u, y))
     ssio.save_json(args.out + ".meta.json",
@@ -114,11 +115,9 @@ def cmd_simulate(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _ = ssio.load_model(args.model)
     data = ssio.load_dataset(args.data)
-    if data.u.shape[1] != model.m or data.y.shape[1] != model.p:
-        return _fail("dataset dimensions do not match the model")
-    os.makedirs(args.out, exist_ok=True)
     windows = tuple(w for w in (1, 10, 100) if w <= data.N)
     innovations = filter_innovations(model, data)
+    os.makedirs(args.out, exist_ok=True)
     e, _ = innovations
     q, averages = identification_index(e, model.Re, windows=windows)
     nll = neg_log_likelihood(model, data, innovations)
@@ -156,27 +155,24 @@ def cmd_eig(args) -> int:
         print(f"  {z.real:+.6f} {z.imag:+.6f}j  |.| = {abs(z):.6f}")
     if region is None:
         return EXIT_OK
-    target = model.A if args.target == "open_loop" else model.filter_matrix()
+    constraint = EigConstraintSpec(region, args.target, args.epsilon)
+    target = constraint.resolve_target(model.A, model.C, model.K, model.n)
     direct = eig_membership(region, target)
-    shift = args.epsilon * np.eye(target.shape[0] * region.m)
-    result = barrier_solve(BarrierQuery(region, target, shift))
-    value = result.value
-    oracle = within_sublevel(value, args.epsilon)
+    result = barrier_solve(constraint.query(target))
+    oracle = within_sublevel(result.value, args.epsilon)
     print(f"direct membership: {direct}")
-    print(f"barrier value: {value}")
+    print(f"barrier value: {result.value}")
     print(f"lower bound: {result.lower_bound}")
     print(f"oracle verdict (epsilon = {args.epsilon}): {oracle}")
-    if direct != oracle:
-        # near the boundary the tightened set is strictly inside the open
-        # region, so disagreement is expected within a margin; flag only
-        # clear contradictions
-        margin = membership_margin(region, target)
-        if direct and margin > 0.05 and not oracle:
-            print("verdict disagreement beyond tolerance", file=sys.stderr)
-            return EXIT_NUMERIC
-        if (not direct) and oracle and margin < -1e-9:
-            print("verdict disagreement beyond tolerance", file=sys.stderr)
-            return EXIT_NUMERIC
+    # a value within 1/epsilon certifies "inside the tightened set", a lower
+    # bound beyond it "outside"; the tightened set lies inside the region
+    if not oracle and result.lower_bound <= 1.0 / args.epsilon:
+        return _fail("oracle verdict undecided: the lower bound does not "
+                     "exceed 1/epsilon", EXIT_NUMERIC)
+    if oracle and membership_margin(region, target) < -1e-9:
+        return _fail("oracle verdict contradicted: certified inside the "
+                     "tightened set, spectrum outside the region",
+                     EXIT_NUMERIC)
     return EXIT_OK
 
 

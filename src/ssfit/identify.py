@@ -23,8 +23,7 @@ from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower
 from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .oracle import BarrierQuery, barrier_solve
-from .regions import (LmiRegion, char_fn, matrix_char_fn, require_pd_weight,
-                      require_sound_shift)
+from .regions import LmiRegion, char_fn, matrix_char_fn
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -85,7 +84,8 @@ class EigConstraintSpec:
         Which matrix the constraint binds: ``"open_loop"`` (A),
         ``"filter"`` (A - KC) or ``"plant_block"`` (the plant submatrix).
     epsilon_i : float
-        Tightening constant; the trace row reads ``tr(V P) <= 1/epsilon_i``.
+        Tightening constant, finite and positive; the trace row reads
+        ``tr(V P) <= 1/epsilon_i``.
     weight : ndarray or None
         Trace weight ``V`` (identity by default).
     shift : ndarray or None
@@ -99,8 +99,9 @@ class EigConstraintSpec:
     shift: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon_i <= 0:
-            raise ValueError(f"epsilon_i must be positive, got {self.epsilon_i}")
+        if not 0 < self.epsilon_i < np.inf:
+            raise ValueError(f"epsilon_i must be finite and positive, "
+                             f"got {self.epsilon_i}")
         if not isinstance(self.target, str) or self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; "
                              f"expected one of {TARGETS}")
@@ -136,8 +137,12 @@ class EigConstraintSpec:
             return dA - dK @ C - K @ dC
         return dA[..., :n_s, :n_s]
 
-    def target_dim(self, spec: LadmSpec) -> int:
-        return spec.n_s if self.target == "plant_block" else spec.n
+    def query(self, A: np.ndarray) -> BarrierQuery:
+        """The oracle query of this constraint at its bound matrix ``A``:
+        :class:`BarrierQuery` resolves the shift (``epsilon_i I`` unless
+        given) and the weight, and checks both."""
+        shift = self.epsilon_i if self.shift is None else self.shift
+        return BarrierQuery(self.region, A, shift, self.weight)
 
 
 def _same_matrix(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -152,8 +157,10 @@ class ProblemSpec:
 
     ``delta_re`` is the covariance back-off (``Re >= delta * I``), realized
     as a diagonal block of the coupled semidefinite map; ``"auto"`` resolves
-    to ``1e-8`` times the mean output variance.  ``epsilon`` is the floor on
-    factor diagonals that closes the transformed feasible set.
+    to ``1e-8`` times the mean output variance, and a number must be finite
+    and nonnegative.  ``epsilon`` is the floor on factor diagonals that
+    closes the transformed feasible set, finite and positive; the prior
+    weight ``rho`` is finite and nonnegative.
     """
 
     ladm: LadmSpec
@@ -166,10 +173,17 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "eig_constraints", tuple(self.eig_constraints))
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 <= self.rho < np.inf:
+            raise ValueError(f"rho must be finite and nonnegative, "
+                             f"got {self.rho}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, "
+                             f"got {self.epsilon}")
+        delta = self.delta_re
+        if not (delta == "auto" or not isinstance(delta, str)
+                and 0 <= delta < np.inf):
+            raise ValueError(f"delta_re must be \"auto\" or a finite number "
+                             f">= 0, got {delta}")
         pat = self.re_pattern
         if pat is not None:
             if pat.n != self.ladm.p:
@@ -183,11 +197,11 @@ class ProblemSpec:
 class ExtendedProblem:
     """A problem with its Lyapunov blocks and constraint system materialized.
 
-    ``shifts`` and ``weights`` hold each constraint's shift ``M`` and trace
-    weight ``V`` with their defaults resolved.  ``coupled_fn(A, C, K,
-    Sigma)`` is the coupled map at the model blocks ``(A, C, K)`` of a point
-    (``system.psd_fn`` builds them from beta).  ``derivative_fn(A, C, K,
-    Sigma, dSigma)`` is the closed-form Jacobian of the pattern entries of
+    ``queries`` holds each constraint's oracle query, its shift ``M`` and
+    trace weight ``V`` resolved, at a zero bound matrix.  ``coupled_fn(A, C,
+    K, Sigma)`` is the coupled map at the model blocks ``(A, C, K)`` of a
+    point (``system.psd_fn`` builds them from beta).  ``derivative_fn(A, C,
+    K, Sigma, dSigma)`` is the closed-form Jacobian of the pattern entries of
     the coupled map followed by the trace rows: one column per beta
     coordinate, then one per symmetric direction ``dSigma[k]`` of Sigma.
     """
@@ -198,8 +212,7 @@ class ExtendedProblem:
     sigma_blocks: tuple[tuple[int, int], ...]
     a_blocks: tuple[tuple[int, int], ...]
     delta_re: float
-    shifts: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    queries: tuple[BarrierQuery, ...]
     coupled_fn: Callable[..., np.ndarray]
     derivative_fn: Callable[..., np.ndarray]
 
@@ -213,7 +226,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     The covariance argument grows one dense symmetric block per eigenvalue
     constraint, the coupled map gains the corresponding shifted
     characteristic block (and always carries the covariance back-off block),
-    and one trace inequality row is added per constraint.
+    and one trace inequality row is added per constraint.  A constraint's
+    shift must be nonzero: a zero shift would pose the relaxed system.
     """
     if spec.delta_re == "auto":
         raise ValueError("resolve delta_re to a number before extending")
@@ -221,6 +235,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     ladm = spec.ladm
     p = ladm.p
     layout = ParameterLayout(ladm)
+    zeros = (np.zeros((ladm.n, ladm.n)), np.zeros((p, ladm.n)),
+             np.zeros((ladm.n, p)))
 
     pattern_sigma = spec.re_pattern or full_lower(p)
     pattern_a = full_lower(p)
@@ -228,34 +244,25 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     a_blocks = [(0, p)]
     resolved = []
     for c in spec.eig_constraints:
-        n_i = c.target_dim(ladm)
-        m_i = c.region.m
-        shift = c.shift if c.shift is not None else c.epsilon_i * np.eye(n_i * m_i)
-        shift = np.asarray(shift, dtype=float)
-        weight = c.weight if c.weight is not None else np.eye(n_i)
-        weight = np.asarray(weight, dtype=float)
-        if shift.shape != (n_i * m_i, n_i * m_i):
-            raise ValueError(f"constraint shift must be {n_i * m_i} square")
-        if weight.shape != (n_i, n_i):
-            raise ValueError(f"constraint weight must be {n_i} square")
-        require_pd_weight(weight)
-        require_sound_shift(c.region, shift)
-        sigma_blocks.append((pattern_sigma.n, n_i))
-        pattern_sigma = direct_sum(pattern_sigma, full_lower(n_i))
-        a_blocks.append((pattern_a.n, n_i * m_i))
-        pattern_a = direct_sum(pattern_a, full_lower(n_i * m_i))
-        resolved.append((c, n_i, shift, weight,
-                         replace(c.region, m0=np.zeros_like(c.region.m0))))
+        q = c.query(c.resolve_target(*zeros, ladm.n_s))
+        if not np.any(q.shift):
+            raise ValueError("constraint shift must be nonzero")
+        sigma_blocks.append((pattern_sigma.n, q.n))
+        pattern_sigma = direct_sum(pattern_sigma, full_lower(q.n))
+        a_blocks.append((pattern_a.n, len(q.shift)))
+        pattern_a = direct_sum(pattern_a, full_lower(len(q.shift)))
+        resolved.append(
+            (c, q, replace(c.region, m0=np.zeros_like(c.region.m0))))
 
     def coupled_fn(A, C, K, Sigma):
         out = np.zeros((pattern_a.n, pattern_a.n))
         out[:p, :p] = Sigma[:p, :p] - delta * np.eye(p)
-        for (c, n_i, shift, _, _), (soff, _), (aoff, asize) in zip(
+        for (c, q, _), (soff, n_i), (aoff, asize) in zip(
                 resolved, sigma_blocks[1:], a_blocks[1:]):
             P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
             target = c.resolve_target(A, C, K, ladm.n_s)
             out[aoff:aoff + asize, aoff:aoff + asize] = \
-                matrix_char_fn(c.region, target, P_i) - shift
+                matrix_char_fn(c.region, target, P_i) - q.shift
         return out
 
     def psd_fn(beta, Sigma):
@@ -264,10 +271,9 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
 
     def ineq_fn(beta, Sigma):
         return np.array([
-            np.trace(weight @ Sigma[soff:soff + n_i, soff:soff + n_i])
+            np.trace(q.weight @ Sigma[soff:soff + n_i, soff:soff + n_i])
             - 1.0 / c.epsilon_i
-            for (c, n_i, _, weight, _), (soff, _) in zip(resolved,
-                                                         sigma_blocks[1:])])
+            for (c, q, _), (soff, n_i) in zip(resolved, sigma_blocks[1:])])
 
     nb = layout.n_beta
     dA, _, dC, dK = layout.directions
@@ -278,7 +284,7 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         out = np.zeros((nb + len(dSigma), pattern_a.n, pattern_a.n))
         out[nb:, :p, :p] = dSigma[:, :p, :p]
         rows = np.zeros((len(out), len(resolved)))
-        for k, ((c, n_i, _, weight, region0), (soff, _), (aoff, asize)) in \
+        for k, ((c, q, region0), (soff, n_i), (aoff, asize)) in \
                 enumerate(zip(resolved, sigma_blocks[1:], a_blocks[1:])):
             P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
             dP = dSigma[:, soff:soff + n_i, soff:soff + n_i]
@@ -287,7 +293,7 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
                 region0, c.target_derivative(dA, dC, dK, C, K, ladm.n_s), P_i)
             block[nb:] = matrix_char_fn(
                 c.region, c.resolve_target(A, C, K, ladm.n_s), dP)
-            rows[nb:, k] = np.trace(weight @ dP, axis1=-2, axis2=-1)
+            rows[nb:, k] = np.trace(q.weight @ dP, axis1=-2, axis2=-1)
         return np.concatenate(
             [out[:, pattern_a._rows0, pattern_a._cols0], rows], axis=1).T
 
@@ -303,9 +309,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     return ExtendedProblem(
         spec=spec, layout=layout, system=system,
         sigma_blocks=tuple(sigma_blocks), a_blocks=tuple(a_blocks),
-        delta_re=delta, shifts=tuple(r[2] for r in resolved),
-        weights=tuple(r[3] for r in resolved), coupled_fn=coupled_fn,
-        derivative_fn=derivative_fn)
+        delta_re=delta, queries=tuple(q for _, q, _ in resolved),
+        coupled_fn=coupled_fn, derivative_fn=derivative_fn)
 
 
 class _IdentificationNlp:
@@ -513,12 +518,10 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
     Sigma[:p, :p] = Re0
     model0 = ext.model_of(ThetaPoint(theta0.beta, Re0))
     for i, c in enumerate(spec.eig_constraints):
-        target = c.resolve_target(model0.A, model0.C, model0.K,
-                                  spec.ladm.n_s)
+        q = replace(ext.queries[i], a_mat=c.resolve_target(
+            model0.A, model0.C, model0.K, spec.ladm.n_s))
         off, size = ext.sigma_blocks[i + 1]
-        weight = ext.weights[i]
-        res = barrier_solve(BarrierQuery(c.region, target, ext.shifts[i],
-                                         weight))
+        res = barrier_solve(q)
         if not res.feasible:
             raise InitializationError(
                 f"eigenvalue constraint {i} ({c.region.label or c.region.kind}) "
@@ -526,7 +529,7 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
         P_i = res.p_matrix
         gamma = 1.5
         budget = 1.0 / c.epsilon_i
-        trace = float(np.trace(weight @ P_i))
+        trace = float(np.trace(q.weight @ P_i))
         if gamma * trace > budget:
             gamma = max(1.0 + 1e-3, budget / trace * 0.999)
             if gamma * trace > budget:

@@ -31,7 +31,7 @@ from .regions import (LmiRegion, char_fn, matrix_char_fn, require_pd_weight,
                       require_sound_shift)
 
 __all__ = ["BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve",
-           "barrier_value", "region_feasible", "solve", "within_sublevel"]
+           "solve", "within_sublevel"]
 
 # Floor on P (as P >= floor * I) used for the relaxed system M = 0, where
 # plain semidefinite feasibility would be trivially satisfied by P = 0.
@@ -469,18 +469,9 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
                          value < np.inf, lower)
 
 
-def barrier_value(query: BarrierQuery) -> float:
-    """Barrier value ``phi(A)``, or ``+inf`` when the query is infeasible."""
-    return barrier_solve(query).value
-
-
 def within_sublevel(value: float, epsilon: float) -> bool:
-    """Sublevel-set verdict ``value <= 1/epsilon`` with solver-tolerance slack."""
-    return value <= (1.0 / epsilon) * (1.0 + 1e-6)
-
-
-def region_feasible(query: BarrierQuery, epsilon: float) -> bool:
-    """Sublevel-set test ``phi(A) <= 1/epsilon`` of one query."""
-    if epsilon <= 0:
+    """Sublevel-set verdict ``value <= 1/epsilon`` with solver-tolerance
+    slack, for a barrier value such as ``barrier_solve(query).value``."""
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return within_sublevel(barrier_value(query), epsilon)
+    return value <= (1.0 / epsilon) * (1.0 + 1e-6)

@@ -68,6 +68,8 @@ class LmiRegion:
                              f"got {m0.shape} and {m1.shape}")
         if m0.shape[0] < 1:
             raise ValueError("block dimension must be at least 1")
+        if not (np.isfinite(m0).all() and np.isfinite(m1).all()):
+            raise ValueError("generating matrices must be finite")
         if not np.array_equal(m0, m0.T):
             raise ValueError("m0 must be exactly symmetric")
         object.__setattr__(self, "m0", m0)
@@ -156,22 +158,13 @@ def char_fn(region: LmiRegion, z) -> np.ndarray:
     return region.m0 + region.m1 * z + region.m1.T * np.conj(z)
 
 
-def _definite_tol(F: np.ndarray, tol: float | None):
-    if tol is not None:
-        if tol < 0:
-            raise ValueError(f"tolerance must be nonnegative, got {tol}")
-        return tol
-    return DEFINITE_RTOL * np.maximum(1.0, np.linalg.norm(F, 2, axis=(-2, -1)))
-
-
-def contains(region: LmiRegion, z, tol: float | None = None) -> bool:
-    """Strict membership test: min eigenvalue of ``f(z)`` exceeds ``tol``,
-    for every point when ``z`` is an array.
-
-    ``tol=None`` uses the scale-aware default cushion.
-    """
+def contains(region: LmiRegion, z) -> bool:
+    """Strict membership test: min eigenvalue of ``f(z)`` exceeds the
+    scale-aware cushion ``DEFINITE_RTOL * max(1, |f(z)|)``, for every point
+    when ``z`` is an array."""
     F = char_fn(region, z)
-    return bool(np.all(np.linalg.eigvalsh(F)[..., 0] > _definite_tol(F, tol)))
+    tol = DEFINITE_RTOL * np.maximum(1.0, np.linalg.norm(F, 2, axis=(-2, -1)))
+    return bool(np.all(np.linalg.eigvalsh(F)[..., 0] > tol))
 
 
 def matrix_char_fn(region: LmiRegion, A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -201,7 +194,7 @@ def matrix_char_fn(region: LmiRegion, A: np.ndarray, P: np.ndarray) -> np.ndarra
     return blocks.reshape(blocks.shape[:-4] + (nm, nm))
 
 
-def eig_membership(region: LmiRegion, A: np.ndarray, tol: float | None = None) -> bool:
+def eig_membership(region: LmiRegion, A: np.ndarray) -> bool:
     """Direct spectral oracle: every eigenvalue of ``A`` lies in the region.
 
     This is the independent check against which semidefinite feasibility is
@@ -214,7 +207,7 @@ def eig_membership(region: LmiRegion, A: np.ndarray, tol: float | None = None) -
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigenvalue computation failed: {exc}") from exc
-    return contains(region, eigs, tol)
+    return contains(region, eigs)
 
 
 def membership_margin(region: LmiRegion, A: np.ndarray) -> float:

@@ -26,6 +26,17 @@ def truth_model(tmp_path):
 
 
 class TestSimulate:
+    def test_input_of_other_width_is_input_error(self, tmp_path, truth_model,
+                                                 capsys):
+        path, _ = truth_model
+        data = str(tmp_path / "u.csv")
+        save_dataset(data, Dataset(np.zeros((5, 2)), np.zeros((5, 1))))
+        assert main(["simulate", "--model", path, "--data", data,
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == \
+            "error: u has 2 columns, expected 1\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_zero_input_no_noise(self, tmp_path, truth_model):
         path, _ = truth_model
         out = str(tmp_path / "sim.csv")
@@ -133,15 +144,57 @@ class TestEval:
         expected = 0.5 * n * np.log(model.Re[0, 0])
         assert summary["nll"] == pytest.approx(expected, rel=1e-9)
 
-    def test_dimension_mismatch(self, tmp_path, truth_model):
+    def test_dimension_mismatch(self, tmp_path, truth_model, capsys):
         path, _ = truth_model
         bad = str(tmp_path / "bad.csv")
         save_dataset(bad, Dataset(np.zeros((5, 2)), np.zeros((5, 1))))
         assert main(["eval", "--model", path, "--data", bad,
                      "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: data has dims (m=2, p=1), model expects (m=1, p=1)\n")
+        # the record is refused before anything is written
+        assert not (tmp_path / "o").exists()
 
 
 class TestEig:
+    def test_certainly_outside_tightened_set_exits_0(self, capsys):
+        # value and lower bound 52.847 both exceed 1/epsilon = 2: the
+        # spectrum {0.7, 0.6, 0.5} is inside the region, outside the
+        # tightened set
+        code = main(["eig", "--model",
+                     os.path.join(FIXTURES, "truth_model.json"), "--region",
+                     "intersect(half_plane 0.3, disk 0.998 0)",
+                     "--epsilon", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "direct membership: True" in captured.out
+        assert "oracle verdict (epsilon = 0.5): False\n" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("region, value, lower_bound, verdict", [
+        # value above 1/epsilon = 2, lower bound not: neither certified
+        ("disk 1 0", 3.0, 1.5, "undecided"),
+        # certified inside the tightened set, spectrum outside the region
+        ("disk 0.1 0", 1.0, 1.0, "contradicted"),
+    ])
+    def test_uncertified_verdict_exits_2(self, truth_model, capsys,
+                                         monkeypatch, region, value,
+                                         lower_bound, verdict):
+        import dataclasses
+
+        import ssfit.cli
+
+        solve = ssfit.cli.barrier_solve
+        monkeypatch.setattr(
+            ssfit.cli, "barrier_solve", lambda q: dataclasses.replace(
+                solve(q), value=value, lower_bound=lower_bound))
+        code = main(["eig", "--model", truth_model[0], "--region", region,
+                     "--epsilon", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: oracle verdict {verdict}: ")
+        assert captured.err.count("\n") == 1
+
     def test_stable_filter_inside_disk(self, tmp_path, truth_model, capsys):
         path, _ = truth_model
         code = main(["eig", "--model", path, "--region", "disk 1 0",
@@ -381,6 +434,8 @@ CONFIG_FAULTS = [
      "objective delta_re must be a finite number, got false"),
     (("objective", "delta_re"), NAN,
      "objective delta_re must be a finite number, got NaN"),
+    (("objective", "delta_re"), -1,
+     "delta_re must be \"auto\" or a finite number >= 0, got -1.0"),
     (("constraints", 0, "epsilon_i"), True,
      "constraint 0: epsilon_i must be a finite number, got true"),
     (("constraints", 0, "epsilon_i"), -INF,

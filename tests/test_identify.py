@@ -29,8 +29,8 @@ from ssfit.indexsets import IndexSet, diagonal, full_lower, vecs
 from ssfit.nlp import (SolveOptions, fd_gradient, fd_jacobian,
                        preflight_gradients)
 from ssfit.oracle import BarrierQuery, barrier_solve
-from ssfit.regions import (band, cone, disk, eig_membership, half_plane,
-                           intersect)
+from ssfit.regions import (LmiRegion, band, cone, disk, half_plane,
+                           intersect, membership_margin)
 from ssfit.statespace import (
     Dataset,
     FilterDivergedError,
@@ -147,6 +147,59 @@ class TestExtension:
     def test_requires_numeric_delta(self):
         with pytest.raises(ValueError, match="delta_re"):
             extend_with_eig_constraints(siso_problem())
+
+    def test_queries_carry_the_resolved_shift_and_weight(self):
+        spec = tclab_like_spec(eig_constraints=(
+            EigConstraintSpec(disk(0.9, 0.0), "plant_block", 0.05),
+            EigConstraintSpec(half_plane(0.3), "filter", 0.03)))
+        q_plant, q_filter = extend_with_eig_constraints(spec).queries
+        assert np.array_equal(q_plant.shift, 0.05 * np.eye(4))
+        assert np.array_equal(q_plant.weight, np.eye(2))
+        assert np.array_equal(q_filter.shift, 0.03 * np.eye(4))
+        assert np.array_equal(q_filter.weight, np.eye(4))
+
+    def test_zero_shift_rejected(self):
+        # a zero shift would pose the oracle's relaxed system, whose floor
+        # P >= I the trace rows do not carry
+        spec = siso_problem(delta_re=1e-8, eig_constraints=(
+            EigConstraintSpec(disk(0.5, 0.0), "filter", 0.05,
+                              shift=np.zeros((6, 6))),))
+        with pytest.raises(ValueError, match="shift must be nonzero"):
+            extend_with_eig_constraints(spec)
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: siso_problem(epsilon=np.nan), "epsilon",
+                 id="epsilon-nan"),
+    pytest.param(lambda: siso_problem(epsilon=np.inf), "epsilon",
+                 id="epsilon-inf"),
+    pytest.param(lambda: siso_problem(epsilon=0.0), "epsilon",
+                 id="epsilon-0"),
+    pytest.param(lambda: siso_problem(rho=np.nan), "rho", id="rho-nan"),
+    pytest.param(lambda: siso_problem(rho=np.inf), "rho", id="rho-inf"),
+    pytest.param(lambda: siso_problem(rho=-1.0), "rho", id="rho-negative"),
+    pytest.param(lambda: siso_problem(delta_re=np.nan), "delta_re",
+                 id="delta_re-nan"),
+    pytest.param(lambda: siso_problem(delta_re=np.inf), "delta_re",
+                 id="delta_re-inf"),
+    pytest.param(lambda: siso_problem(delta_re=-1.0), "delta_re",
+                 id="delta_re-negative"),
+    pytest.param(lambda: siso_problem(delta_re="automatic"), "delta_re",
+                 id="delta_re-string"),
+    pytest.param(lambda: EigConstraintSpec(disk(0.5, 0.0), "filter", np.nan),
+                 "epsilon_i", id="epsilon_i-nan"),
+    pytest.param(lambda: EigConstraintSpec(disk(0.5, 0.0), "filter", np.inf),
+                 "epsilon_i", id="epsilon_i-inf"),
+    pytest.param(lambda: disk(np.inf, 0.0), "generating matrices",
+                 id="disk-radius-inf"),
+    pytest.param(lambda: half_plane(np.nan), "generating matrices",
+                 id="half_plane-nan"),
+    pytest.param(lambda: LmiRegion(np.eye(1), [[np.inf]]),
+                 "generating matrices", id="region-m1-inf"),
+])
+def test_nonfinite_or_out_of_range_spec_value_names_its_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+        build()
 
 
 class TestBuildNlp:
@@ -809,7 +862,7 @@ def assert_strictly_inside(ext, theta, model):
     below its bound."""
     for c in ext.spec.eig_constraints:
         target = c.resolve_target(model.A, model.C, model.K, ext.spec.ladm.n_s)
-        assert eig_membership(c.region, target, tol=0.0)
+        assert membership_margin(c.region, target) > 0
     assert np.all(ext.system.ineq_fn(theta.beta, theta.Sigma) < 0)
 
 
@@ -847,6 +900,29 @@ def test_auto_start_blends_into_filter_regions(case):
     else:
         data = tclab_like_data()
         pspec = tclab_like_spec(eig_constraints=constraints)
+    assert_strictly_inside(*auto_start(pspec, data))
+
+
+# the blend's end point puts every filter pole at the one centre c of a
+# region; that triple pole of a nonnormal filter matrix needs tr(VP) = 28.1,
+# 312 and 664 in these regions, against the bound 1/epsilon_i = 20 (ROADMAP
+# item 3(b))
+SMALL_REGION_CASES = {
+    "disk-0.5-at--0.6": disk(0.5, -0.6),
+    "disk-0.3-at--0.6": disk(0.3, -0.6),
+    "disk-0.2-at-0": disk(0.2, 0.0),
+}
+
+
+@pytest.mark.xfail(raises=InitializationError, strict=True,
+                   reason="the blend's end point leaves no room under the "
+                          "trace bound")
+@pytest.mark.parametrize("case", list(SMALL_REGION_CASES))
+def test_auto_start_blends_into_small_filter_regions(case):
+    spec, layout, theta = siso_truth()
+    data = siso_dataset(theta, spec, layout, n=600)
+    pspec = siso_problem(eig_constraints=(
+        EigConstraintSpec(SMALL_REGION_CASES[case], "filter", 0.05),))
     assert_strictly_inside(*auto_start(pspec, data))
 
 

@@ -11,7 +11,7 @@ from helpers import (ReferenceBarrierNlp, barrier_solve_reference,
 from ssfit import nlp as nlp_module
 from ssfit import oracle
 from ssfit.oracle import (BarrierQuery, _balance, barrier_solve,
-                          barrier_value, region_feasible)
+                          within_sublevel)
 from ssfit.regions import (cone, disk, eig_membership, half_plane, intersect,
                            left_half_plane)
 from ssfit.transform import transformed_constraints
@@ -37,20 +37,20 @@ def spectrum_matrix(rng, eigs_real, eigs_complex=()):
 class TestBarrierAnalytic:
     def test_disk_scalar_value(self):
         q = BarrierQuery(disk(1.0, 0.0), np.array([[0.5]]), 0.1 * np.eye(2))
-        value = barrier_value(q)
+        value = barrier_solve(q).value
         assert value == pytest.approx(0.2, rel=1e-8)
 
     def test_weight_scaling(self):
         A = np.array([[0.5]])
-        v1 = barrier_value(BarrierQuery(disk(1.0, 0.0), A, 0.1 * np.eye(2),
-                                        np.array([[1.0]])))
-        v2 = barrier_value(BarrierQuery(disk(1.0, 0.0), A, 0.1 * np.eye(2),
-                                        np.array([[2.0]])))
+        v1 = barrier_solve(BarrierQuery(disk(1.0, 0.0), A, 0.1 * np.eye(2),
+                                        np.array([[1.0]]))).value
+        v2 = barrier_solve(BarrierQuery(disk(1.0, 0.0), A, 0.1 * np.eye(2),
+                                        np.array([[2.0]]))).value
         assert v2 == pytest.approx(2.0 * v1, rel=1e-8)
 
     def test_eigenvalue_outside_gives_inf(self):
         q = BarrierQuery(disk(1.0, 0.0), np.array([[1.2]]), 1e-3 * np.eye(2))
-        assert barrier_value(q) == np.inf
+        assert barrier_solve(q).value == np.inf
 
     def test_feasible_p_returned_definite(self):
         q = BarrierQuery(half_plane(0.0), np.array([[0.8]]), 0.05 * np.eye(1))
@@ -102,23 +102,25 @@ class TestBalancing:
 class TestRegionFeasible:
     def test_sublevel_membership(self):
         q = BarrierQuery(disk(1.0, 0.0), np.array([[0.5]]), 0.1 * np.eye(2))
-        assert region_feasible(q, 1.0)       # 0.2 <= 1
-        assert not region_feasible(q, 10.0)  # 0.2 > 0.1
+        value = barrier_solve(q).value
+        assert within_sublevel(value, 1.0)       # 0.2 <= 1
+        assert not within_sublevel(value, 10.0)  # 0.2 > 0.1
 
     def test_monotone_in_epsilon(self):
         rng = np.random.default_rng(30)
         A = spectrum_matrix(rng, [0.5], [complex(0.3, 0.2)])
         q = BarrierQuery(disk(0.9, 0.0), A, 1e-3 * np.eye(A.shape[0] * 2))
-        feas = [region_feasible(q, eps)
+        value = barrier_solve(q).value
+        feas = [within_sublevel(value, eps)
                 for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
         # once feasible at some epsilon, feasible at every smaller epsilon
         assert feas == sorted(feas)
         assert feas[-1]
 
     def test_epsilon_validation(self):
-        q = BarrierQuery(half_plane(0.0), np.array([[1.0]]), 0.1 * np.eye(1))
-        with pytest.raises(ValueError):
-            region_feasible(q, 0.0)
+        for epsilon in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                within_sublevel(0.2, epsilon)
 
 
 class TestShiftAndWeightRules:
@@ -163,7 +165,7 @@ class TestJordanCounterexample:
         rng = np.random.default_rng(31)
         A = spectrum_matrix(rng, [-0.5], [complex(-1.0, 0.7)])
         q = BarrierQuery(left_half_plane(0.0), A, 0.0)
-        assert barrier_value(q) < np.inf
+        assert barrier_solve(q).value < np.inf
 
 
 class TestOracleAgreement:
@@ -184,11 +186,11 @@ class TestOracleAgreement:
             A_in = spectrum_matrix(rng, *inside)
             assert eig_membership(region, A_in)
             q = BarrierQuery(region, A_in, 1e-4 * np.eye(A_in.shape[0] * region.m))
-            assert region_feasible(q, 1e-4)
+            assert within_sublevel(barrier_solve(q).value, 1e-4)
             A_out = spectrum_matrix(rng, *outside)
             assert not eig_membership(region, A_out)
             q = BarrierQuery(region, A_out, 1e-4 * np.eye(A_out.shape[0] * region.m))
-            assert barrier_value(q) == np.inf
+            assert barrier_solve(q).value == np.inf
 
 
 # one query per region kind, inside and outside alternating
@@ -395,7 +397,7 @@ class TestCertificates:
             q.a_mat - 0.1 * np.eye(3), q.shift)
         lyapunov = float(np.trace(q.weight @ P))
         assert lyapunov == pytest.approx(5.058419975, rel=1e-9)
-        assert barrier_value(q) == pytest.approx(lyapunov, rel=1e-6)
+        assert barrier_solve(q).value == pytest.approx(lyapunov, rel=1e-6)
         res = barrier_solve(FOUND_RELAXED_DISK)
         assert res.feasible
         assert res.value == pytest.approx(691.2339, rel=1e-6)

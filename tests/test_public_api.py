@@ -26,7 +26,7 @@ MODULE_ALL = {
         "preflight_gradients", "solve"],
     "oracle": [
         "BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve",
-        "barrier_value", "region_feasible", "solve", "within_sublevel"],
+        "solve", "within_sublevel"],
     "regions": [
         "LmiRegion", "band", "char_fn", "cone", "contains", "disk",
         "eig_membership", "half_plane", "intersect", "left_half_plane",
@@ -52,7 +52,7 @@ PACKAGE_NAMES = [
     "InnovationModel", "LadmSpec", "LmiRegion", "NlpProblem",
     "ParameterLayout", "PatternError", "ProblemSpec", "SingularPivotError",
     "SolveOptions", "SolveReport", "ThetaPoint", "assemble_ladm", "band",
-    "barrier_solve", "barrier_value", "build_nlp", "char_fn", "complement",
+    "barrier_solve", "build_nlp", "char_fn", "complement",
     "complete_factor", "completion_is_trivial", "cone", "contains",
     "diagonal", "direct_sum", "disk", "eig_membership", "eigen_report",
     "empty_set", "epsilon_box", "epsilon_continuation",
@@ -61,7 +61,7 @@ PACKAGE_NAMES = [
     "gbmz_inverse", "half_plane", "identification_index", "intersect",
     "left_half_plane", "likelihood_gradients", "matrix_char_fn",
     "membership_margin", "neg_log_likelihood", "preflight_gradients",
-    "project_lower", "reconstruct_q", "region_feasible", "simulate", "solve",
+    "project_lower", "reconstruct_q", "simulate", "solve",
     "transformed_constraints", "varx_init", "vecs", "within_sublevel",
 ]
 
