@@ -147,12 +147,10 @@ def cmd_eig(args) -> int:
     # an input error prints its error line and nothing else
     region = None if args.region is None else ssio.parse_region(args.region)
     rep = eigen_report(model)
-    print("open-loop eigenvalues:")
-    for z in rep.open_loop:
-        print(f"  {z.real:+.6f} {z.imag:+.6f}j  |.| = {abs(z):.6f}")
-    print("filter eigenvalues:")
-    for z in rep.filter:
-        print(f"  {z.real:+.6f} {z.imag:+.6f}j  |.| = {abs(z):.6f}")
+    for name, eigs in (("open-loop", rep.open_loop), ("filter", rep.filter)):
+        print(f"{name} eigenvalues:")
+        for z in eigs:
+            print(f"  {z.real:+.6f} {z.imag:+.6f}j  |.| = {abs(z):.6f}")
     if region is None:
         return EXIT_OK
     constraint = EigConstraintSpec(region, args.target, args.epsilon)

@@ -23,13 +23,14 @@ from . import statespace
 from .indexsets import IndexSet, direct_sum, full_lower
 from .nlp import NlpProblem, SolveOptions, SolveReport, solve
 from .oracle import BarrierQuery, barrier_solve
-from .regions import LmiRegion, char_fn, matrix_char_fn
+from .regions import LmiRegion, block_diag, char_fn, matrix_char_fn
 from .statespace import (
     Dataset,
     FilterDivergedError,
     InnovationModel,
     LadmSpec,
     ParameterLayout,
+    _same_matrix,
     assemble_ladm,
     eigen_report,
     ladm_blocks,
@@ -99,7 +100,7 @@ class EigConstraintSpec:
     shift: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon_i < np.inf:
+        if isinstance(self.epsilon_i, bool) or not 0 < self.epsilon_i < np.inf:
             raise ValueError(f"epsilon_i must be finite and positive, "
                              f"got {self.epsilon_i}")
         if not isinstance(self.target, str) or self.target not in TARGETS:
@@ -126,29 +127,12 @@ class EigConstraintSpec:
             return A - K @ C
         return A[..., :n_s, :n_s]
 
-    def target_derivative(self, dA: np.ndarray, dC: np.ndarray,
-                          dK: np.ndarray, C: np.ndarray, K: np.ndarray,
-                          n_s: int) -> np.ndarray:
-        """The derivative of :meth:`resolve_target` along model-block
-        directions ``(dA, dC, dK)`` at ``(C, K)``."""
-        if self.target == "open_loop":
-            return dA
-        if self.target == "filter":
-            return dA - dK @ C - K @ dC
-        return dA[..., :n_s, :n_s]
-
     def query(self, A: np.ndarray) -> BarrierQuery:
         """The oracle query of this constraint at its bound matrix ``A``:
         :class:`BarrierQuery` resolves the shift (``epsilon_i I`` unless
         given) and the weight, and checks both."""
         shift = self.epsilon_i if self.shift is None else self.shift
         return BarrierQuery(self.region, A, shift, self.weight)
-
-
-def _same_matrix(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -173,14 +157,14 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "eig_constraints", tuple(self.eig_constraints))
-        if not 0 <= self.rho < np.inf:
+        if isinstance(self.rho, bool) or not 0 <= self.rho < np.inf:
             raise ValueError(f"rho must be finite and nonnegative, "
                              f"got {self.rho}")
-        if not 0 < self.epsilon < np.inf:
+        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and positive, "
                              f"got {self.epsilon}")
         delta = self.delta_re
-        if not (delta == "auto" or not isinstance(delta, str)
+        if not (delta == "auto" or not isinstance(delta, (str, bool))
                 and 0 <= delta < np.inf):
             raise ValueError(f"delta_re must be \"auto\" or a finite number "
                              f">= 0, got {delta}")
@@ -211,7 +195,6 @@ class ExtendedProblem:
     system: ConstraintSystem
     sigma_blocks: tuple[tuple[int, int], ...]
     a_blocks: tuple[tuple[int, int], ...]
-    delta_re: float
     queries: tuple[BarrierQuery, ...]
     coupled_fn: Callable[..., np.ndarray]
     derivative_fn: Callable[..., np.ndarray]
@@ -289,8 +272,11 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
             P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
             dP = dSigma[:, soff:soff + n_i, soff:soff + n_i]
             block = out[:, aoff:aoff + asize, aoff:aoff + asize]
-            block[:nb] = matrix_char_fn(
-                region0, c.target_derivative(dA, dC, dK, C, K, ladm.n_s), P_i)
+            # d(A - K C) = (dA - dK C) - K dC
+            dT = c.resolve_target(dA, C, dK, ladm.n_s)
+            if c.target == "filter":
+                dT = dT - K @ dC
+            block[:nb] = matrix_char_fn(region0, dT, P_i)
             block[nb:] = matrix_char_fn(
                 c.region, c.resolve_target(A, C, K, ladm.n_s), dP)
             rows[nb:, k] = np.trace(q.weight @ dP, axis1=-2, axis2=-1)
@@ -309,7 +295,7 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     return ExtendedProblem(
         spec=spec, layout=layout, system=system,
         sigma_blocks=tuple(sigma_blocks), a_blocks=tuple(a_blocks),
-        delta_re=delta, queries=tuple(q for _, q, _ in resolved),
+        queries=tuple(q for _, q, _ in resolved),
         coupled_fn=coupled_fn, derivative_fn=derivative_fn)
 
 
@@ -482,11 +468,14 @@ def _check_dimensions(ladm: LadmSpec, data: Dataset) -> None:
             f"structure has {ladm.m} input(s) and {ladm.p} output(s)")
 
 
-def build_nlp(ext: ExtendedProblem, data: Dataset,
-              phi_bar: FactorPoint | None = None) -> NlpProblem:
-    """Assemble the transformed minimization problem over packed factors."""
+def build_nlp(ext: ExtendedProblem, data: Dataset) -> NlpProblem:
+    """Assemble the transformed minimization problem over packed factors,
+    with the MAP prior centred on ``ext.spec.phi_bar``, which ``rho > 0``
+    requires (:func:`fit` centres it on its start instead)."""
     _check_dimensions(ext.spec.ladm, data)
-    return _IdentificationNlp(ext, data, phi_bar).problem()
+    if ext.spec.rho > 0 and ext.spec.phi_bar is None:
+        raise ValueError("rho > 0 needs a prior centre phi_bar")
+    return _IdentificationNlp(ext, data, ext.spec.phi_bar).problem()
 
 
 def resolve_delta(spec: ProblemSpec, data: Dataset) -> float:
@@ -511,16 +500,14 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
             f"initial Sigma must be {p} x {p} (the innovation covariance) or "
             f"the full extended block, got {theta0.Sigma.shape}")
     Re0 = theta0.Sigma
-    if float(np.min(np.linalg.eigvalsh(Re0))) <= ext.delta_re:
+    if float(np.min(np.linalg.eigvalsh(Re0))) <= spec.delta_re:
         raise InitializationError(
             "initial innovation covariance does not clear the back-off floor")
-    Sigma = np.zeros((ext.system.n_sigma, ext.system.n_sigma))
-    Sigma[:p, :p] = Re0
+    blocks = [Re0]
     model0 = ext.model_of(ThetaPoint(theta0.beta, Re0))
     for i, c in enumerate(spec.eig_constraints):
         q = replace(ext.queries[i], a_mat=c.resolve_target(
             model0.A, model0.C, model0.K, spec.ladm.n_s))
-        off, size = ext.sigma_blocks[i + 1]
         res = barrier_solve(q)
         if not res.feasible:
             raise InitializationError(
@@ -537,8 +524,8 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
                     f"eigenvalue constraint {i}: trace bound leaves no room "
                     f"for a strictly feasible start "
                     f"(tr(VP) = {trace:.3e}, bound = {budget:.3e})")
-        Sigma[off:off + size, off:off + size] = gamma * P_i
-    return ThetaPoint(theta0.beta, Sigma)
+        blocks.append(gamma * P_i)
+    return ThetaPoint(theta0.beta, block_diag(*blocks))
 
 
 @dataclass(frozen=True)
@@ -615,7 +602,7 @@ def fit(
         "filter_eigs": eig.filter,
         "spectral_radius": eig.spectral_radius,
         "spectral_abscissa": eig.spectral_abscissa,
-        "delta_re": ext.delta_re,
+        "delta_re": spec.delta_re,
         "epsilon": spec.epsilon,
     }
     return FitResult(theta_hat, model, phi_hat, nll, objective_value,
@@ -694,8 +681,7 @@ def varx_init(data: Dataset, spec: ProblemSpec) -> ThetaPoint:
             h[k] = betas[k]
             for j in range(k):
                 h[k] += alphas[j] * h[k - 1 - j]
-        mats = {"A_s": a_row, "B_s": h,
-                "K_s": np.zeros((n_s, p)), "K_d": 0.05 * np.eye(n_d, p)}
+        mats = {"A_s": a_row, "B_s": h}
     else:
         coef, resid, _ = _arx_regression(data, 1)
         A1 = coef[:p].T
@@ -710,10 +696,10 @@ def varx_init(data: Dataset, spec: ProblemSpec) -> ThetaPoint:
             A_s = 0.5 * np.eye(n_s)
             C_s = ladm.C_fixed if ladm.C_fixed is not None else np.eye(p, n_s)
             B_s = np.linalg.pinv(C_s) @ B1
-        mats = {"A_s": A_s, "B_s": B_s,
-                "K_s": np.zeros((n_s, p)), "K_d": 0.05 * np.eye(n_d, p)}
+        mats = {"A_s": A_s, "B_s": B_s}
         if "C_s" in layout.segments:
             mats["C_s"] = np.eye(p, n_s)
+    mats.update(K_s=np.zeros((n_s, p)), K_d=0.05 * np.eye(n_d, p))
 
     cov = resid.T @ resid / max(1, resid.shape[0])
     lam, U = np.linalg.eigh(0.5 * (cov + cov.T))

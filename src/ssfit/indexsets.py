@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "IndexSet",
+    "PatternError",
     "full_lower",
     "diagonal",
     "empty_set",

@@ -134,7 +134,8 @@ class SolveOptions:
                 ("max_outer", 1, False), ("max_inner", 1, False),
                 ("penalty0", 0, True)):
             value = getattr(self, name)
-            if not (value > low if strict else value >= low):
+            if isinstance(value, bool) \
+                    or not (value > low if strict else value >= low):
                 raise ValueError(f"solver {name} must be "
                                  f"{'>' if strict else '>='} {low}, got {value}")
         if self.init_multipliers not in ("zero", "lsq"):
@@ -378,7 +379,7 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
     for it in range(1, max_iter + 1):
         at_bound = x <= edge
         pg = np.where(at_bound & (g > 0), 0.0, g)  # projected gradient
-        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+        pg_norm = _inf_norm(pg)
         if pg_norm <= tol:
             break
         d = -Hinv @ g
@@ -414,8 +415,7 @@ def _inner_minimize(problem, x, fcs, ders, lam, mu, rho, tol, max_iter,
                 + r * r * (sy + float(yv @ Hy)) * (sv[:, None] * sv)
         assert ft <= fx + 1e-9 * max(1.0, abs(fx)), "merit increased on accepted step"
         x, g, fx, fcs, ders = xt, gt, ft, fcs_t, ders_t
-    pg = np.where((x <= edge) & (g > 0), 0.0, g)
-    pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+    pg_norm = _inf_norm(np.where((x <= edge) & (g > 0), 0.0, g))
     return x, fx, pg_norm, it, status, fcs, ders, Hinv if scaled else None
 
 

@@ -27,11 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nlp import SolveReport
-from .regions import (LmiRegion, char_fn, matrix_char_fn, require_pd_weight,
-                      require_sound_shift)
+from .regions import (LmiRegion, block_diag, char_fn, matrix_char_fn,
+                      require_pd_weight, require_sound_shift)
 
+# ``solve`` is public as ``oracle.solve``; ``ssfit.solve`` is ``nlp.solve``
 __all__ = ["BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve",
-           "solve", "within_sublevel"]
+           "within_sublevel"]
 
 # Floor on P (as P >= floor * I) used for the relaxed system M = 0, where
 # plain semidefinite feasibility would be trivially satisfied by P = 0.
@@ -79,18 +80,14 @@ class BarrierQuery:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
         nm = n * self.region.m
-        shift = self.shift
-        if np.isscalar(shift):
-            shift = float(shift) * np.eye(nm)
-        shift = np.asarray(shift, dtype=float)
+        shift = float(self.shift) * np.eye(nm) if np.isscalar(self.shift) \
+            else np.asarray(self.shift, dtype=float)
         if shift.shape != (nm, nm):
             raise ValueError(f"shift must be {nm} x {nm}, got {shift.shape}")
         if np.any(shift):
             require_sound_shift(self.region, shift)
-        weight = self.weight
-        if weight is None:
-            weight = np.eye(n)
-        weight = np.asarray(weight, dtype=float)
+        weight = np.eye(n) if self.weight is None \
+            else np.asarray(self.weight, dtype=float)
         if weight.shape != (n, n):
             raise ValueError(f"weight must be {n} x {n}, got {weight.shape}")
         require_pd_weight(weight)
@@ -258,15 +255,6 @@ def _svec_basis(n: int) -> np.ndarray:
     return E
 
 
-def _blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block diagonal of two (stacks of) square matrices."""
-    da, db = a.shape[-1], b.shape[-1]
-    out = np.zeros(a.shape[:-2] + (da + db, da + db))
-    out[..., :da, :da] = a
-    out[..., da:, da:] = b
-    return out
-
-
 def _definite(S: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(S)
@@ -368,8 +356,8 @@ def _certified_ray(problem: SdpProblem, w: np.ndarray, v: np.ndarray,
     with np.errstate(invalid="ignore"):
         w = w / np.max(np.abs(w))
         z = np.kron(v, w)
-        X = _blkdiag(np.real(np.outer(z, z.conj())),
-                     -mu * np.real(np.outer(w, w.conj())))
+        X = block_diag(np.real(np.outer(z, z.conj())),
+                       -mu * np.real(np.outer(w, w.conj())))
         k, d, _ = problem.blocks.shape
         FX = problem.blocks.reshape(k, d * d) @ X.ravel()
         dobj = float(np.sum(problem.f0 * X)) \
@@ -413,8 +401,8 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     floor = 0.5 * (floor + floor.T)
     Vt = T.T @ V @ T
     problem = SdpProblem(
-        blocks=_blkdiag(matrix_char_fn(region, Ti @ A @ T, basis), basis),
-        f0=_blkdiag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
+        blocks=block_diag(matrix_char_fn(region, Ti @ A @ T, basis), basis),
+        f0=block_diag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
     if outside is not None and _certified_ray(problem, T.T @ outside[0],
                                               *outside[1:]):
         report = SolveReport(

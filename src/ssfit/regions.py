@@ -13,6 +13,7 @@ system through the matrix characteristic function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "cone",
     "band",
     "intersect",
+    "block_diag",
     "char_fn",
     "contains",
     "matrix_char_fn",
@@ -133,17 +135,21 @@ def band(s: float) -> LmiRegion:
 def intersect(first: LmiRegion, second: LmiRegion, *rest: LmiRegion) -> LmiRegion:
     """Intersection of regions via the direct sum of their generators."""
     regions = (first, second) + rest
-    dims = [r.m for r in regions]
-    total = sum(dims)
-    m0 = np.zeros((total, total))
-    m1 = np.zeros((total, total))
-    off = 0
-    for r in regions:
-        m0[off:off + r.m, off:off + r.m] = r.m0
-        m1[off:off + r.m, off:off + r.m] = r.m1
-        off += r.m
     label = "intersect(" + ", ".join(r.label or r.kind for r in regions) + ")"
-    return LmiRegion(m0, m1, kind="intersect", label=label)
+    return LmiRegion(block_diag(*(r.m0 for r in regions)),
+                     block_diag(*(r.m1 for r in regions)),
+                     kind="intersect", label=label)
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block diagonal of square matrices whose leading stack dimensions
+    broadcast."""
+    lead = np.broadcast_shapes(*(np.shape(b)[:-2] for b in blocks))
+    off = list(accumulate((np.shape(b)[-1] for b in blocks), initial=0))
+    out = np.zeros(lead + (off[-1], off[-1]))
+    for b, i, j in zip(blocks, off, off[1:]):
+        out[..., i:j, i:j] = b
+    return out
 
 
 def char_fn(region: LmiRegion, z) -> np.ndarray:

@@ -28,6 +28,7 @@ __all__ = [
     "simulate",
     "filter_innovations",
     "neg_log_likelihood",
+    "likelihood_gradients",
     "identification_index",
     "eigen_report",
     "EigenReport",
@@ -58,6 +59,7 @@ def _symmetrized(Re: np.ndarray) -> np.ndarray:
     if same.size and same.all():
         return Re.copy()
     atol = 1e-10 * max(1.0, float(np.max(np.abs(Re))))
+    # not np.isclose: it warns on an infinite entry of Re
     with np.errstate(invalid="ignore"):
         close = (np.abs(Re - ReT) <= atol + 1e-5 * np.abs(ReT)) \
             & np.isfinite(ReT) | same
@@ -131,6 +133,13 @@ class InnovationModel:
         return self.A - self.K @ self.C
 
 
+def _same_matrix(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Equality of two optional matrices: both ``None``, or equal arrays."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
 @dataclass(frozen=True, eq=False)
 class LadmSpec:
     """Structure of a linear augmented disturbance model.
@@ -193,13 +202,11 @@ class LadmSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LadmSpec):
             return NotImplemented
-        same_fixed = (self.C_fixed is None) == (other.C_fixed is None) and (
-            self.C_fixed is None or np.array_equal(self.C_fixed, other.C_fixed))
         return (self.n_s, self.n_d, self.m, self.p, self.plant_form) \
             == (other.n_s, other.n_d, other.m, other.p, other.plant_form) \
             and np.array_equal(self.Bd, other.Bd) \
             and np.array_equal(self.Cd, other.Cd) \
-            and same_fixed
+            and _same_matrix(self.C_fixed, other.C_fixed)
 
     __hash__ = None
 
@@ -429,6 +436,17 @@ def _check_states(x: np.ndarray) -> None:
     raise FilterDivergedError(int(np.flatnonzero(np.any(bad, axis=1))[0]))
 
 
+def _states(F, x0, u, G, v, K) -> np.ndarray:
+    """The checked ``(N+1, n)`` states of ``x[k+1] = F x[k] + G u[k] +
+    K v[k]`` from ``x0``."""
+    x = np.empty((len(u) + 1, len(x0)))
+    x[0] = x0
+    np.dot(u, np.ascontiguousarray(G.T), out=x[1:])
+    x[1:] += np.dot(v, np.ascontiguousarray(K.T))
+    _check_states(_states_scan(F, x))
+    return x
+
+
 def _innovation_chol(Re: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(Re)
@@ -458,11 +476,7 @@ def simulate(
         e = rng.standard_normal((N, model.p)) @ Lc.T
     else:
         e = np.zeros((N, model.p))
-    x = np.empty((N + 1, model.n))
-    x[0] = model.x0hat
-    np.dot(u, np.ascontiguousarray(model.B.T), out=x[1:])
-    x[1:] += np.dot(e, np.ascontiguousarray(model.K.T))
-    _check_states(_states_scan(model.A, x))
+    x = _states(model.A, model.x0hat, u, model.B, e, model.K)
     D_T = np.ascontiguousarray(model.D.T)
     return x[:-1] @ model.C.T + np.dot(u, D_T) + e
 
@@ -482,13 +496,8 @@ def filter_innovations(
             f"data has dims (m={data.u.shape[1]}, p={data.y.shape[1]}), "
             f"model expects (m={model.m}, p={model.p})"
         )
-    F = model.filter_matrix()
-    G_u = model.B - model.K @ model.D
-    xhat = np.empty((data.N + 1, model.n))
-    xhat[0] = model.x0hat
-    np.dot(data.u, np.ascontiguousarray(G_u.T), out=xhat[1:])
-    xhat[1:] += np.dot(data.y, np.ascontiguousarray(model.K.T))
-    _check_states(_states_scan(F, xhat))
+    xhat = _states(model.filter_matrix(), model.x0hat, data.u,
+                   model.B - model.K @ model.D, data.y, model.K)
     D_T = np.ascontiguousarray(model.D.T)
     e = data.y - xhat[:-1] @ model.C.T - np.dot(data.u, D_T)
     return e, xhat

@@ -32,6 +32,7 @@ __all__ = [
     "ThetaPoint",
     "ConstraintSystem",
     "complete_factor",
+    "completion_is_trivial",
     "reconstruct_q",
     "sigma_factor_tangents",
     "gbmz_forward",
@@ -226,8 +227,7 @@ class ConstraintSystem:
                            self.shift_fn is None
                            and completion_is_trivial(self.pattern_sigma))
         object.__setattr__(self, "_a_trivial",
-                           completion_is_trivial(self.pattern_a)
-                           if self.pattern_a.n > 0 else True)
+                           completion_is_trivial(self.pattern_a))
 
     @property
     def n_sigma(self) -> int:
@@ -304,6 +304,15 @@ def sigma_factor_tangents(
     return L, dL
 
 
+def _completed(pattern: IndexSet, L_on: np.ndarray, H: np.ndarray,
+               trivial: bool) -> np.ndarray:
+    """``H + L L^T`` for the completion ``L`` of ``L_on`` (``L_on`` itself
+    when the completion is ``trivial``)."""
+    L_off = np.zeros_like(L_on) if trivial \
+        else complete_factor(pattern, L_on, H)
+    return reconstruct_q(H, L_on, L_off)
+
+
 def gbmz_forward(
     phi: FactorPoint, system: ConstraintSystem
 ) -> tuple[ThetaPoint, np.ndarray]:
@@ -313,21 +322,10 @@ def gbmz_forward(
     from the completed Sigma factor, together with the completed coupled
     block ``A_T = (L_a + L_a_off)(L_a + L_a_off)^T``.
     """
-    H = system.shift(phi.beta)
-    if system._sigma_trivial:
-        L_off = np.zeros_like(phi.L_sigma)
-    else:
-        L_off = complete_factor(system.pattern_sigma, phi.L_sigma, H)
-    Sigma = reconstruct_q(H, phi.L_sigma, L_off)
-    if system.n_a > 0:
-        Ha = np.zeros((system.n_a, system.n_a))
-        if system._a_trivial:
-            La_off = np.zeros_like(phi.L_a)
-        else:
-            La_off = complete_factor(system.pattern_a, phi.L_a, Ha)
-        A_T = reconstruct_q(Ha, phi.L_a, La_off)
-    else:
-        A_T = np.zeros((0, 0))
+    Sigma = _completed(system.pattern_sigma, phi.L_sigma,
+                       system.shift(phi.beta), system._sigma_trivial)
+    A_T = _completed(system.pattern_a, phi.L_a,
+                     np.zeros((system.n_a, system.n_a)), system._a_trivial)
     return ThetaPoint(phi.beta, Sigma), A_T
 
 

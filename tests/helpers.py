@@ -10,7 +10,7 @@ from ssfit.identify import ProblemSpec
 from ssfit.indexsets import full_lower, vecs
 from ssfit.nlp import NlpProblem, SolveReport
 from ssfit.oracle import RELAXED_P_FLOOR
-from ssfit.regions import matrix_char_fn
+from ssfit.regions import block_diag, matrix_char_fn
 from ssfit.statespace import (
     Dataset,
     LadmSpec,
@@ -339,9 +339,8 @@ def barrier_solve_reference(query):
     floor = 0.5 * (floor + floor.T)
     Vt = T.T @ V @ T
     problem = oracle.SdpProblem(
-        blocks=oracle._blkdiag(matrix_char_fn(region, Ti @ A @ T, basis),
-                               basis),
-        f0=oracle._blkdiag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
+        blocks=block_diag(matrix_char_fn(region, Ti @ A @ T, basis), basis),
+        f0=block_diag(Mt, floor), c=np.einsum("ij,kij->k", Vt, basis))
     if outside is not None and oracle._certified_ray(
             problem, T.T @ outside[0], *outside[1:]):
         report = SolveReport(

@@ -186,6 +186,13 @@ class TestExtension:
                  id="delta_re-negative"),
     pytest.param(lambda: siso_problem(delta_re="automatic"), "delta_re",
                  id="delta_re-string"),
+    pytest.param(lambda: siso_problem(delta_re=True), "delta_re",
+                 id="delta_re-bool"),
+    pytest.param(lambda: siso_problem(epsilon=True), "epsilon",
+                 id="epsilon-bool"),
+    pytest.param(lambda: siso_problem(rho=False), "rho", id="rho-bool"),
+    pytest.param(lambda: EigConstraintSpec(disk(0.5, 0.0), "filter", True),
+                 "epsilon_i", id="epsilon_i-bool"),
     pytest.param(lambda: EigConstraintSpec(disk(0.5, 0.0), "filter", np.nan),
                  "epsilon_i", id="epsilon_i-nan"),
     pytest.param(lambda: EigConstraintSpec(disk(0.5, 0.0), "filter", np.inf),
@@ -704,11 +711,40 @@ class TestObjectivePaths:
                           + 0.1 * rng.standard_normal(phi0.beta.size))
         return ext, data, phi0, phi_bar
 
+    @staticmethod
+    def _with_prior(ext, phi_bar):
+        return replace(ext, spec=replace(ext.spec, phi_bar=phi_bar))
+
+    def test_build_nlp_poses_the_problem_fit_solves(self, monkeypatch):
+        ext, data, phi0, phi_bar = self._map_start(DISK_CONSTRAINT, 1.0)
+        ext = self._with_prior(ext, phi_bar)
+        posed = []
+
+        class Posed(Exception):
+            pass
+
+        def capture(problem, x0, options):
+            posed.append(problem)
+            raise Posed
+
+        monkeypatch.setattr(identify, "solve", capture)
+        theta = siso_truth(filter_poles=(0.45, 0.55, 0.65))[2]
+        with pytest.raises(Posed):
+            fit(ext.spec, data, init=theta)
+        x0 = ext.system.pack(phi0)
+        assert build_nlp(ext, data).objective(x0) \
+            == posed[0].objective(x0)
+
+    def test_build_nlp_needs_a_prior_centre_when_rho_is_positive(self):
+        ext, data, _, _ = self._map_start((), 1.0)
+        with pytest.raises(ValueError, match="phi_bar"):
+            build_nlp(ext, data)
+
     @pytest.mark.parametrize("constraints", [(), DISK_CONSTRAINT],
                              ids=["unconstrained", "disk"])
     def test_map_gradient_matches_fd(self, constraints):
         ext, data, phi0, phi_bar = self._map_start(constraints, 2.5)
-        problem = build_nlp(ext, data, phi_bar)
+        problem = build_nlp(self._with_prior(ext, phi_bar), data)
         worst = preflight_gradients(problem, ext.system.pack(phi0),
                                     n_points=5, seed=7)
         assert worst <= 1e-5
@@ -752,7 +788,7 @@ class TestObjectivePaths:
         ext, data, phi0, _ = self._map_start(DISK_CONSTRAINT, 2.5)
         wrong = replace(phi0, beta=np.zeros(phi0.beta.size + 1))
         with pytest.raises(ValueError, match="phi_bar"):
-            build_nlp(ext, data, wrong)
+            build_nlp(self._with_prior(ext, wrong), data)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("the solve started")

@@ -400,7 +400,8 @@ class TestReportContract:
     @pytest.mark.parametrize("field, value", [
         ("tol_eq", 0.0), ("tol_in", -1e-7), ("tol_stat", float("nan")),
         ("max_outer", 0), ("max_inner", -3), ("penalty0", 0.0),
-        ("penalty0", -10.0), ("init_multipliers", "least-squares")])
+        ("penalty0", -10.0), ("init_multipliers", "least-squares"),
+        ("max_inner", True), ("penalty0", True), ("tol_eq", True)])
     def test_options_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"solver {field} must be"):
             SolveOptions(**{field: value})

@@ -7,6 +7,7 @@ from ssfit.io import parse_region
 from ssfit.regions import (
     LmiRegion,
     band,
+    block_diag,
     char_fn,
     cone,
     contains,
@@ -113,6 +114,26 @@ class TestIntersect:
         for _ in range(1000):
             z = complex(*(2.0 * rng.standard_normal(2)))
             assert contains(r, z) == (contains(r1, z) and contains(r2, z))
+
+
+class TestBlockDiag:
+    def test_blocks_on_the_diagonal_zeros_elsewhere(self):
+        a, b = np.arange(4.0).reshape(2, 2), np.array([[7.0]])
+        assert np.array_equal(block_diag(a, b), [[0.0, 1.0, 0.0],
+                                                  [2.0, 3.0, 0.0],
+                                                  [0.0, 0.0, 7.0]])
+
+    def test_stacks_broadcast_item_by_item(self):
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((4, 3, 2, 2))
+        fixed = rng.standard_normal((3, 3))
+        row = rng.standard_normal((3, 1, 1))
+        out = block_diag(stack, fixed, row)
+        assert out.shape == (4, 3, 6, 6)
+        for i in range(4):
+            for j in range(3):
+                assert np.array_equal(
+                    out[i, j], block_diag(stack[i, j], fixed, row[j]))
 
 
 class TestEquality:
