@@ -182,19 +182,19 @@ class ExtendedProblem:
     """A problem with its Lyapunov blocks and constraint system materialized.
 
     ``queries`` holds each constraint's oracle query, its shift ``M`` and
-    trace weight ``V`` resolved, at a zero bound matrix.  ``coupled_fn(A, C,
-    K, Sigma)`` is the coupled map at the model blocks ``(A, C, K)`` of a
-    point (``system.psd_fn`` builds them from beta).  ``derivative_fn(A, C,
-    K, Sigma, dSigma)`` is the closed-form Jacobian of the pattern entries of
-    the coupled map followed by the trace rows: one column per beta
-    coordinate, then one per symmetric direction ``dSigma[k]`` of Sigma.
+    trace weight ``V`` resolved, at a zero bound matrix; constraint ``i``'s
+    Lyapunov block of Sigma, ``queries[i].n`` wide, follows those before
+    it.  ``coupled_fn(A, C, K, Sigma)`` is the coupled map at the model
+    blocks ``(A, C, K)`` of a point (``system.psd_fn`` builds them from
+    beta).  ``derivative_fn(A, C, K, Sigma, dSigma)`` is the closed-form
+    Jacobian of the pattern entries of the coupled map followed by the
+    trace rows: one column per beta coordinate, then one per symmetric
+    direction ``dSigma[k]`` of Sigma.
     """
 
     spec: ProblemSpec
     layout: ParameterLayout
     system: ConstraintSystem
-    sigma_blocks: tuple[tuple[int, int], ...]
-    a_blocks: tuple[tuple[int, int], ...]
     queries: tuple[BarrierQuery, ...]
     coupled_fn: Callable[..., np.ndarray]
     derivative_fn: Callable[..., np.ndarray]
@@ -223,29 +223,26 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
 
     pattern_sigma = spec.re_pattern or full_lower(p)
     pattern_a = full_lower(p)
-    sigma_blocks = [(0, p)]
-    a_blocks = [(0, p)]
-    resolved = []
+    # one record per constraint: (spec, query, region with M0 = 0, its
+    # Lyapunov block of Sigma, its characteristic block of the coupled map)
+    records = []
     for c in spec.eig_constraints:
         q = c.query(c.resolve_target(*zeros, ladm.n_s))
         if not np.any(q.shift):
             raise ValueError("constraint shift must be nonzero")
-        sigma_blocks.append((pattern_sigma.n, q.n))
+        s = slice(pattern_sigma.n, pattern_sigma.n + q.n)
+        a = slice(pattern_a.n, pattern_a.n + len(q.shift))
         pattern_sigma = direct_sum(pattern_sigma, full_lower(q.n))
-        a_blocks.append((pattern_a.n, len(q.shift)))
         pattern_a = direct_sum(pattern_a, full_lower(len(q.shift)))
-        resolved.append(
-            (c, q, replace(c.region, m0=np.zeros_like(c.region.m0))))
+        records.append(
+            (c, q, replace(c.region, m0=np.zeros_like(c.region.m0)), s, a))
 
     def coupled_fn(A, C, K, Sigma):
         out = np.zeros((pattern_a.n, pattern_a.n))
         out[:p, :p] = Sigma[:p, :p] - delta * np.eye(p)
-        for (c, q, _), (soff, n_i), (aoff, asize) in zip(
-                resolved, sigma_blocks[1:], a_blocks[1:]):
-            P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
+        for c, q, _, s, a in records:
             target = c.resolve_target(A, C, K, ladm.n_s)
-            out[aoff:aoff + asize, aoff:aoff + asize] = \
-                matrix_char_fn(c.region, target, P_i) - q.shift
+            out[a, a] = matrix_char_fn(c.region, target, Sigma[s, s]) - q.shift
         return out
 
     def psd_fn(beta, Sigma):
@@ -253,10 +250,8 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         return coupled_fn(A, C, K, Sigma)
 
     def ineq_fn(beta, Sigma):
-        return np.array([
-            np.trace(q.weight @ Sigma[soff:soff + n_i, soff:soff + n_i])
-            - 1.0 / c.epsilon_i
-            for (c, q, _), (soff, n_i) in zip(resolved, sigma_blocks[1:])])
+        return np.array([np.trace(q.weight @ Sigma[s, s]) - 1.0 / c.epsilon_i
+                         for c, q, _, s, _ in records])
 
     nb = layout.n_beta
     dA, _, dC, dK = layout.directions
@@ -266,18 +261,15 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
     def derivative_fn(A, C, K, Sigma, dSigma):
         out = np.zeros((nb + len(dSigma), pattern_a.n, pattern_a.n))
         out[nb:, :p, :p] = dSigma[:, :p, :p]
-        rows = np.zeros((len(out), len(resolved)))
-        for k, ((c, q, region0), (soff, n_i), (aoff, asize)) in \
-                enumerate(zip(resolved, sigma_blocks[1:], a_blocks[1:])):
-            P_i = Sigma[soff:soff + n_i, soff:soff + n_i]
-            dP = dSigma[:, soff:soff + n_i, soff:soff + n_i]
-            block = out[:, aoff:aoff + asize, aoff:aoff + asize]
+        rows = np.zeros((len(out), len(records)))
+        for k, (c, q, region0, s, a) in enumerate(records):
+            dP = dSigma[:, s, s]
             # d(A - K C) = (dA - dK C) - K dC
             dT = c.resolve_target(dA, C, dK, ladm.n_s)
             if c.target == "filter":
                 dT = dT - K @ dC
-            block[:nb] = matrix_char_fn(region0, dT, P_i)
-            block[nb:] = matrix_char_fn(
+            out[:nb, a, a] = matrix_char_fn(region0, dT, Sigma[s, s])
+            out[nb:, a, a] = matrix_char_fn(
                 c.region, c.resolve_target(A, C, K, ladm.n_s), dP)
             rows[nb:, k] = np.trace(q.weight @ dP, axis1=-2, axis2=-1)
         return np.concatenate(
@@ -289,13 +281,12 @@ def extend_with_eig_constraints(spec: ProblemSpec) -> ExtendedProblem:
         pattern_a=pattern_a,
         shift_fn=None,
         psd_fn=psd_fn,
-        ineq_fn=ineq_fn if resolved else None,
-        n_ineq=len(resolved),
+        ineq_fn=ineq_fn if records else None,
+        n_ineq=len(records),
     )
     return ExtendedProblem(
         spec=spec, layout=layout, system=system,
-        sigma_blocks=tuple(sigma_blocks), a_blocks=tuple(a_blocks),
-        queries=tuple(q for _, q, _ in resolved),
+        queries=tuple(q for _, q, _, _, _ in records),
         coupled_fn=coupled_fn, derivative_fn=derivative_fn)
 
 
@@ -307,9 +298,9 @@ class _IdentificationNlp:
     its filter innovations for the gradient at the same point: the filter
     adjoint pulled back along the completed Sigma factor's tangents.  Those
     tangents, computed once per point, also serve the MAP prior and the one
-    closed-form derivative pass of both constraint Jacobians
-    (``ExtendedProblem.derivative_fn``); the coupled-block factor enters
-    the equalities alone, as ``-d(L L^T)``.
+    constraint Jacobian of the point (``ExtendedProblem.derivative_fn``, and
+    the coupled-block factor's ``-d(L L^T)`` in the equality rows), whose
+    row blocks are the equality and inequality Jacobians.
     """
 
     def __init__(self, ext: ExtendedProblem, data: Dataset,
@@ -339,7 +330,7 @@ class _IdentificationNlp:
         # derivative taken there
         self._innovations = None
         self._tangents = None
-        self._derivatives = None
+        self._jacobian = None
         self._gram = gram_jacobian(self.system.pattern_a)
         self._gram_cols = self.k_beta_sigma + self._gram.cols
 
@@ -351,7 +342,7 @@ class _IdentificationNlp:
             theta, A_T = gbmz_forward(phi, self.system)
             self._cache_key = key
             self._cache_val = (phi, theta, A_T, self.ext.model_of(theta))
-            self._innovations = self._tangents = self._derivatives = None
+            self._innovations = self._tangents = self._jacobian = None
         return self._cache_val
 
     def _sigma_tangents(self, x: np.ndarray):
@@ -411,36 +402,32 @@ class _IdentificationNlp:
         pa = self.system.pattern_a
         return (0.5 * (Amat + Amat.T) - A_T)[pa._rows0, pa._cols0]
 
-    def _constraint_derivatives(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian columns in (beta, L_Sigma) of the pattern entries of the
-        coupled map and of the trace rows: one closed-form pass along the
-        Sigma factor's tangents, kept with the cached point."""
-        _, theta, _, model = self._forward(x)
-        if self._derivatives is None:
+    def _constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The ``(n_eq + n_in, dim)`` Jacobian of the equalities, then the
+        trace rows: one closed-form pass along the Sigma factor's tangents,
+        and the completed coupled factor's ``-d(L L^T)`` in the equality
+        rows; kept with the cached point, a new matrix for each point."""
+        phi, theta, _, model = self._forward(x)
+        if self._jacobian is None:
             L, dL = self._sigma_tangents(x)
             Q = dL @ L.T
-            self._derivatives = self.ext.derivative_fn(
+            J = np.zeros((self.n_eq + self.system.n_ineq, self.dim))
+            J[:, :self.k_beta_sigma] = self.ext.derivative_fn(
                 model.A, model.C, model.K, theta.Sigma,
                 Q + np.swapaxes(Q, 1, 2))
-        return self._derivatives
+            J[self._gram.rows, self._gram_cols] -= self._gram.values(phi.L_a)
+            self._jacobian = J
+        return self._jacobian
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        ks = self.k_beta_sigma
-        J = np.zeros((self.n_eq, self.dim))
-        J[:, :ks] = self._constraint_derivatives(x)[:self.n_eq]
-        # the completed coupled factor contributes -d(L L^T)
-        L_a = self._forward(x)[0].L_a
-        J[self._gram.rows, self._gram_cols] -= self._gram.values(L_a)
-        return J
+        return self._constraint_jacobian(x)[:self.n_eq]
 
     def inequality(self, x: np.ndarray) -> np.ndarray:
         _, theta, _, _ = self._forward(x)
         return self.system.ineq_fn(theta.beta, theta.Sigma)
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        J = np.zeros((self.system.n_ineq, self.dim))
-        J[:, :self.k_beta_sigma] = self._constraint_derivatives(x)[self.n_eq:]
-        return J
+        return self._constraint_jacobian(x)[self.n_eq:]
 
     def problem(self) -> NlpProblem:
         # the back-off block keeps n_eq >= 1

@@ -347,7 +347,7 @@ def _split_top_level(text: str) -> list[str]:
 
 def parse_index_set(spec, n: int) -> IndexSet:
     """Parse a sparsity pattern: ``"full"``, ``"diag"``,
-    ``"blockdiag(n1,n2,...)"`` or an explicit list of ``[i, j]`` pairs."""
+    ``"blockdiag(n1,n2,...)"`` or a list of integral ``[i, j]`` pairs."""
     if isinstance(spec, str):
         text = spec.strip()
         if text == "full":
@@ -368,7 +368,9 @@ def parse_index_set(spec, n: int) -> IndexSet:
             return out
         raise SchemaError(f"unknown index set keyword {text!r}")
     try:
-        entries = tuple(sorted((int(i), int(j)) for i, j in spec))
+        entries = tuple(sorted(
+            (_number(i, "index", integral=True),
+             _number(j, "index", integral=True)) for i, j in spec))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad index set entries: {exc}") from None
     return IndexSet(n, entries)

@@ -221,11 +221,12 @@ class ParameterLayout:
     """Mapping between the free parameter vector and the model matrices.
 
     Segments are laid out in the order ``A_s``, ``B_s``, ``K_s``, ``K_d``
-    and, when the output map is not fixed, ``C_s``; each segment stores its
-    matrix row-major.  ``directions`` holds the augmented blocks' derivatives
-    ``(dA, dB, dC, dK)`` along each coordinate, each of shape ``(n_beta,
-    ...)``: the blocks of :func:`ladm_blocks` are affine in beta, and each
-    coordinate drives one block entry with coefficient 1.
+    (empty when ``n_d = 0``) and, when the output map is not fixed,
+    ``C_s``; each segment stores its matrix row-major.  ``directions`` holds
+    the augmented blocks' derivatives ``(dA, dB, dC, dK)`` along each
+    coordinate, each of shape ``(n_beta, ...)``: the blocks of
+    :func:`ladm_blocks` are affine in beta, and each coordinate drives one
+    block entry with coefficient 1.
     """
 
     ladm: LadmSpec
@@ -251,8 +252,7 @@ class ParameterLayout:
             add("A_s", (spec.n_s, spec.n_s))
         add("B_s", (spec.n_s, spec.m))
         add("K_s", (spec.n_s, spec.p))
-        if spec.n_d > 0:
-            add("K_d", (spec.n_d, spec.p))
+        add("K_d", (spec.n_d, spec.p))
         if spec.plant_form == "full" and spec.C_fixed is None:
             add("C_s", (spec.p, spec.n_s))
         object.__setattr__(self, "segments", segs)
@@ -281,8 +281,6 @@ class ParameterLayout:
             out["C_s"] = np.eye(1, spec.n_s)
         elif spec.C_fixed is not None:
             out["C_s"] = spec.C_fixed
-        if spec.n_d == 0:
-            out["K_d"] = np.zeros((0, spec.p))
         return out
 
     def pack(self, mats: dict[str, np.ndarray]) -> np.ndarray:
@@ -355,13 +353,10 @@ def ladm_blocks(
     return A, B, C, K
 
 
-def assemble_ladm(
-    spec: LadmSpec, params, layout: ParameterLayout | None = None
-) -> InnovationModel:
+def assemble_ladm(spec: LadmSpec, params,
+                  layout: ParameterLayout) -> InnovationModel:
     """Build the augmented model (:func:`ladm_blocks`) from a parameter
     point; ``Re`` is the leading ``p x p`` block of ``Sigma``."""
-    if layout is None:
-        layout = ParameterLayout(spec)
     if layout.ladm is not spec and layout.ladm != spec:
         raise ValueError("layout was built for a different model structure")
     A, B, C, K = ladm_blocks(layout, params.beta)

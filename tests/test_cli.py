@@ -55,6 +55,16 @@ class TestSimulate:
         with open(o1, "rb") as f1, open(o2, "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_step_input_switches_at_half_the_record(self, tmp_path,
+                                                    truth_model):
+        path, _ = truth_model
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--model", path, "--out", out,
+                     "--gen", "step", "--gen-amplitude", "2",
+                     "--gen-samples", "9", "--no-noise"]) == 0
+        data = load_dataset(out)
+        assert np.array_equal(data.u[:, 0], [0.0] * 4 + [2.0] * 5)
+
     def test_prbs_levels(self, tmp_path, truth_model):
         path, _ = truth_model
         out = str(tmp_path / "sim.csv")
@@ -194,6 +204,21 @@ class TestEig:
         assert code == 2
         assert captured.err.startswith(f"error: oracle verdict {verdict}: ")
         assert captured.err.count("\n") == 1
+
+    def test_spectra_alone_without_region(self, capsys):
+        code = main(["eig", "--model",
+                     os.path.join(FIXTURES, "truth_model.json")])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert lines[0] == "open-loop eigenvalues:"
+        assert "filter eigenvalues:" in lines
+        # two headings and three eigenvalues under each, nothing else
+        assert len(lines) == 8
+        assert not any(line.startswith(("direct membership", "barrier value",
+                                         "lower bound", "oracle verdict"))
+                       for line in lines)
+        assert captured.err == ""
 
     def test_stable_filter_inside_disk(self, tmp_path, truth_model, capsys):
         path, _ = truth_model
@@ -440,6 +465,13 @@ CONFIG_FAULTS = [
      "constraint 0: epsilon_i must be a finite number, got true"),
     (("constraints", 0, "epsilon_i"), -INF,
      "constraint 0: epsilon_i must be a finite number, got -Infinity"),
+    # an explicit re_pattern's positions are counts too: never rounded
+    (("model", "re_pattern"), [[1.9, 1]],
+     "bad index set entries: index must be an integer, got 1.9"),
+    (("model", "re_pattern"), [[True, True]],
+     "bad index set entries: index must be an integer, got true"),
+    (("model", "re_pattern"), [["1", "1"]],
+     "bad index set entries: index must be an integer, got \"1\""),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,46 @@ def test_nonfinite_or_out_of_range_spec_value_names_its_field(build, field):
         build()
 
 
+@pytest.mark.parametrize("re_pattern, message", [
+    (full_lower(1), "re_pattern dimension 1 != output count 2"),
+    (IndexSet(2, ((2, 1),)), "re_pattern must contain the diagonal"),
+], ids=["dimension", "no-diagonal"])
+def test_problem_spec_rejects_a_foreign_re_pattern(re_pattern, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProblemSpec(ladm=LadmSpec(n_s=2, n_d=0, m=1, p=2),
+                    re_pattern=re_pattern)
+
+
+def _constrained_siso():
+    """A disk-constrained SISO problem, its truth and a 120-sample record."""
+    spec, layout, theta = siso_truth()
+    data = siso_dataset(theta, spec, layout, n=120, seed=3)
+    ext = extend_with_eig_constraints(siso_problem(
+        delta_re=1e-8,
+        eig_constraints=(EigConstraintSpec(disk(0.95, 0.0), "filter", 0.05),)))
+    return ext, theta, data
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ext, theta, data: fit(ext.spec, data, init="regression"),
+     ValueError, "unknown init 'regression'"),
+    (lambda ext, theta, data: identify._extend_theta(
+        ext, ThetaPoint(theta.beta, np.eye(2))), InitializationError,
+     "initial Sigma must be 1 x 1 (the innovation covariance) or the full "
+     "extended block, got (2, 2)"),
+    (lambda ext, theta, data: identify._extend_theta(
+        ext, ThetaPoint(theta.beta, np.array([[1e-9]]))), InitializationError,
+     "initial innovation covariance does not clear the back-off floor"),
+    (lambda ext, theta, data: varx_init(
+        Dataset(data.u[:5], data.y[:5]), ext.spec), InitializationError,
+     "need more than 5 samples, got 5"),
+], ids=["fit-init-unknown", "extend-Sigma-size", "extend-Re-below-floor",
+        "varx_init-short-record"])
+def test_identify_rejects_an_unusable_start(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(*_constrained_siso())
+
+
 class TestBuildNlp:
     def test_decision_dimension(self):
         spec = tclab_like_spec(eig_constraints=(
@@ -307,8 +348,8 @@ def test_custom_shift_and_weight_reach_the_barrier_query(monkeypatch):
     assert np.array_equal(seen[0].shift, shift)
     assert np.array_equal(seen[0].weight, weight)
     # the trace row is read with the same weight
-    off, size = ext.sigma_blocks[1]
-    P = theta_ext.Sigma[off:off + size, off:off + size]
+    p, n = pspec.ladm.p, ext.queries[0].n
+    P = theta_ext.Sigma[p:p + n, p:p + n]
     assert float(np.trace(weight @ P)) <= 1.0 / 0.05
 
 
@@ -860,6 +901,25 @@ class TestVarxInit:
         # the guess must at least be usable: finite likelihood, stable filter
         assert np.isfinite(neg_log_likelihood(model0, data))
 
+    @pytest.mark.parametrize("C_fixed", [None, np.array([[1.0, 0.0]])],
+                             ids=["C_s-free", "C_s-fixed"])
+    def test_full_form_fallback_start_fits(self, C_fixed):
+        # two plant states behind one output: no similarity maps the one-lag
+        # regression onto this layout, so the start is slow diagonal
+        # dynamics with the input map matched through the output map
+        spec, layout, theta = siso_truth()
+        data = siso_dataset(theta, spec, layout, n=600)
+        ladm = LadmSpec(n_s=2, n_d=1, m=1, p=1, C_fixed=C_fixed)
+        layout = ParameterLayout(ladm)
+        pspec = ProblemSpec(ladm=ladm)
+        theta0 = varx_init(data, pspec)
+        assert np.array_equal(layout.matrices(theta0.beta)["A_s"],
+                              0.5 * np.eye(2))
+        start = neg_log_likelihood(assemble_ladm(ladm, theta0, layout), data)
+        result = fit(pspec, data)
+        assert result.converged
+        assert result.nll < start
+
     def test_regression_alone(self):
         # the constraints do not move the regression's point
         spec, layout, theta = siso_truth()
@@ -948,6 +1008,17 @@ SMALL_REGION_CASES = {
     "disk-0.3-at--0.6": disk(0.3, -0.6),
     "disk-0.2-at-0": disk(0.2, 0.0),
 }
+
+
+def test_auto_start_refuses_regions_without_a_real_centre():
+    # Re z > 0.96 holds no point of the centre scan over [-0.95, 0.95]
+    spec, layout, theta = siso_truth()
+    data = siso_dataset(theta, spec, layout, n=600)
+    pspec = siso_problem(eig_constraints=(
+        EigConstraintSpec(half_plane(0.96), "filter", 0.05),))
+    with pytest.raises(InitializationError, match=re.escape(
+            "no real point lies inside every constraint region")):
+        fit(pspec, data)
 
 
 @pytest.mark.xfail(raises=InitializationError, strict=True,

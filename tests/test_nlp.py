@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -551,6 +552,26 @@ class TestOneEvaluationPerPoint:
         # the failed searches reset the matrix: nothing to carry
         assert Hinv is None and ref[5] is None
 
+    def test_failed_quasi_newton_search_retries_steepest_descent(self):
+        # a carried 1e20 I sends every quasi-Newton trial past |x| = 10,
+        # where the objective is +inf: all 40 steps fail, the matrix is
+        # dropped and the steepest-descent search reaches x = 0 at its
+        # second step
+        problem = NlpProblem(
+            dim=1, objective=lambda x: np.inf if abs(x[0]) >= 10
+            else float(x @ x), gradient=lambda x: 2.0 * x)
+        x0 = np.array([1.0])
+        count = nlp._Counter()
+        fcs = nlp._evaluate(problem, x0, count)
+        ders = nlp._derivatives(problem, x0)
+        x, fx, _, it, status, _, _, Hinv = nlp._inner_minimize(
+            problem, x0, fcs, ders, np.zeros(0), np.zeros(0), 10.0, 1e-8, 10,
+            count, 1e20 * np.eye(1))
+        assert (status, it, x.tolist(), fx) == ("ok", 2, [0.0], 0.0)
+        assert count.n == 1 + 40 + 2
+        # the curvature pair of the accepted step rescales the identity
+        assert Hinv.tolist() == [[0.5]]
+
     @pytest.mark.parametrize("case", list(SOLVE_CASES))
     def test_solve_matches_reference_inner_loop(self, case, monkeypatch):
         problem, x0, opts = SOLVE_CASES[case]
@@ -575,3 +596,26 @@ class TestOneEvaluationPerPoint:
             == 40 * len(redundant) + 2 * new.outer_iterations
         if case == "wrong-sign-gradient":
             assert redundant
+
+
+def _square(**fields) -> NlpProblem:
+    return NlpProblem(**{"dim": 2, "objective": lambda x: float(x @ x),
+                         "gradient": lambda x: 2.0 * x, **fields})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _square(dim=0), "problem dimension must be positive"),
+    (lambda: _square(lower_bounds=np.zeros(3)),
+     "lower_bounds length 3, expected 2"),
+    (lambda: _square(equality=lambda x: x[:1],
+                     equality_jacobian=lambda x: np.eye(1, 2)),
+     "n_eq must be positive when equality is given"),
+    (lambda: _square(inequality=lambda x: x[:1],
+                     inequality_jacobian=lambda x: np.eye(1, 2)),
+     "n_in must be positive when inequality is given"),
+    (lambda: solve(_square(), np.zeros(3)), "x0 has length 3, expected 2"),
+], ids=["dim-zero", "lower_bounds-length", "equality-without-n_eq",
+        "inequality-without-n_in", "x0-length"])
+def test_problem_and_solve_reject_inconsistent_sizes(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

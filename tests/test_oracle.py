@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 from unittest import mock
 
 import numpy as np
@@ -682,3 +683,14 @@ def test_certificates_after_the_solve_match_the_per_iterate_reference(
         res = barrier_solve(q)
         assert res.report.iterations > 0 and not res.feasible
         assert same_bits(res, barrier_solve_reference(q))
+
+
+@pytest.mark.parametrize("a_mat, shift, weight, message", [
+    (np.zeros((2, 3)), 0.1, None, "A must be square, got shape (2, 3)"),
+    (np.zeros((2, 2)), np.eye(3), None, "shift must be 2 x 2, got (3, 3)"),
+    (np.zeros((2, 2)), 0.1, np.eye(3), "weight must be 2 x 2, got (3, 3)"),
+], ids=["A-not-square", "shift-size", "weight-size"])
+def test_barrier_query_rejects_mismatched_sizes(a_mat, shift, weight,
+                                                message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BarrierQuery(half_plane(0.5), a_mat, shift, weight)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -455,3 +457,15 @@ def test_positive_margin_iff_membership_off_the_boundary(kind, data, seed,
     inside = all(distance(z) > 0 for z in eigs)
     assert (membership_margin(region, A) > 0) == inside
     assert eig_membership(region, A) == inside
+
+
+@pytest.mark.parametrize("m0, m1, message", [
+    (np.eye(2), np.eye(1),
+     "generating matrices must be square and matched, got (2, 2) and (1, 1)"),
+    (np.zeros((0, 0)), np.zeros((0, 0)), "block dimension must be at least 1"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2),
+     "m0 must be exactly symmetric"),
+], ids=["mismatched", "empty", "m0-not-symmetric"])
+def test_lmi_region_rejects_malformed_generators(m0, m1, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LmiRegion(m0, m1)

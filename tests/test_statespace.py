@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -25,6 +26,7 @@ from ssfit.statespace import (
     eigen_report,
     filter_innovations,
     identification_index,
+    ladm_blocks,
     likelihood_gradients,
     neg_log_likelihood,
     simulate,
@@ -864,3 +866,47 @@ class TestEigenReport:
         assert rep.filter[0] == pytest.approx(0.4)
         assert isinstance(rep, EigenReport)
         assert rep.spectral_radius["filter"] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_s": 0, "n_d": 0, "m": 1, "p": 1},
+     "dimensions must be positive (n_d may be zero)"),
+    ({"n_s": 1, "n_d": 0, "m": 1, "p": 1, "plant_form": "modal"},
+     "unknown plant_form 'modal'"),
+    ({"n_s": 2, "n_d": 0, "m": 1, "p": 1, "plant_form": "canonical",
+      "C_fixed": np.ones((1, 2))}, "canonical plant form fixes C_s itself"),
+    ({"n_s": 2, "n_d": 1, "m": 1, "p": 2},
+     "default Cd is the identity; give Cd when n_d != p"),
+], ids=["n_s-zero", "plant_form-unknown", "canonical-with-C_fixed",
+        "n_d-not-p-without-Cd"])
+def test_ladm_spec_rejects_an_inconsistent_structure(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LadmSpec(**kwargs)
+
+
+TWO_OUTPUTS = LadmSpec(n_s=2, n_d=0, m=1, p=2)
+
+
+@pytest.mark.parametrize("spec, Sigma, message", [
+    (LadmSpec(n_s=1, n_d=0, m=1, p=2), np.eye(2),
+     "layout was built for a different model structure"),
+    (TWO_OUTPUTS, np.eye(1), "Sigma must contain a leading 2 x 2 block"),
+    (TWO_OUTPUTS, np.ones((3, 1)), "Re has shape (2, 1), expected (2, 2)"),
+], ids=["foreign-layout", "Sigma-1x1", "Sigma-one-column"])
+def test_assemble_ladm_rejects(spec, Sigma, message):
+    layout = ParameterLayout(TWO_OUTPUTS)
+    theta = ThetaPoint(np.zeros(layout.n_beta), Sigma)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assemble_ladm(spec, theta, layout)
+
+
+def test_layout_without_disturbances_has_an_empty_K_d_segment():
+    layout = ParameterLayout(TWO_OUTPUTS)
+    sl, shape = layout.segments["K_d"]
+    assert shape == (0, 2) and sl.stop == sl.start
+    beta = np.arange(1.0, layout.n_beta + 1)
+    mats = layout.matrices(beta)
+    assert mats["K_d"].shape == (0, 2)
+    assert np.array_equal(layout.pack(mats), beta)
+    _, _, _, K = ladm_blocks(layout, beta)
+    assert np.array_equal(K, mats["K_s"])
