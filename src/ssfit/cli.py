@@ -3,10 +3,9 @@
 Exit codes: 0 success/converged, 1 input, schema or unreadable path, 2
 numerical non-convergence (artifacts are still written where that makes
 sense), a diverging state recursion (simulate, eval), or an oracle verdict
-of ``eig`` that its certificates leave undecided (value above ``1/epsilon``,
-lower bound not) or that the spectrum contradicts (certified inside the
-tightened set, spectrum outside the region).  :func:`main` is the one place
-that maps exceptions to exit codes.
+of ``eig`` that is ``undecided`` or that the direct membership contradicts
+(``inside`` the tightened set, spectrum outside the region).  :func:`main`
+is the one place that maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import numpy as np
 
 from . import io as ssio
 from .identify import EigConstraintSpec, fit
-from .oracle import barrier_solve, within_sublevel
-from .regions import eig_membership, membership_margin
+from .oracle import barrier_solve
+from .regions import eig_membership
 from .statespace import (
     Dataset,
     FilterDivergedError,
@@ -157,20 +156,17 @@ def cmd_eig(args) -> int:
     target = constraint.resolve_target(model.A, model.C, model.K, model.n)
     direct = eig_membership(region, target)
     result = barrier_solve(constraint.query(target))
-    oracle = within_sublevel(result.value, args.epsilon)
+    verdict = result.verdict(args.epsilon)
     print(f"direct membership: {direct}")
     print(f"barrier value: {result.value}")
     print(f"lower bound: {result.lower_bound}")
-    print(f"oracle verdict (epsilon = {args.epsilon}): {oracle}")
-    # a value within 1/epsilon certifies "inside the tightened set", a lower
-    # bound beyond it "outside"; the tightened set lies inside the region
-    if not oracle and result.lower_bound <= 1.0 / args.epsilon:
+    print(f"oracle verdict (epsilon = {args.epsilon}): {verdict}")
+    if verdict == "undecided":
         return _fail("oracle verdict undecided: the lower bound does not "
                      "exceed 1/epsilon", EXIT_NUMERIC)
-    if oracle and membership_margin(region, target) < -1e-9:
-        return _fail("oracle verdict contradicted: certified inside the "
-                     "tightened set, spectrum outside the region",
-                     EXIT_NUMERIC)
+    if verdict == "inside" and not direct:
+        return _fail("oracle verdict contradicted: inside the tightened set, "
+                     "spectrum outside the region", EXIT_NUMERIC)
     return EXIT_OK
 
 

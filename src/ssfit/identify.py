@@ -496,14 +496,11 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
         q = replace(ext.queries[i], a_mat=c.resolve_target(
             model0.A, model0.C, model0.K, spec.ladm.n_s))
         res = barrier_solve(q)
-        if not res.feasible:
+        if res.verdict(c.epsilon_i) == "outside":
             raise InitializationError(
                 f"eigenvalue constraint {i} ({c.region.label or c.region.kind}) "
                 f"is infeasible at the initial model")
-        P_i = res.p_matrix
-        gamma = 1.5
-        budget = 1.0 / c.epsilon_i
-        trace = float(np.trace(q.weight @ P_i))
+        gamma, budget, trace = 1.5, 1.0 / c.epsilon_i, res.value
         if gamma * trace > budget:
             gamma = max(1.0 + 1e-3, budget / trace * 0.999)
             if gamma * trace > budget:
@@ -511,7 +508,7 @@ def _extend_theta(ext: ExtendedProblem, theta0: ThetaPoint) -> ThetaPoint:
                     f"eigenvalue constraint {i}: trace bound leaves no room "
                     f"for a strictly feasible start "
                     f"(tr(VP) = {trace:.3e}, bound = {budget:.3e})")
-        blocks.append(gamma * P_i)
+        blocks.append(gamma * res.p_matrix)
     return ThetaPoint(theta0.beta, block_diag(*blocks))
 
 

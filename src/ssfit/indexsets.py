@@ -34,6 +34,14 @@ class PatternError(ValueError):
     """Raised for invalid index-set constructions or pattern mismatches."""
 
 
+def _position(value) -> int:
+    """An integer, or an integral float (2.0 reads as 2); nothing else."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise PatternError(f"position index must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """An ordered set of lower-triangular positions of an ``n x n`` matrix.
@@ -43,8 +51,8 @@ class IndexSet:
     n : int
         Matrix dimension.  ``n >= 0`` (zero-dimensional sets are legal).
     entries : tuple of (int, int)
-        1-based positions ``(i, j)`` with ``1 <= j <= i <= n``, strictly
-        ascending in lexicographic order.
+        1-based integer positions ``(i, j)`` with ``1 <= j <= i <= n`` (2.0
+        reads as 2, 1.9 is rejected), strictly ascending lexicographically.
     """
 
     n: int
@@ -55,7 +63,7 @@ class IndexSet:
     def __post_init__(self):
         if self.n < 0:
             raise PatternError(f"matrix dimension must be nonnegative, got {self.n}")
-        entries = tuple((int(i), int(j)) for i, j in self.entries)
+        entries = tuple((_position(i), _position(j)) for i, j in self.entries)
         prev = None
         for i, j in entries:
             if not (1 <= j <= i <= self.n):

@@ -31,8 +31,7 @@ from .regions import (LmiRegion, block_diag, char_fn, matrix_char_fn,
                       require_pd_weight, require_sound_shift)
 
 # ``solve`` is public as ``oracle.solve``; ``ssfit.solve`` is ``nlp.solve``
-__all__ = ["BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve",
-           "within_sublevel"]
+__all__ = ["BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve"]
 
 # Floor on P (as P >= floor * I) used for the relaxed system M = 0, where
 # plain semidefinite feasibility would be trivially satisfied by P = 0.
@@ -115,8 +114,17 @@ class BarrierResult:
     value: float
     p_matrix: np.ndarray | None
     report: SolveReport
-    feasible: bool
     lower_bound: float
+
+    def verdict(self, epsilon: float) -> str:
+        """``inside`` the tightened set ``phi(A) <= 1/epsilon`` when ``value``
+        is (up to solver slack), ``outside`` when ``lower_bound`` exceeds
+        ``1/epsilon`` (a Farkas ray gives ``inf``), else ``undecided``."""
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if self.value <= (1.0 / epsilon) * (1.0 + 1e-6):
+            return "inside"
+        return "outside" if self.lower_bound > 1.0 / epsilon else "undecided"
 
 
 @dataclass(frozen=True)
@@ -380,8 +388,9 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     the solve, in the query's own coordinates and in ascending order of
     trace: the returned value is ``tr(V P)`` of the least-trace ``P`` (the
     earliest on ties) whose ``M_D(A, P) - M`` and ``P - h0 I`` pass
-    Cholesky, or ``inf``.  Every dual iterate ``X = blkdiag(Z, W)`` gives a
-    lower bound: for ``Z >= 0`` and
+    Cholesky, else (when ``M != 0``) the last ``P`` scaled by
+    ``1 + GAP_TOL/2`` if it passes, or ``inf``.  Every dual iterate
+    ``X = blkdiag(Z, W)`` gives a lower bound: for ``Z >= 0`` and
     ``0 <= t <= 1 / lambda_max(V'^-1/2 M_D*(Z) V'^-1/2)``,
     ``(t Z, V' - t M_D*(Z))`` is a dual feasible point, whose objective
     ``t tr(M' Z) + tr((V' - t M_D*(Z)) h0 T^-1 T^-T)`` is at most
@@ -410,7 +419,7 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
             eq_residual_inf=np.inf, in_violation_inf=0.0,
             stationarity_inf=0.0, iterations=0, outer_iterations=0,
             status="infeasible")
-        return BarrierResult(np.inf, None, report, False, np.inf)
+        return BarrierResult(np.inf, None, report, np.inf)
     iterates = []
     report = solve(problem, np.zeros(len(basis)),
                    lambda y, X: iterates.append((y, X[:nm, :nm])))
@@ -429,6 +438,11 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
                 and _definite(matrix_char_fn(region, A, P[i]) - M):
             value, p_matrix = float(trace[i]), P[i]
             break
+    if value == np.inf and np.any(M) and np.isfinite(trace[-1]):
+        # slacks indefinite by round-off: (1 + GAP_TOL/2) P adds (GAP_TOL/2) M
+        P_s = (1.0 + GAP_TOL / 2) * P[-1]
+        if _definite(P_s) and _definite(matrix_char_fn(region, A, P_s) - M):
+            value, p_matrix = float(np.sum(V * P_s)), P_s
     # the dual bound of every iterate, the largest kept
     adjoint_z = problem.blocks[:, :nm, :nm].reshape(len(basis), nm * nm)
     # V' = (R^T R)^-1: lambda_max(V'^-1/2 G V'^-1/2) = lambda_max(R G R^T)
@@ -454,12 +468,4 @@ def barrier_solve(query: BarrierQuery) -> BarrierResult:
     else:
         status = "max-iter"
     return BarrierResult(value, p_matrix, replace(report, status=status),
-                         value < np.inf, lower)
-
-
-def within_sublevel(value: float, epsilon: float) -> bool:
-    """Sublevel-set verdict ``value <= 1/epsilon`` with solver-tolerance
-    slack, for a barrier value such as ``barrier_solve(query).value``."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return value <= (1.0 / epsilon) * (1.0 + 1e-6)
+                         lower)

@@ -30,7 +30,6 @@ __all__ = [
     "contains",
     "matrix_char_fn",
     "eig_membership",
-    "membership_margin",
     "require_pd_weight",
     "require_sound_shift",
 ]
@@ -214,12 +213,6 @@ def eig_membership(region: LmiRegion, A: np.ndarray) -> bool:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigenvalue computation failed: {exc}") from exc
     return contains(region, eigs)
-
-
-def membership_margin(region: LmiRegion, A: np.ndarray) -> float:
-    """Smallest eigenvalue of ``f(lambda)`` over the spectrum of ``A``: positive
-    exactly when every eigenvalue lies in the open region."""
-    return float(np.linalg.eigvalsh(char_fn(region, np.linalg.eigvals(A))).min())
 
 
 def require_pd_weight(weight: np.ndarray) -> None:

@@ -348,15 +348,15 @@ def barrier_solve_reference(query):
             eq_residual_inf=np.inf, in_violation_inf=0.0,
             stationarity_inf=0.0, iterations=0, outer_iterations=0,
             status="infeasible")
-        return oracle.BarrierResult(np.inf, None, report, False, np.inf)
+        return oracle.BarrierResult(np.inf, None, report, np.inf)
     adjoint_z = problem.blocks[:, :nm, :nm].reshape(len(basis), nm * nm)
     R = np.linalg.inv(np.linalg.cholesky(V)) @ Ti.T
-    value, p_matrix, lower = np.inf, None, -np.inf
+    value, p_matrix, lower, last = np.inf, None, -np.inf, None
 
     def observe(y, X):
-        nonlocal value, p_matrix, lower
+        nonlocal value, p_matrix, lower, last
         P = T @ np.tensordot(y, basis, 1) @ T.T
-        P = 0.5 * (P + P.T)
+        P = last = 0.5 * (P + P.T)
         trace = float(np.sum(V * P))
         if trace < value and oracle._definite(P - h0 * np.eye(n)) \
                 and oracle._definite(matrix_char_fn(region, A, P) - M):
@@ -372,6 +372,12 @@ def barrier_solve_reference(query):
         lower = max(lower, bound)
 
     report = oracle.solve(problem, np.zeros(len(basis)), observe)
+    if value == np.inf and np.any(M) and np.isfinite(np.sum(V * last)):
+        # no iterate passed: the last one scaled by 1 + GAP_TOL/2
+        P = (1.0 + oracle.GAP_TOL / 2) * last
+        if oracle._definite(P) \
+                and oracle._definite(matrix_char_fn(region, A, P) - M):
+            value, p_matrix = float(np.sum(V * P)), P
     if value < np.inf and value - lower <= oracle.GAP_TOL * value:
         status = "converged"
     elif value == np.inf and report.status == "infeasible":
@@ -380,7 +386,7 @@ def barrier_solve_reference(query):
         status = "max-iter"
     return oracle.BarrierResult(value, p_matrix,
                                 dataclasses.replace(report, status=status),
-                                value < np.inf, lower)
+                                lower)
 
 
 class ReferenceBarrierNlp:

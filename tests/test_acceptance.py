@@ -23,7 +23,7 @@ from ssfit.identify import (
 )
 from ssfit.indexsets import complement, vecs
 from ssfit.nlp import SolveOptions, fd_gradient, preflight_gradients
-from ssfit.oracle import BarrierQuery, barrier_solve, within_sublevel
+from ssfit.oracle import BarrierQuery, barrier_solve
 from ssfit.regions import cone, disk, half_plane, intersect, left_half_plane
 from ssfit.statespace import (
     Dataset,
@@ -215,8 +215,8 @@ class TestCriterion5EpsilonMonotone:
         # fixed interior matrix
         A = np.array([[0.5, 0.1], [0.0, 0.4]])
         region = disk(0.9, 0.0)
-        value = barrier_solve(BarrierQuery(region, A, 1e-3 * np.eye(4))).value
-        feas = [within_sublevel(value, e)
+        res = barrier_solve(BarrierQuery(region, A, 1e-3 * np.eye(4)))
+        feas = [res.verdict(e) == "inside"
                 for e in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
         assert feas == sorted(feas)
         assert feas[-1]
@@ -263,10 +263,9 @@ class TestCriterion7ConstrainedMl:
         assert np.all(eigs.real >= 0.3 - 1e-6), f"Re bound violated: {eigs}"
         assert np.all(np.abs(eigs) <= 0.998 + 1e-6), f"modulus bound: {eigs}"
         nm = 3 * region.m
-        confirmed = within_sublevel(barrier_solve(
-            BarrierQuery(region, result.model.filter_matrix(),
-                         0.03 * np.eye(nm))).value, 0.03)
-        assert confirmed
+        assert barrier_solve(BarrierQuery(
+            region, result.model.filter_matrix(),
+            0.03 * np.eye(nm))).verdict(0.03) == "inside"
         report("criterion 7: synthetic constrained ML",
                time.perf_counter() - t0, 180.0,
                f"filter eigs {np.round(eigs, 4)}")

@@ -178,7 +178,7 @@ class TestEig:
         captured = capsys.readouterr()
         assert code == 0
         assert "direct membership: True" in captured.out
-        assert "oracle verdict (epsilon = 0.5): False\n" in captured.out
+        assert "oracle verdict (epsilon = 0.5): outside\n" in captured.out
         assert captured.err == ""
 
     @pytest.mark.parametrize("region, value, lower_bound, verdict", [

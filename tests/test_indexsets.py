@@ -52,6 +52,18 @@ class TestConstructors:
         with pytest.raises(PatternError):
             IndexSet(2, ((1, 1), (1, 1)))
 
+    def test_integral_positions_read_as_integers(self):
+        s = IndexSet(2, ((1, 1), (2.0, np.int64(1)), (2, 2.0)))
+        assert s.entries == ((1, 1), (2, 1), (2, 2))
+        assert all(type(k) is int for e in s.entries for k in e)
+
+    @pytest.mark.parametrize("position", [1.9, True, "2"],
+                             ids=["fraction", "bool", "str"])
+    def test_nonintegral_positions_rejected(self, position):
+        # nothing is rounded or coerced: (1.9, 1) is not (1, 1)
+        with pytest.raises(PatternError, match="must be an integer"):
+            IndexSet(2, ((position, 1),))
+
 
 class TestAlgebra:
     def test_direct_sum_diag(self):

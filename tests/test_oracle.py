@@ -11,8 +11,7 @@ from helpers import (ReferenceBarrierNlp, barrier_solve_reference,
                      count_constraint_calls, inner_minimize_reference_adapter)
 from ssfit import nlp as nlp_module
 from ssfit import oracle
-from ssfit.oracle import (BarrierQuery, _balance, barrier_solve,
-                          within_sublevel)
+from ssfit.oracle import BarrierQuery, _balance, barrier_solve
 from ssfit.regions import (cone, disk, eig_membership, half_plane, intersect,
                            left_half_plane)
 from ssfit.transform import transformed_constraints
@@ -56,7 +55,7 @@ class TestBarrierAnalytic:
     def test_feasible_p_returned_definite(self):
         q = BarrierQuery(half_plane(0.0), np.array([[0.8]]), 0.05 * np.eye(1))
         res = barrier_solve(q)
-        assert res.feasible
+        assert res.p_matrix is not None
         assert np.min(np.linalg.eigvalsh(res.p_matrix)) > 0
 
     def test_defective_pair_inside_the_disk(self):
@@ -66,7 +65,7 @@ class TestBarrierAnalytic:
         shift = 0.01968960371375985
         res = barrier_solve(BarrierQuery(disk(0.9, 0.0), A,
                                          shift * np.eye(4)))
-        assert res.feasible
+        assert res.p_matrix is not None
         assert res.value == pytest.approx(4.488981, rel=1e-6)
         assert np.min(np.linalg.eigvalsh(res.p_matrix)) > 0
 
@@ -103,25 +102,42 @@ class TestBalancing:
 class TestRegionFeasible:
     def test_sublevel_membership(self):
         q = BarrierQuery(disk(1.0, 0.0), np.array([[0.5]]), 0.1 * np.eye(2))
-        value = barrier_solve(q).value
-        assert within_sublevel(value, 1.0)       # 0.2 <= 1
-        assert not within_sublevel(value, 10.0)  # 0.2 > 0.1
+        res = barrier_solve(q)
+        assert res.verdict(1.0) == "inside"     # 0.2 <= 1
+        assert res.verdict(10.0) == "outside"   # 0.2 > 0.1, bound too
 
     def test_monotone_in_epsilon(self):
         rng = np.random.default_rng(30)
         A = spectrum_matrix(rng, [0.5], [complex(0.3, 0.2)])
         q = BarrierQuery(disk(0.9, 0.0), A, 1e-3 * np.eye(A.shape[0] * 2))
-        value = barrier_solve(q).value
-        feas = [within_sublevel(value, eps)
-                for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
-        # once feasible at some epsilon, feasible at every smaller epsilon
-        assert feas == sorted(feas)
-        assert feas[-1]
+        res = barrier_solve(q)
+        verdicts = [res.verdict(eps)
+                    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+        # outside down to some epsilon, inside at every smaller one
+        assert verdicts == sorted(verdicts, reverse=True)
+        assert verdicts[-1] == "inside"
+        assert "undecided" not in verdicts
+
+    @pytest.mark.parametrize("value, lower_bound, verdict", [
+        (2.0, 1.0, "inside"),
+        (2.0 * (1.0 + 1e-6), 1.0, "inside"),    # the solver-tolerance slack
+        (2.0 * (1.0 + 2e-6), 1.0, "undecided"),
+        (np.inf, 2.0, "undecided"),             # the bound must exceed 2
+        (3.0, 2.5, "outside"),
+        (np.inf, np.inf, "outside"),            # a Farkas ray
+    ])
+    def test_three_verdicts(self, value, lower_bound, verdict):
+        res = barrier_solve(BarrierQuery(disk(1.0, 0.0), np.array([[0.5]]),
+                                         0.1 * np.eye(2)))
+        res = dataclasses.replace(res, value=value, lower_bound=lower_bound)
+        assert res.verdict(0.5) == verdict
 
     def test_epsilon_validation(self):
+        res = barrier_solve(BarrierQuery(disk(1.0, 0.0), np.array([[0.5]]),
+                                         0.1 * np.eye(2)))
         for epsilon in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="epsilon must be positive"):
-                within_sublevel(0.2, epsilon)
+                res.verdict(epsilon)
 
 
 class TestShiftAndWeightRules:
@@ -187,7 +203,7 @@ class TestOracleAgreement:
             A_in = spectrum_matrix(rng, *inside)
             assert eig_membership(region, A_in)
             q = BarrierQuery(region, A_in, 1e-4 * np.eye(A_in.shape[0] * region.m))
-            assert within_sublevel(barrier_solve(q).value, 1e-4)
+            assert barrier_solve(q).verdict(1e-4) == "inside"
             A_out = spectrum_matrix(rng, *outside)
             assert not eig_membership(region, A_out)
             q = BarrierQuery(region, A_out, 1e-4 * np.eye(A_out.shape[0] * region.m))
@@ -221,7 +237,7 @@ def _reference(q):
     oracle's answer: the start is the oracle's P where the query is inside
     and the identity where it is not."""
     res = barrier_solve(q)
-    P = res.p_matrix if res.feasible else np.eye(q.n)
+    P = np.eye(q.n) if res.p_matrix is None else res.p_matrix
     nlp = ReferenceBarrierNlp(q)
     nlp._set_p_scale(max(1.0, float(np.trace(P)) / (nlp.scale * q.n)))
     x0 = nlp.pack(P)
@@ -383,7 +399,7 @@ class TestCertificates:
         for q, is_in in queries:
             res = barrier_solve(q)
             assert res.lower_bound <= res.value
-            assert res.feasible == is_in
+            assert (res.p_matrix is not None) == is_in
             if res.report.status == "converged":
                 gaps.append((res.value - res.lower_bound) / res.value)
             if is_in and q is not WIDE_INTERSECT:
@@ -400,7 +416,7 @@ class TestCertificates:
         assert lyapunov == pytest.approx(5.058419975, rel=1e-9)
         assert barrier_solve(q).value == pytest.approx(lyapunov, rel=1e-6)
         res = barrier_solve(FOUND_RELAXED_DISK)
-        assert res.feasible
+        assert res.p_matrix is not None
         assert res.value == pytest.approx(691.2339, rel=1e-6)
         res = barrier_solve(WIDE_INTERSECT)
         assert res.lower_bound <= res.value <= 2328.2
@@ -412,7 +428,7 @@ class TestCertificates:
         if report.eq_residual_inf <= REFERENCE_OPTIONS.tol_eq:
             assert nlp.value(report.x_star) \
                 >= res.lower_bound * (1.0 - 1e-6)
-        assert res.feasible == (report.eq_residual_inf
+        assert (res.p_matrix is not None) == (report.eq_residual_inf
                                 <= REFERENCE_OPTIONS.tol_eq)
 
 
@@ -488,7 +504,7 @@ class TestClosedFormRay:
         assert res.report.status == "infeasible"
         assert res.report.iterations == 0
         assert res.value == np.inf and res.lower_bound == np.inf
-        assert res.p_matrix is None and not res.feasible
+        assert res.p_matrix is None
         # the same program through the interior-point solve certifies no P
         programs = []
 
@@ -511,7 +527,7 @@ class TestClosedFormRay:
                                side_effect=AssertionError("ray tried")):
             res = barrier_solve(q)
         assert res.report.iterations > 0
-        assert res.feasible
+        assert res.p_matrix is not None
 
 
 class TestRayFallback:
@@ -544,7 +560,7 @@ class TestRayFallback:
         assert verdicts == [False]
         assert res.report.iterations > 0
         assert res.value == np.inf and res.p_matrix is None
-        assert not res.feasible
+        assert res.p_matrix is None
 
 
 @pytest.mark.parametrize("kind", list(PLACED_REGIONS))
@@ -555,7 +571,38 @@ def test_lower_bound_never_above_value(kind, seed, inside, relaxed):
     q = placed_query(kind, seed, inside, relaxed, weighted=True)
     res = barrier_solve(q)
     assert res.lower_bound <= res.value
-    assert res.feasible == inside
+    assert (res.p_matrix is not None) == inside
+
+
+@pytest.mark.parametrize("kind", list(PLACED_REGIONS))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), inside=st.booleans())
+def test_verdicts_agree_with_the_spectrum(kind, seed, inside):
+    # "inside" the tightened set is inside the region, and a spectrum
+    # placed outside the region is "outside" at every epsilon
+    q = placed_query(kind, seed, inside, False)
+    res = barrier_solve(q)
+    for epsilon in (1e-4, 1e-2):
+        verdict = res.verdict(epsilon)
+        if verdict == "inside":
+            assert eig_membership(q.region, q.a_mat)
+        if not inside:
+            assert verdict == "outside"
+
+
+@pytest.mark.parametrize("kind, seed", [
+    ("half_plane", 955), ("disk", 302), ("intersect", 84),
+    ("intersect", 4128)])
+def test_scalar_inside_query_is_certified(kind, seed):
+    # every iterate's slack M_D(A, P) - M of these 1 x 1 queries is
+    # indefinite by round-off (about -6e-15); the last iterate scaled by
+    # 1 + GAP_TOL/2 passes Cholesky within the gap of the lower bound
+    q = placed_query(kind, seed, True, False)
+    assert q.n == 1
+    res = barrier_solve(q)
+    assert res.report.status == "converged"
+    assert res.verdict(1e-4) == "inside"
+    assert same_bits(res, barrier_solve_reference(q))
 
 
 def test_step_lengths_share_the_factors_of_s_and_x(monkeypatch):
@@ -681,7 +728,7 @@ def test_certificates_after_the_solve_match_the_per_iterate_reference(
     monkeypatch.setattr(oracle, "_certified_ray", lambda *args: False)
     for q in outside:
         res = barrier_solve(q)
-        assert res.report.iterations > 0 and not res.feasible
+        assert res.report.iterations > 0 and res.p_matrix is None
         assert same_bits(res, barrier_solve_reference(q))
 
 

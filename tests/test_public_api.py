@@ -28,12 +28,11 @@ MODULE_ALL = {
         "SolveOptions", "SolveReport", "fd_gradient", "fd_jacobian",
         "preflight_gradients", "solve"],
     "oracle": [
-        "BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve",
-        "within_sublevel"],
+        "BarrierQuery", "BarrierResult", "SdpProblem", "barrier_solve"],
     "regions": [
         "LmiRegion", "band", "block_diag", "char_fn", "cone", "contains",
         "disk", "eig_membership", "half_plane", "intersect", "left_half_plane",
-        "matrix_char_fn", "membership_margin", "require_pd_weight",
+        "matrix_char_fn", "require_pd_weight",
         "require_sound_shift"],
     "statespace": [
         "Dataset", "EigenReport", "FilterDivergedError", "InnovationModel",

@@ -19,7 +19,6 @@ from ssfit.regions import (
     intersect,
     left_half_plane,
     matrix_char_fn,
-    membership_margin,
     require_pd_weight,
     require_sound_shift,
 )
@@ -278,6 +277,12 @@ class TestEigMembership:
         assert not eig_membership(half_plane(0.3), np.array([[0.3]]))
 
 
+def spectral_margin(region, A):
+    """Smallest eigenvalue of ``f(lambda)`` over the spectrum of ``A``:
+    positive exactly when every eigenvalue lies in the open region."""
+    return float(np.linalg.eigvalsh(char_fn(region, np.linalg.eigvals(A))).min())
+
+
 class TestMembershipMargin:
     @pytest.mark.parametrize("region", [
         half_plane(0.3), half_plane(-0.2), left_half_plane(0.0),
@@ -289,18 +294,21 @@ class TestMembershipMargin:
         rng = np.random.default_rng(6)
         for _ in range(60):
             A = rng.standard_normal((3, 3))
-            margin = membership_margin(region, A)
+            margin = spectral_margin(region, A)
             if abs(margin) < 1e-6:
                 continue  # the direct check's cushion decides on the boundary
             assert (margin > 0) == eig_membership(region, A)
 
     def test_examples(self):
-        assert membership_margin(half_plane(0.0), np.array([[0.5]])) \
+        assert spectral_margin(half_plane(0.0), np.array([[0.5]])) \
             == pytest.approx(1.0)
-        assert membership_margin(disk(1.0, 0.0), np.diag([0.5, -0.2])) \
+        assert eig_membership(half_plane(0.0), np.array([[0.5]]))
+        assert spectral_margin(disk(1.0, 0.0), np.diag([0.5, -0.2])) \
             == pytest.approx(0.5)
+        assert eig_membership(disk(1.0, 0.0), np.diag([0.5, -0.2]))
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert membership_margin(left_half_plane(0.0), A) == 0.0
+        assert spectral_margin(left_half_plane(0.0), A) == 0.0
+        assert not eig_membership(left_half_plane(0.0), A)
 
 
 def tightened_residuals(region, shift, weight, epsilon, A, P):
@@ -455,7 +463,7 @@ def test_positive_margin_iff_membership_off_the_boundary(kind, data, seed,
                         [z.real for z in eigs if not z.imag],
                         [z for z in eigs if z.imag])
     inside = all(distance(z) > 0 for z in eigs)
-    assert (membership_margin(region, A) > 0) == inside
+    assert (spectral_margin(region, A) > 0) == inside
     assert eig_membership(region, A) == inside
 
 
